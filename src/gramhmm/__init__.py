@@ -26,9 +26,11 @@ from .hmm import (
 )
 from .inference import (
     AttestationError,
+    AttestationViolatedError,
     ForwardTable,
     InferenceError,
     LikelihoodResult,
+    NumericalError,
     forward_table,
     likelihood_upto,
     ucfg_likelihood,
@@ -40,6 +42,7 @@ from .sampling import (
     Sampler,
     SampleTrace,
     SamplingError,
+    SamplingNumericalError,
     sample,
     sample_many,
 )
@@ -60,6 +63,7 @@ from .oracle import (
 )
 from .reductions import (
     Cnf3Formula,
+    InconsistentModelCountError,
     ReductionError,
     brute_force_model_count,
     clause_complement_grammar,
@@ -68,4 +72,4 @@ from .reductions import (
     parse_dimacs,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -1,11 +1,12 @@
 """Rejection-based FPRAS for constrained likelihoods of ambiguous grammars.
 
-Proposals come from the exact ancestral sampler, whose string marginal is
-f_G(w) * f_A(w) / Z; accepting each proposal with probability exactly
-1 / f_G(w) makes the acceptance rate Z-normalized constrained likelihood,
-so Z * (accepted / N) estimates f_A(L_G intersect Sigma^L).  The Bernoulli
-draw is carried out over big integers, never via a floating-point
-reciprocal, since derivation counts can exceed 2^53.
+Proposals come from the exact ancestral sampler in batches of its CHUNK
+draws, whose string marginal is f_G(w) * f_A(w) / Z; accepting each proposal
+with probability exactly 1 / f_G(w) makes the acceptance rate Z-normalized
+constrained likelihood, so Z * (accepted / N) estimates
+f_A(L_G intersect Sigma^L).  The Bernoulli draw is carried out over big
+integers, never via a floating-point reciprocal, since derivation counts
+can exceed 2^53.
 """
 
 from __future__ import annotations
@@ -110,13 +111,10 @@ def fpras_likelihood(
             estimate=0.0, z_weighted=0.0, samples=0, accepted=0,
             epsilon=epsilon, bound_value=bound_value, seed=seed,
         )
-    sampler = Sampler(table)
     rng = seed.generator()
     accepted = 0
-    for _ in range(n_samples):
-        trace = sampler.draw(L, rng)
-        f_w = derivation_count(g, trace.string)
-        if exact_bernoulli(f_w, rng):
+    for trace in Sampler(table).draw_many(L, n_samples, rng):
+        if exact_bernoulli(derivation_count(g, trace.string), rng):
             accepted += 1
     return FprasReport(
         estimate=z * accepted / n_samples,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -78,7 +79,7 @@ def cmd_sample(args) -> dict:
     g = _load_grammar(args.grammar)
     model = _load_hmm(args.hmm)
     traces = sampling.sample_many(
-        g, model, args.length, args.count, sampling.RngSeed(args.seed)
+        g, model, args.length, args.count, sampling.RngSeed(args.seed), trees=args.emit_trees
     )
     doc = {
         "length": args.length,
@@ -165,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gramhmm",
         description="Grammar-constrained HMM likelihoods, sampling and FPRAS approximation",
     )
-    parser.add_argument("--threads", type=int, default=0,
-                        help="worker hint; results are independent of the value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("likelihood", help="exact or weighted-mass likelihood")
@@ -212,13 +211,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _failure_code(exc: Exception) -> int:
-    message = str(exc)
-    if isinstance(exc, inference.AttestationError) and "violated" in message:
-        return EXIT_NUMERICAL
-    if "underflow" in message or "inconsistent model count" in message:
-        return EXIT_NUMERICAL
-    return EXIT_VALIDATION
+def _failure_code(exc: ValueError) -> int:
+    return EXIT_NUMERICAL if isinstance(exc, inference.NumericalError) else EXIT_VALIDATION
+
+
+def _nonfinite(doc, path: str) -> str | None:
+    """Where the first non-finite float in doc is, and its JSON spelling."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else f"{path} is {json.dumps(doc)}"
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return None
+    for key, value in items:
+        found = _nonfinite(value, f"{path}.{key}")
+        if found:
+            return found
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -235,8 +246,12 @@ def main(argv: list[str] | None = None) -> int:
         return _failure_code(e)
     elapsed = time.perf_counter() - started
     doc = {"command": args.command, "status": "ok", **body}
-    json.dump(doc, sys.stdout)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError:
+        print(f"non-finite result: {_nonfinite(body, args.command)}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    sys.stdout.write(text + "\n")
     print(f"{args.command}: {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK
 

@@ -44,6 +44,8 @@ class Hmm:
         init = np.asarray(self.initial, dtype=float)
         if init.shape != (n,):
             raise HmmError(f"initial vector must have length {n}")
+        if not np.all(np.isfinite(init)):
+            raise HmmError("initial vector has a non-finite entry")
         if np.any(init < 0):
             raise HmmError("initial vector has a negative entry")
         if abs(init.sum() - 1.0) > STOCHASTICITY_TOL:
@@ -56,6 +58,8 @@ class Hmm:
             m = np.asarray(self.matrices[sym], dtype=float)
             if m.shape != (n, n):
                 raise HmmError(f"matrix for {sym!r} must be {n}x{n}")
+            if not np.all(np.isfinite(m)):
+                raise HmmError(f"matrix for {sym!r} has a non-finite entry")
             if np.any(m < 0):
                 raise HmmError(f"matrix for {sym!r} has a negative entry")
             mats[sym] = m
@@ -86,6 +90,8 @@ def parse_hmm(text: str) -> Hmm:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise HmmError(f"malformed HMM document: {e}") from None
+    if not isinstance(doc, dict):
+        raise HmmError("HMM document must be a JSON object")
     for key in ("states", "alphabet", "initial", "matrices"):
         if key not in doc:
             raise HmmError(f"missing field {key!r}")

@@ -7,10 +7,11 @@ symbol and the initial distribution gives the weighted mass
 Z = sum_w f_G(w) * f_A(w), which is the exact constrained likelihood when
 the grammar is unambiguous.
 
-The combine step is the Kronecker/permutation recursion in unrolled index
-form: the permutation is an index shuffle, the state-pairing tensor is the
-middle-state contraction, and the rule tensor is iteration over the binary
-rules, so nothing of size n'^4 n^2 is ever materialized.
+Layer l is built from the shorter layers by a loop over split points and
+binary rules: for each split m = 1..l-1 and each rule a -> b c in index
+order, F_l[a] += F_m[b] @ F_{l-m}[c].  The matrix product sums over the
+middle state carried across the split, so no tensor larger than one layer
+is ever formed.
 """
 
 from __future__ import annotations
@@ -31,10 +32,15 @@ __all__ = [
     "weighted_mass",
     "ucfg_likelihood",
     "likelihood_upto",
-    "pair_shuffle",
+    "NumericalError",
+    "AttestationViolatedError",
 ]
 
 AMBIGUITY_SLACK = 1e-9
+
+
+class NumericalError(ValueError):
+    """A result cannot be represented or trusted in floating point."""
 
 
 class InferenceError(ValueError):
@@ -43,6 +49,10 @@ class InferenceError(ValueError):
 
 class AttestationError(InferenceError):
     """The unambiguity attestation is missing or contradicted by the result."""
+
+
+class AttestationViolatedError(AttestationError, NumericalError):
+    """The weighted mass exceeds 1, so the attested grammar is ambiguous."""
 
 
 @dataclass(frozen=True)
@@ -68,16 +78,6 @@ class LikelihoodResult:
     value: float
     length: int
     mode: str  # weighted-mass | ucfg-exact | upto-L
-
-
-def pair_shuffle(coord: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    """Index map of the block permutation: (i, j, k, l) -> (i, k, j, l).
-
-    Swapping the two middle blocks interleaves (grammar, state-pair) factors;
-    applying it twice is the identity.
-    """
-    i, j, k, l = coord
-    return (i, k, j, l)
 
 
 def _check_alphabets(g: CnfGrammar, model: Hmm) -> None:
@@ -144,7 +144,7 @@ def ucfg_likelihood(
         )
     z = weighted_mass(g, model, L, table=table)
     if z.value > 1.0 + AMBIGUITY_SLACK:
-        raise AttestationError(
+        raise AttestationViolatedError(
             f"ambiguity attestation violated: weighted mass {z.value} exceeds 1 at length {L}"
         )
     return LikelihoodResult(value=z.value, length=L, mode="ucfg-exact")

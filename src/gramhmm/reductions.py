@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 from .grammar import CnfGrammar, union
 from .hmm import uniform_hmm
-from .inference import ucfg_likelihood
+from .inference import NumericalError, ucfg_likelihood
 from .oracle import brute_force_likelihood
 
 __all__ = [
     "ReductionError",
+    "InconsistentModelCountError",
     "Cnf3Formula",
     "parse_dimacs",
     "clause_complement_grammar",
@@ -37,6 +38,10 @@ Clause = tuple[int, int, int]
 
 class ReductionError(ValueError):
     pass
+
+
+class InconsistentModelCountError(ReductionError, NumericalError):
+    """2^n (1 - likelihood) is not close enough to an integer to round."""
 
 
 @dataclass(frozen=True)
@@ -222,7 +227,7 @@ def model_count_via_likelihood(
     raw = (1 << n) * (1.0 - likelihood)
     rounded = round(raw)
     if abs(raw - rounded) > ROUNDING_RESIDUE_TOL * (1 << n):
-        raise ReductionError(
+        raise InconsistentModelCountError(
             f"inconsistent model count: 2^n (1 - likelihood) = {raw} is not near an integer"
         )
     return int(rounded)

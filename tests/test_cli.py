@@ -4,8 +4,12 @@ import sys
 
 import pytest
 
+from gramhmm.cli import _failure_code
 from gramhmm.grammar import dyck_grammar, format_grammar, parse_grammar, union, universal_grammar
-from gramhmm.hmm import format_hmm, uniform_hmm
+from gramhmm.hmm import HmmError, format_hmm, uniform_hmm
+from gramhmm.inference import AttestationError, AttestationViolatedError
+from gramhmm.reductions import InconsistentModelCountError, ReductionError
+from gramhmm.sampling import SamplingError, SamplingNumericalError
 
 
 def run_cli(*args):
@@ -71,6 +75,33 @@ class TestLikelihood:
                     "--hmm", files["paren_hmm"], "--length", 4, "--mode", "weighted")
         assert r.returncode == 3
 
+    def test_overflow_is_numerical_error(self, files, tmp_path):
+        p = tmp_path / "ss.grm"
+        p.write_text("start S\nS -> S S\nS -> 'a'\nS -> 'b'\n")
+        r = run_cli("likelihood", "--grammar", p, "--hmm", files["ab_hmm"],
+                    "--length", 540, "--mode", "weighted")
+        assert r.returncode == 4
+        assert r.stdout == ""
+        assert "non-finite result: likelihood.value is Infinity" in r.stderr
+
+    def test_nan_hmm_is_validation_error(self, files, tmp_path):
+        h = tmp_path / "nan.hmm.json"
+        h.write_text('{"states": 1, "alphabet": ["(", ")"], "initial": [NaN], '
+                     '"matrices": {"(": [[0.5]], ")": [[0.5]]}}')
+        r = run_cli("likelihood", "--grammar", files["dyck"], "--hmm", h,
+                    "--length", 4, "--mode", "weighted")
+        assert r.returncode == 3
+        assert "non-finite" in r.stderr
+        assert r.stdout == ""
+
+    def test_non_object_hmm_is_validation_error(self, files, tmp_path):
+        h = tmp_path / "seven.hmm.json"
+        h.write_text("7")
+        r = run_cli("likelihood", "--grammar", files["dyck"], "--hmm", h,
+                    "--length", 4, "--mode", "weighted")
+        assert r.returncode == 3
+        assert "JSON object" in r.stderr
+
     def test_usage_error(self):
         r = run_cli("likelihood", "--mode", "weighted")
         assert r.returncode == 2
@@ -88,10 +119,36 @@ class TestSample:
         assert r.returncode == 3
         assert "empty constrained support" in r.stderr
 
+    def test_underflow_is_numerical_error(self, tmp_path):
+        g = tmp_path / "bs.grm"
+        g.write_text("start S\nS -> B S\nS -> 'b'\nB -> 'b'\nA -> 'a'\n")
+        h = tmp_path / "rare-b.hmm.json"
+        h.write_text('{"states": 1, "alphabet": ["a", "b"], "initial": [1.0], '
+                     '"matrices": {"a": [[0.999]], "b": [[0.001]]}}')
+        r = run_cli("sample", "--grammar", g, "--hmm", h, "--length", 102, "--count", 1,
+                    "--seed", 0)
+        assert r.returncode == 4
+        assert "numerical underflow at node" in r.stderr
+
     def test_deterministic(self, files):
         args = ("sample", "--grammar", files["dyck"], "--hmm", files["paren_hmm"],
                 "--length", 4, "--count", 5, "--seed", 9)
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+    def test_trees_match_strings(self, files):
+        args = ("sample", "--grammar", files["dyck"], "--hmm", files["paren_hmm"],
+                "--length", 8, "--count", 30, "--seed", 11)
+        plain = json.loads(run_cli(*args).stdout)
+        with_trees = json.loads(run_cli(*args, "--emit-trees").stdout)
+        assert with_trees["strings"] == plain["strings"]
+        assert "trees" not in plain
+
+        def spell(node):
+            if "terminal" in node:
+                return node["terminal"]
+            return "".join(spell(c) for c in node["children"])
+
+        assert [spell(t) for t in with_trees["trees"]] == plain["strings"]
 
     def test_trees(self, files):
         r = run_cli("sample", "--grammar", files["dyck"], "--hmm", files["paren_hmm"],
@@ -192,7 +249,20 @@ class TestDeterminism:
             outs = {
                 run_cli(*cmd).stdout,
                 run_cli(*cmd).stdout,
-                run_cli("--threads", 1, *cmd).stdout,
-                run_cli("--threads", 4, *cmd).stdout,
             }
             assert len(outs) == 1
+
+
+@pytest.mark.parametrize("error, code", [
+    (SamplingNumericalError("numerical underflow at node"), 4),
+    (AttestationViolatedError("ambiguity attestation violated"), 4),
+    (InconsistentModelCountError("inconsistent model count"), 4),
+    (SamplingError("empty constrained support"), 3),
+    (AttestationError("ucfg likelihood requires the caller to attest"), 3),
+    (ReductionError("reduction needs at least 2 variables"), 3),
+    (HmmError("initial vector has a non-finite entry"), 3),
+    # the type decides, not the message text
+    (ValueError("numerical underflow at node"), 3),
+])
+def test_failure_code_by_type(error, code):
+    assert _failure_code(error) == code

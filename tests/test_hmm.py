@@ -66,6 +66,23 @@ class TestParse:
         with pytest.raises(HmmError, match="initial"):
             parse_hmm(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_initial_rejected(self, value):
+        with pytest.raises(HmmError, match="initial vector has a non-finite entry"):
+            Hmm(state_count=1, initial=np.array([value]),
+                matrices={"a": np.array([[1.0]])}, alphabet=("a",))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_matrix_rejected(self, value):
+        doc = json.loads(UNIFORM_AB)
+        doc["matrices"]["a"] = [[value]]
+        with pytest.raises(HmmError, match="matrix for 'a' has a non-finite entry"):
+            parse_hmm(json.dumps(doc))
+
+    def test_non_object_document(self):
+        with pytest.raises(HmmError, match="JSON object"):
+            parse_hmm("7")
+
     def test_malformed_document(self):
         with pytest.raises(HmmError, match="malformed"):
             parse_hmm("{not json")

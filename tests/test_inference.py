@@ -8,7 +8,6 @@ from gramhmm.inference import (
     InferenceError,
     forward_table,
     likelihood_upto,
-    pair_shuffle,
     ucfg_likelihood,
     weighted_mass,
 )
@@ -126,13 +125,3 @@ class TestLikelihoodUpto:
             single = ucfg_likelihood(dyck, paren_uniform, L, unambiguity_attested=True).value
             assert abs((vals[L - 1] - vals[L - 2]) - single) <= 1e-12
 
-
-class TestPairShuffle:
-    def test_involution(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            coord = tuple(int(x) for x in rng.integers(0, 9, size=4))
-            assert pair_shuffle(pair_shuffle(coord)) == coord
-
-    def test_swaps_middle(self):
-        assert pair_shuffle((1, 2, 3, 4)) == (1, 3, 2, 4)
