@@ -22,6 +22,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
+# json.dumps recurses once per nested container against the interpreter's
+# recursion limit (1000 by default), and each tree level nests two, so
+# deeper derivation trees cannot be written.
+MAX_TREE_DEPTH = 400
 
 
 class CliFailure(Exception):
@@ -59,6 +63,15 @@ def _tree_doc(node: sampling.DerivationNode) -> dict:
     return doc
 
 
+def _tree_depth(root: sampling.DerivationNode) -> int:
+    """Nodes on the longest root-to-leaf path, counted level by level."""
+    depth, level = 0, [root]
+    while level:
+        depth += 1
+        level = [c for node in level for c in node.children]
+    return depth
+
+
 def cmd_likelihood(args) -> dict:
     g = _load_grammar(args.grammar)
     model = _load_hmm(args.hmm)
@@ -88,6 +101,13 @@ def cmd_sample(args) -> dict:
         "strings": [t.string for t in traces],
     }
     if args.emit_trees:
+        # a child spans fewer symbols than its parent, so no tree is deeper
+        # than the string is long
+        if args.length > MAX_TREE_DEPTH:
+            depth = max((_tree_depth(t.tree) for t in traces), default=0)
+            if depth > MAX_TREE_DEPTH:
+                raise CliFailure(f"derivation tree depth {depth} exceeds the output limit "
+                                 f"of {MAX_TREE_DEPTH}", EXIT_VALIDATION)
         doc["trees"] = [_tree_doc(t.tree) for t in traces]
     return doc
 

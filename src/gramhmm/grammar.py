@@ -8,7 +8,6 @@ length-L string can grow like the Catalan numbers.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -26,8 +25,8 @@ __all__ = [
     "universal_grammar",
 ]
 
+# Max number of strings brute-force enumeration may visit.
 DEFAULT_ENUMERATION_GUARD = 10**7
-GUARD_ENV_VAR = "GRAMHMM_ORACLE_GUARD"
 
 
 class GrammarError(ValueError):
@@ -41,12 +40,6 @@ class GrammarSyntaxError(GrammarError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
-
-
-def enumeration_guard() -> int:
-    """Max number of strings brute-force enumeration may visit."""
-    raw = os.environ.get(GUARD_ENV_VAR)
-    return int(raw) if raw else DEFAULT_ENUMERATION_GUARD
 
 
 @dataclass(frozen=True)
@@ -274,12 +267,15 @@ def derivation_count(g: CnfGrammar, w: str) -> int:
 
 
 def union(g1: CnfGrammar, g2: CnfGrammar) -> CnfGrammar:
-    """Union grammar with additive derivation counts.
+    """Union grammar, with derivation counts that add from length 2.
 
     A fresh start symbol receives a copy of every rule of each operand's
     start symbol (binary and lexical), with the operands' nonterminals
     disjointly renamed; all original rules are retained.  Then
-    L = L1 | L2 and derivation counts add: f(w) = f1(w) + f2(w).
+    L = L1 | L2, and f(w) = f1(w) + f2(w) for |w| >= 2.  For a single
+    symbol the two start copies of a shared lexical rule merge into one
+    rule, so f(w) = max(f1(w), f2(w)): derivation_count(union(g, g), "a")
+    is 1 when g derives "a".
     """
     # Prefixing a fixed distinct letter keeps each side's renaming injective
     # and the two sides disjoint; the fresh start avoids both prefixes.
@@ -306,8 +302,9 @@ def union(g1: CnfGrammar, g2: CnfGrammar) -> CnfGrammar:
     for s in g2.alphabet:
         if s not in alphabet:
             alphabet.append(s)
-    # start-rule copies can coincide only if the operands shared a rule
-    # verbatim, which the disjoint renaming rules out
+    # binary start-rule copies stay distinct under the disjoint renaming, but
+    # every lexical copy is (0, symbol), so the set merges a symbol that both
+    # starts emit
     return CnfGrammar(
         nonterminal_count=len(names),
         start=0,
@@ -320,7 +317,7 @@ def union(g1: CnfGrammar, g2: CnfGrammar) -> CnfGrammar:
 
 def _all_strings(alphabet: tuple[str, ...], L: int):
     """Yield all length-L strings over the alphabet in lexicographic order."""
-    if len(alphabet) ** L > enumeration_guard():
+    if len(alphabet) ** L > DEFAULT_ENUMERATION_GUARD:
         raise GrammarError(
             f"enumeration guard exceeded: |alphabet|^L = {len(alphabet) ** L}"
         )

@@ -102,18 +102,36 @@ def parse_hmm(text: str) -> Hmm:
         raise HmmError("alphabet must be a list of single-character strings")
     if len(set(alphabet)) != len(alphabet):
         raise HmmError("duplicate symbol in alphabet")
+    states = doc["states"]
+    if not isinstance(states, int) or isinstance(states, bool):
+        raise HmmError("states must be an integer")
+    if not isinstance(doc["matrices"], dict):
+        raise HmmError("matrices must be an object")
     return Hmm(
-        state_count=int(doc["states"]),
-        initial=np.array(doc["initial"], dtype=float),
-        matrices={s: np.array(doc["matrices"].get(s, []), dtype=float) for s in alphabet}
-        if isinstance(doc["matrices"], dict)
-        else _bad("matrices must be an object"),
+        state_count=states,
+        initial=_numbers(doc["initial"], 1, "initial vector"),
+        matrices={s: _numbers(doc["matrices"].get(s, []), 2, f"matrix for {s!r}")
+                  for s in alphabet},
         alphabet=tuple(alphabet),
     )
 
 
-def _bad(msg):
-    raise HmmError(msg)
+def _numbers(value, depth: int, what: str) -> np.ndarray:
+    """A JSON array of numbers (depth 1) or a rectangular array of such
+    arrays (depth 2) as a float array; anything else raises HmmError."""
+    shape = "an array" if depth == 1 else "a rectangular array of arrays"
+    error = HmmError(f"{what} must be {shape} of numbers")
+    items = [value]
+    for _ in range(depth):
+        if not all(isinstance(x, list) for x in items):
+            raise error
+        items = [y for x in items for y in x]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items):
+        raise error
+    try:
+        return np.array(value, dtype=float)
+    except (ValueError, OverflowError):  # ragged rows, or an int beyond float range
+        raise error from None
 
 
 def format_hmm(model: Hmm) -> str:

@@ -9,13 +9,14 @@ the grammar is unambiguous.
 
 Layer l is built from the shorter layers by a loop over split points and
 binary rules: for each split m = 1..l-1 and each rule a -> b c in index
-order, F_l[a] += F_m[b] @ F_{l-m}[c].  The matrix product sums over the
-middle state carried across the split, so no tensor larger than one layer
-is ever formed.
+order, F_l[a] += F_m[b] @ F_{l-m}[c].  All layers live in one read-only,
+C-contiguous float64 array of shape (L, N, n, n), indexed [l-1, a, s, t],
+which the likelihood, the sampler and the FPRAS read in place.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +58,20 @@ class AttestationViolatedError(AttestationError, NumericalError):
 
 @dataclass(frozen=True)
 class ForwardTable:
+    """Layers 1..length as one C-contiguous, read-only float64 array of
+    shape (length, N, n, n), where layers[l-1, a, s, t] = F_l[a][s,t]."""
     length: int
-    layers: tuple[np.ndarray, ...]  # layers[l-1] has shape (n, n', n')
+    layers: np.ndarray
     grammar: CnfGrammar
     model: Hmm
+
+    def built_for(self, g: CnfGrammar, model: Hmm) -> bool:
+        """Whether the table was built from grammar g and HMM model, compared by value."""
+        m = self.model
+        return self.grammar == g and (m is model or (
+            m.alphabet == model.alphabet
+            and np.array_equal(m.initial, model.initial)
+            and all(np.array_equal(m.matrices[s], model.matrices[s]) for s in m.alphabet)))
 
     def layer(self, l: int) -> np.ndarray:
         if not 1 <= l <= self.length:
@@ -99,20 +110,20 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     if L < 1:
         raise InferenceError("length must be >= 1")
     n, np_ = g.nonterminal_count, model.state_count
-    base = np.zeros((n, np_, np_))
+    # pages of a private anonymous map take no memory until written (rows that
+    # stay zero never are) and go back to the OS when the table is freed
+    buf = mmap.mmap(-1, L * n * np_ * np_ * 8, access=mmap.ACCESS_COPY)
+    layers = np.frombuffer(buf).reshape(L, n, np_, np_)
     for a, s in g.lexical_rules:
-        base[a] += model.matrices[s]
-    layers = [base]
+        layers[0, a] += model.matrices[s]
     for l in range(2, L + 1):
-        cur = np.zeros((n, np_, np_))
+        cur = layers[l - 1]
         for m in range(1, l):
             lo, hi = layers[m - 1], layers[l - m - 1]
             for a, b, c in g.binary_rules:
                 cur[a] += lo[b] @ hi[c]
-        layers.append(cur)
-    for arr in layers:
-        arr.setflags(write=False)
-    return ForwardTable(length=L, layers=tuple(layers), grammar=g, model=model)
+    layers.setflags(write=False)
+    return ForwardTable(length=L, layers=layers, grammar=g, model=model)
 
 
 def weighted_mass(
@@ -121,8 +132,8 @@ def weighted_mass(
     """Z = sum over length-L strings of f_G(w) * f_A(w); valid for any CFG."""
     if table is None:
         table = forward_table(g, model, L)
-    elif table.length < L:
-        raise InferenceError("forward table too short for requested length")
+    elif not table.built_for(g, model):
+        raise InferenceError("forward table was built for a different grammar or HMM")
     return LikelihoodResult(value=table.contract(L), length=L, mode="weighted-mass")
 
 

@@ -145,8 +145,7 @@ class Sampler:
         self.grammar = table.grammar
         self.model = table.model
         g, n = self.grammar, self.model.state_count
-        self._layers = np.stack(table.layers)                # [l-1, a, s, t]
-        self._layers_t = self._layers.transpose(0, 1, 3, 2)  # [l-1, a, t, s]
+        self._layers_t = table.layers.transpose(0, 1, 3, 2)  # [l-1, a, t, s]
         self._rules = {}
         for a in range(g.nonterminal_count):
             pairs = g.binary_rules_of(a)
@@ -174,7 +173,7 @@ class Sampler:
         """
         B, C = self._rules[a]
         m = np.arange(l - 1)[None, :, None]
-        lo = self._layers[m, B[None, None, :], s[:, None, None], :]
+        lo = self.table.layers[m, B[None, None, :], s[:, None, None], :]
         hi = self._layers_t[l - 2 - m, C[None, None, :], t[:, None, None], :]
         n = self.model.state_count
         return lo.reshape(len(s), -1, n), hi.reshape(len(s), -1, n)
@@ -275,19 +274,8 @@ class Sampler:
         return next(self.draw_many(L, 1, rng, trees=True))
 
 
-def _models_match(m1: Hmm, m2: Hmm) -> bool:
-    if m1 is m2:
-        return True
-    return (
-        m1.state_count == m2.state_count
-        and m1.alphabet == m2.alphabet
-        and np.array_equal(m1.initial, m2.initial)
-        and all(np.array_equal(m1.matrices[s], m2.matrices[s]) for s in m1.alphabet)
-    )
-
-
 def _check_table(g: CnfGrammar, model: Hmm, L: int, table: ForwardTable) -> None:
-    if table.grammar != g or not _models_match(table.model, model):
+    if not table.built_for(g, model):
         raise SamplingError("forward table was built for a different grammar or HMM")
     if table.length < L:
         raise SamplingError("forward table too short for requested length")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gramhmm.cli import _failure_code
+from gramhmm.cli import MAX_TREE_DEPTH, _failure_code
 from gramhmm.grammar import dyck_grammar, format_grammar, parse_grammar, union, universal_grammar
 from gramhmm.hmm import HmmError, format_hmm, uniform_hmm
 from gramhmm.inference import AttestationError, AttestationViolatedError
@@ -27,6 +27,8 @@ def files(tmp_path):
     paths["dyck"].write_text(format_grammar(dyck_grammar()))
     paths["double"] = tmp_path / "double.grm"
     u = universal_grammar("ab")
+    paths["universal"] = tmp_path / "universal.grm"
+    paths["universal"].write_text(format_grammar(u))
     paths["double"].write_text(format_grammar(union(u, u)))
     paths["paren_hmm"] = tmp_path / "paren.hmm.json"
     paths["paren_hmm"].write_text(format_hmm(uniform_hmm("()")))
@@ -149,6 +151,16 @@ class TestSample:
             return "".join(spell(c) for c in node["children"])
 
         assert [spell(t) for t in with_trees["trees"]] == plain["strings"]
+
+    def test_trees_deeper_than_output_limit(self, files):
+        # universal_grammar is right-linear, so a length-L tree is L nodes deep
+        for L, code in ((MAX_TREE_DEPTH, 0), (MAX_TREE_DEPTH + 1, 3)):
+            r = run_cli("sample", "--grammar", files["universal"], "--hmm", files["ab_hmm"],
+                        "--length", L, "--count", 1, "--seed", 0, "--emit-trees")
+            assert r.returncode == code
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == [
+            f"derivation tree depth {L} exceeds the output limit of {MAX_TREE_DEPTH}"]
 
     def test_trees(self, files):
         r = run_cli("sample", "--grammar", files["dyck"], "--hmm", files["paren_hmm"],

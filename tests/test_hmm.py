@@ -87,6 +87,28 @@ class TestParse:
         with pytest.raises(HmmError, match="malformed"):
             parse_hmm("{not json")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("states", [1], "states must be an integer"),
+        ("states", None, "states must be an integer"),
+        ("states", 1.7, "states must be an integer"),
+        ("states", True, "states must be an integer"),
+        ("initial", {}, "initial vector must be an array of numbers"),
+        ("initial", ["1"], "initial vector must be an array of numbers"),
+        ("matrices", [], "matrices must be an object"),
+    ])
+    def test_malformed_field_type(self, field, value, message):
+        doc = json.loads(UNIFORM_AB)
+        doc[field] = value
+        with pytest.raises(HmmError, match=message):
+            parse_hmm(json.dumps(doc))
+
+    @pytest.mark.parametrize("matrix", [[0.5], [[0.5], 0.5], [[True]], [[0.5], [0.5, 0.5]]])
+    def test_malformed_matrix(self, matrix):
+        doc = json.loads(UNIFORM_AB)
+        doc["matrices"]["a"] = matrix
+        with pytest.raises(HmmError, match="matrix for 'a' must be a rectangular array"):
+            parse_hmm(json.dumps(doc))
+
     def test_missing_field(self):
         with pytest.raises(HmmError, match="matrices"):
             parse_hmm('{"states": 1, "alphabet": ["a"], "initial": [1.0]}')

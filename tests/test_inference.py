@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from gramhmm.grammar import max_ambiguity, parse_grammar, union, universal_grammar
+from gramhmm.grammar import (
+    dyck_grammar,
+    max_ambiguity,
+    parse_grammar,
+    union,
+    universal_grammar,
+)
 from gramhmm.hmm import random_hmm, uniform_hmm
 from gramhmm.inference import (
     AttestationError,
@@ -52,6 +58,16 @@ class TestForwardTable:
         with pytest.raises(InferenceError):
             forward_table(dyck, paren_uniform, 0)
 
+    def test_layers_are_one_read_only_array(self):
+        g = parse_grammar("start S\nS -> S S\nS -> 'a'\nS -> 'b'\nT -> 'a'")
+        m = random_hmm(3, "ab", seed=4)
+        table = forward_table(g, m, 5)
+        assert table.layers.shape == (5, 2, 3, 3)
+        assert table.layers.dtype == np.float64
+        assert table.layers.flags.c_contiguous and not table.layers.flags.writeable
+        for l in range(1, 6):
+            assert np.shares_memory(table.layer(l), table.layers)
+
 
 class TestWeightedMass:
     def test_universal_is_one(self, universal_ab):
@@ -64,6 +80,23 @@ class TestWeightedMass:
 
     def test_dyck(self, dyck, paren_uniform):
         assert weighted_mass(dyck, paren_uniform, 4).value == pytest.approx(0.125, abs=1e-15)
+
+    @pytest.mark.parametrize("other", ["grammar", "hmm"])
+    def test_mismatched_table_rejected(self, dyck, paren_uniform, other):
+        if other == "grammar":
+            table = forward_table(universal_grammar("()"), paren_uniform, 6)
+        else:
+            table = forward_table(dyck, random_hmm(2, "()", seed=1), 6)
+        with pytest.raises(InferenceError, match="different grammar or HMM"):
+            weighted_mass(dyck, paren_uniform, 6, table=table)
+        with pytest.raises(InferenceError, match="different grammar or HMM"):
+            ucfg_likelihood(dyck, paren_uniform, 6, unambiguity_attested=True, table=table)
+
+    def test_table_of_equal_models_accepted(self, dyck, paren_uniform):
+        table = forward_table(dyck_grammar(), uniform_hmm("()"), 6)
+        assert weighted_mass(dyck, paren_uniform, 6, table=table).value == 0.078125
+        with pytest.raises(InferenceError, match="out of range"):
+            weighted_mass(dyck, paren_uniform, 8, table=table)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_brute_force(self, seed):
