@@ -43,7 +43,6 @@ from .sampling import (
     SampleTrace,
     SamplingError,
     SamplingNumericalError,
-    sample,
     sample_many,
 )
 from .approx import (
@@ -72,4 +71,4 @@ from .reductions import (
     parse_dimacs,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

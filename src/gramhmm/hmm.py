@@ -107,6 +107,11 @@ def parse_hmm(text: str) -> Hmm:
         raise HmmError("states must be an integer")
     if not isinstance(doc["matrices"], dict):
         raise HmmError("matrices must be an object")
+    extra = sorted(set(doc["matrices"]) - set(alphabet))
+    if extra:
+        raise HmmError(
+            f"matrices for symbols outside the alphabet: {', '.join(map(repr, extra))}"
+        )
     return Hmm(
         state_count=states,
         initial=_numbers(doc["initial"], 1, "initial vector"),

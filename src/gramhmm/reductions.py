@@ -4,7 +4,11 @@ Each clause turns into an unambiguous position-tracking grammar for the
 assignments that falsify it; the union grammar over all clauses then
 satisfies f_G(w) = number of clauses w falsifies, and the model count is
 2^n * (1 - likelihood of the union language under the uniform HMM on
-{0,1}).  Used as a rich end-to-end self-test, not a competitive counter.
+{0,1}).  That likelihood is computed by inclusion-exclusion over clause
+subsets: the assignments falsifying every clause of a subset form again a
+position grammar, which is unambiguous, so each term is one exact forward-
+table likelihood.  The cost is 2^k tables for k clauses, hence the clause
+limit.  Used as a rich end-to-end self-test, not a competitive counter.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from dataclasses import dataclass
 from .grammar import CnfGrammar, union
 from .hmm import uniform_hmm
 from .inference import NumericalError, ucfg_likelihood
-from .oracle import brute_force_likelihood
+# unused here; kept bound because the traced benchmark run wraps this name
+from .oracle import brute_force_likelihood  # noqa: F401
 
 __all__ = [
     "ReductionError",
@@ -184,46 +189,40 @@ def brute_force_model_count(formula: Cnf3Formula) -> int:
     return count
 
 
-def model_count_via_likelihood(
-    formula: Cnf3Formula, mode: str = "exact-bruteforce-over-grammar"
-) -> int:
+def model_count_via_likelihood(formula: Cnf3Formula) -> int:
     """Model count as 2^n * (1 - likelihood of the falsifying language).
 
-    ``exact-bruteforce-over-grammar`` evaluates the (ambiguous) union
-    grammar membership-wise; ``dp-with-membership`` runs the forward DP on
-    each clause-subset intersection grammar and combines the unambiguous
-    per-subset likelihoods by inclusion-exclusion.  Both are exact.
+    The likelihood of the union of the clause-falsifying languages is the
+    inclusion-exclusion sum, over nonempty clause subsets, of the exact
+    ``ucfg_likelihood`` of each subset's intersection grammar, added with
+    ``math.fsum``.  Formulas with more than INCLUSION_EXCLUSION_CLAUSE_LIMIT
+    clauses are refused.  A count that does not round cleanly raises
+    InconsistentModelCountError.
     """
     n = formula.variable_count
     if n < 2:
         raise ReductionError("reduction needs at least 2 variables")
+    k = len(formula.clauses)
+    if k > INCLUSION_EXCLUSION_CLAUSE_LIMIT:
+        raise ReductionError(
+            f"model counting is limited to {INCLUSION_EXCLUSION_CLAUSE_LIMIT} clauses"
+        )
     model = uniform_hmm("01")
-    if mode == "exact-bruteforce-over-grammar":
-        g = formula_to_cfg(formula)
-        likelihood = brute_force_likelihood(g, model, n)
-    elif mode == "dp-with-membership":
-        k = len(formula.clauses)
-        if k > INCLUSION_EXCLUSION_CLAUSE_LIMIT:
-            raise ReductionError(
-                f"inclusion-exclusion mode limited to {INCLUSION_EXCLUSION_CLAUSE_LIMIT} clauses"
-            )
-        per_clause = [_falsifying_bits(c, n) for c in formula.clauses]
-        terms = []
-        for size in range(1, k + 1):
-            sign = 1.0 if size % 2 == 1 else -1.0
-            for subset in itertools.combinations(range(k), size):
-                allowed = [
-                    tuple(sorted(set.intersection(*(set(per_clause[j][i]) for j in subset))))
-                    for i in range(n)
-                ]
-                if any(not a for a in allowed):
-                    continue
-                g = _position_grammar(allowed)
-                value = ucfg_likelihood(g, model, n, unambiguity_attested=True).value
-                terms.append(sign * value)
-        likelihood = math.fsum(terms)
-    else:
-        raise ReductionError(f"unknown mode {mode!r}")
+    per_clause = [_falsifying_bits(c, n) for c in formula.clauses]
+    terms = []
+    for size in range(1, k + 1):
+        sign = 1.0 if size % 2 == 1 else -1.0
+        for subset in itertools.combinations(range(k), size):
+            allowed = [
+                tuple(sorted(set.intersection(*(set(per_clause[j][i]) for j in subset))))
+                for i in range(n)
+            ]
+            if any(not a for a in allowed):
+                continue
+            g = _position_grammar(allowed)
+            value = ucfg_likelihood(g, model, n, unambiguity_attested=True).value
+            terms.append(sign * value)
+    likelihood = math.fsum(terms)
     raw = (1 << n) * (1.0 - likelihood)
     rounded = round(raw)
     if abs(raw - rounded) > ROUNDING_RESIDUE_TOL * (1 << n):

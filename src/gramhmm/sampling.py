@@ -41,7 +41,6 @@ __all__ = [
     "DerivationNode",
     "SampleTrace",
     "Sampler",
-    "sample",
     "sample_many",
 ]
 
@@ -63,13 +62,13 @@ class SamplingNumericalError(SamplingError, NumericalError):
 
 @dataclass(frozen=True)
 class RngSeed:
-    """Seed plus worker stream index; equal pairs give identical sequences."""
+    """A seed; equal seeds give identical sequences."""
 
     seed: int
-    stream: int = 0
 
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng([self.seed, self.stream])
+        # the trailing 0 keeps every stream identical to gramhmm 0.2.0
+        return np.random.default_rng([self.seed, 0])
 
 
 @dataclass(frozen=True)
@@ -279,18 +278,6 @@ def _check_table(g: CnfGrammar, model: Hmm, L: int, table: ForwardTable) -> None
         raise SamplingError("forward table was built for a different grammar or HMM")
     if table.length < L:
         raise SamplingError("forward table too short for requested length")
-
-
-def sample(
-    g: CnfGrammar,
-    model: Hmm,
-    L: int,
-    table: ForwardTable,
-    rng: np.random.Generator,
-) -> SampleTrace:
-    """One draw, with its tree, from the constrained distribution using a prebuilt table."""
-    _check_table(g, model, L, table)
-    return Sampler(table).draw(L, rng)
 
 
 def sample_many(

@@ -216,7 +216,7 @@ def test_c08_complexity_shape():
 
     def timed(L):
         best = math.inf
-        for _ in range(2):
+        for _ in range(5):
             t0 = time.perf_counter()
             forward_table(g, m, L)
             best = min(best, time.perf_counter() - t0)

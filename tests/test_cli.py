@@ -104,6 +104,16 @@ class TestLikelihood:
         assert r.returncode == 3
         assert "JSON object" in r.stderr
 
+    def test_matrix_outside_alphabet_is_validation_error(self, files, tmp_path):
+        h = tmp_path / "extra.hmm.json"
+        h.write_text('{"states": 1, "alphabet": ["(", ")"], "initial": [1], '
+                     '"matrices": {"(": [[0.5]], ")": [[0.5]], "b": [["junk"]]}}')
+        r = run_cli("likelihood", "--grammar", files["dyck"], "--hmm", h,
+                    "--length", 4, "--mode", "weighted")
+        assert r.returncode == 3
+        assert "outside the alphabet: 'b'" in r.stderr
+        assert r.stdout == ""
+
     def test_usage_error(self):
         r = run_cli("likelihood", "--mode", "weighted")
         assert r.returncode == 2
@@ -237,6 +247,14 @@ class TestReduce3Sat:
         p.write_text("p cnf 2 1\n1 2 0\n")
         r = run_cli("reduce3sat", "--cnf", p, "--count")
         assert r.returncode == 3
+
+    def test_count_over_clause_limit(self, tmp_path):
+        p = tmp_path / "thirteen.cnf"
+        p.write_text("p cnf 4 13\n" + "1 2 3 0\n" * 13)
+        r = run_cli("reduce3sat", "--cnf", p, "--count")
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == ["model counting is limited to 12 clauses"]
 
     def test_out_round_trips(self, files, tmp_path):
         out = tmp_path / "union.grm"

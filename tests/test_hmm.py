@@ -109,6 +109,12 @@ class TestParse:
         with pytest.raises(HmmError, match="matrix for 'a' must be a rectangular array"):
             parse_hmm(json.dumps(doc))
 
+    def test_matrix_outside_alphabet(self):
+        doc = {"states": 1, "alphabet": ["a"], "initial": [1],
+               "matrices": {"a": [[1]], "b": [["junk"]]}}
+        with pytest.raises(HmmError, match="outside the alphabet: 'b'"):
+            parse_hmm(json.dumps(doc))
+
     def test_missing_field(self):
         with pytest.raises(HmmError, match="matrices"):
             parse_hmm('{"states": 1, "alphabet": ["a"], "initial": [1.0]}')

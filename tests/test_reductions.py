@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from gramhmm.grammar import derivation_count, enumerate_language, max_ambiguity
+from gramhmm.hmm import uniform_hmm
+from gramhmm.oracle import brute_force_likelihood
 from gramhmm.reductions import (
     Cnf3Formula,
     ReductionError,
@@ -139,18 +141,22 @@ class TestModelCount:
         for _ in range(8):
             n, k = int(rng.integers(3, 8)), int(rng.integers(1, 6))
             f = random_formula(rng, n, k)
-            assert model_count_via_likelihood(f, "dp-with-membership") == brute_force_model_count(f)
+            assert model_count_via_likelihood(f) == brute_force_model_count(f)
 
     def test_oracle_mode_matches(self):
+        # the reduction identity on the union grammar, with the oracle likelihood
         rng = np.random.default_rng(10)
+        m = uniform_hmm("01")
         for _ in range(8):
             n, k = int(rng.integers(3, 8)), int(rng.integers(1, 6))
             f = random_formula(rng, n, k)
-            assert model_count_via_likelihood(f) == brute_force_model_count(f)
+            likelihood = brute_force_likelihood(formula_to_cfg(f), m, n)
+            assert round(2**n * (1 - likelihood)) == brute_force_model_count(f)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ReductionError, match="mode"):
-            model_count_via_likelihood(Cnf3Formula(3, ((1, 2, 3),)), "bogus")
+    def test_clause_limit(self):
+        f = Cnf3Formula(4, ((1, 2, 3),) * 13)
+        with pytest.raises(ReductionError, match="limited to 12 clauses"):
+            model_count_via_likelihood(f)
 
     def test_brute_force_var_limit(self):
         with pytest.raises(ReductionError, match="limited"):
