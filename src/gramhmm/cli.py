@@ -177,7 +177,10 @@ def cmd_reduce3sat(args) -> dict:
         doc["out"] = args.out
     if args.count:
         doc["model_count"] = reductions.model_count_via_likelihood(formula)
-        doc["brute_force_model_count"] = reductions.brute_force_model_count(formula)
+        # the brute-force self-check walks all 2^n assignments, so it runs
+        # only up to its variable limit
+        if formula.variable_count <= reductions.BRUTE_FORCE_VAR_LIMIT:
+            doc["brute_force_model_count"] = reductions.brute_force_model_count(formula)
     return doc
 
 

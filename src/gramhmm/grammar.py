@@ -1,14 +1,18 @@
 """Chomsky-form grammars: parsing, derivation counting, unions, enumeration.
 
 Nonterminals are interned to 0-based integer indices in order of first
-appearance in the rule list; all counting is done with Python's native
-arbitrary-precision integers, since the number of derivation trees of a
-length-L string can grow like the Catalan numbers.
+appearance in the rule list.  The number of derivation trees of a length-L
+string can grow like the Catalan numbers, so every count returned is exact:
+``inside_vector`` counts with Python's arbitrary-precision integers, and the
+batched ``derivation_counts`` uses a float64 chart only while it provably
+holds integers exactly, falling back to ``inside_vector`` otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "GrammarError",
@@ -18,6 +22,7 @@ __all__ = [
     "format_grammar",
     "inside_vector",
     "derivation_count",
+    "derivation_counts",
     "union",
     "enumerate_language",
     "max_ambiguity",
@@ -27,6 +32,8 @@ __all__ = [
 
 # Max number of strings brute-force enumeration may visit.
 DEFAULT_ENUMERATION_GUARD = 10**7
+# float64 represents every integer below this exactly.
+EXACT_FLOAT_LIMIT = 2.0**53
 
 
 class GrammarError(ValueError):
@@ -264,6 +271,70 @@ def inside_vector(g: CnfGrammar, w: str) -> list[int]:
 def derivation_count(g: CnfGrammar, w: str) -> int:
     """Number of derivation trees of w from the start symbol; 0 iff w is not in the language."""
     return inside_vector(g, w)[g.start]
+
+
+def derivation_counts(g: CnfGrammar, strings: list[str]) -> list[int]:
+    """``[derivation_count(g, w) for w in strings]`` for equal-length strings.
+
+    Each distinct string is counted once.  The chart is filled one span
+    width at a time, vectorized over (start position, string): for every
+    split, the left and right child columns of each distinct children pair
+    of the binary rules are multiplied, and the products are scatter-added
+    into the rules' parents.  The chart is float64 and exact while every
+    entry is below 2^53: the entries are sums of products of nonnegative
+    integers and rounding is monotone, so a computed entry is at least any
+    rounded partial term, and a chart whose computed maximum stays below
+    2^53 has made no rounding at all.  When that guard trips, the batch's
+    distinct strings are counted with the big-integer ``inside_vector``
+    instead.
+    """
+    if not strings:
+        return []
+    L = len(strings[0])
+    if any(len(w) == 0 for w in strings):
+        raise GrammarError("string must be nonempty")
+    if any(len(w) != L for w in strings):
+        raise GrammarError("strings must have equal lengths")
+    words, first, inverse = np.unique(np.array(strings, dtype=f"<U{L}"),
+                                      return_index=True, return_inverse=True)
+    codes = words.view(np.uint32).reshape(len(words), L)
+    symbols = np.array(sorted(ord(s) for s in g.alphabet), dtype=np.uint32)
+    foreign = ~np.isin(codes, symbols)
+    if foreign.any():
+        # report what a per-string loop would: the first bad symbol of the
+        # first bad string in input order
+        w = strings[min(first[foreign.any(axis=1)])]
+        raise GrammarError(f"symbol {next(ch for ch in w if ch not in g.alphabet)!r} "
+                           "not in grammar alphabet")
+
+    N = g.nonterminal_count
+    lexical = np.zeros((len(symbols), N))
+    for a, s in g.lexical_rules:
+        lexical[np.searchsorted(symbols, ord(s)), a] = 1.0
+    # each distinct children pair (b, c) is multiplied once per split, and
+    # the product is added into every parent a of a rule a -> b c
+    pairs = sorted(g._rules_by_children)
+    B, C = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    scatter = np.zeros((len(pairs), N))
+    for i, pair in enumerate(pairs):
+        scatter[i, g._rules_by_children[pair]] = 1.0
+    # cell is (start, string, nonterminal) for the spans of one width; left[l]
+    # and right[l] keep the columns of width l that each pair's b and c read
+    cell = lexical[np.searchsorted(symbols, codes)].transpose(1, 0, 2)
+    left, right = {}, {}
+    for width in range(2, L + 1):
+        left[width - 1], right[width - 1] = cell[..., B], cell[..., C]
+        spans = L - width + 1
+        acc = np.zeros((spans, len(words), len(pairs)))
+        for m in range(1, width):
+            acc += left[m][:spans] * right[width - m][m:m + spans]
+        cell = acc @ scatter
+        if not cell.max() < EXACT_FLOAT_LIMIT:
+            counts = [derivation_count(g, strings[i]) for i in first]
+            break
+    else:
+        counts = cell[0, :, g.start].astype(np.int64).tolist()
+    return [counts[i] for i in inverse.tolist()]
 
 
 def union(g1: CnfGrammar, g2: CnfGrammar) -> CnfGrammar:

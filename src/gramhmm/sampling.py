@@ -254,9 +254,9 @@ class Sampler:
         return [SampleTrace(string=w, tree=tree, weight=float(x))
                 for w, tree, x in zip(strings, roots, weight)]
 
-    def draw_many(self, L: int, count: int, rng: np.random.Generator,
-                  trees: bool = False) -> Iterator[SampleTrace]:
-        """``count`` independent draws of length L, yielded in batches of CHUNK.
+    def draw_batches(self, L: int, count: int, rng: np.random.Generator,
+                     trees: bool = False) -> Iterator[list[SampleTrace]]:
+        """``count`` independent draws of length L, as lists of at most CHUNK.
 
         A batch is drawn only when the previous one has been consumed, so at
         most CHUNK draws are held at a time.  Trees are built only when
@@ -264,9 +264,13 @@ class Sampler:
         """
         if L < 1 or L > self.table.length:
             raise SamplingError(f"length {L} outside table range [1, {self.table.length}]")
-        return chain.from_iterable(
-            self._draw_batch(L, min(CHUNK, count - first), rng, trees)
-            for first in range(0, count, CHUNK))
+        return (self._draw_batch(L, min(CHUNK, count - first), rng, trees)
+                for first in range(0, count, CHUNK))
+
+    def draw_many(self, L: int, count: int, rng: np.random.Generator,
+                  trees: bool = False) -> Iterator[SampleTrace]:
+        """The draws of ``draw_batches``, one at a time."""
+        return chain.from_iterable(self.draw_batches(L, count, rng, trees))
 
     def draw(self, L: int, rng: np.random.Generator) -> SampleTrace:
         """One draw with its derivation tree: a batch of one."""

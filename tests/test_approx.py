@@ -9,10 +9,18 @@ from gramhmm.approx import (
     fpras_likelihood,
     sample_size,
 )
-from gramhmm.grammar import derivation_count, union
+from gramhmm.grammar import derivation_count, parse_grammar, union, universal_grammar
 from gramhmm.hmm import uniform_hmm
+from gramhmm.inference import forward_table
 from gramhmm.oracle import exact_distribution
-from gramhmm.sampling import RngSeed
+from gramhmm.sampling import RngSeed, Sampler
+
+
+def per_string_accepted(g, model, L, epsilon, bound, seed):
+    """Acceptances of the FPRAS with each proposal counted on its own."""
+    rng = RngSeed(seed).generator()
+    draws = Sampler(forward_table(g, model, L)).draw_many(L, sample_size(bound, epsilon), rng)
+    return sum(exact_bernoulli(derivation_count(g, t.string), rng) for t in draws)
 
 
 class TestSampleSize:
@@ -94,6 +102,25 @@ class TestFpras:
     def test_rejects_bad_epsilon(self, dyck, paren_uniform):
         with pytest.raises(ApproxError):
             fpras_likelihood(dyck, paren_uniform, 4, epsilon=1.5, bound=1, seed=0)
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.2])
+    def test_batched_counts_match_per_string_loop(self, dyck, universal_ab, epsilon):
+        # the instances of acceptance criterion 6, where every proposal of an
+        # instance has the same count, and one mixing counts 2 and 3, where
+        # the order of the Bernoulli draws shows; bound 5 at epsilon 0.1
+        # draws 2600 proposals, so several sampler batches
+        unary = parse_grammar("start S\nS -> S S\nS -> 'a'")
+        parens = universal_grammar("()")
+        instances = [
+            (union(universal_ab, universal_ab), uniform_hmm("ab"), 3, 2),
+            (dyck, uniform_hmm("()"), 4, 1),
+            (unary, uniform_hmm("a"), 4, 5),
+            (union(union(dyck, parens), parens), uniform_hmm("()"), 6, 3),
+        ]
+        for g, m, L, bound in instances:
+            for seed in (10_000, 10_001, 10_002):
+                report = fpras_likelihood(g, m, L, epsilon=epsilon, bound=bound, seed=seed)
+                assert report.accepted == per_string_accepted(g, m, L, epsilon, bound, seed)
 
     def test_acceptance_identity(self, ss_grammar):
         # sum over strings of proposal mass / derivation count equals the

@@ -242,6 +242,15 @@ class TestReduce3Sat:
         assert doc["model_count"] == 7
         assert doc["brute_force_model_count"] == 7
 
+    def test_count_above_brute_force_limit(self, tmp_path):
+        p = tmp_path / "wide.cnf"
+        p.write_text("p cnf 25 1\n1 2 3 0\n")
+        r = run_cli("reduce3sat", "--cnf", p, "--count")
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout)
+        assert doc["model_count"] == 2**25 - 2**22 == 29360128
+        assert "brute_force_model_count" not in doc
+
     def test_malformed(self, files, tmp_path):
         p = tmp_path / "bad.cnf"
         p.write_text("p cnf 2 1\n1 2 0\n")

@@ -1,11 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gramhmm import grammar
 from gramhmm.grammar import (
+    EXACT_FLOAT_LIMIT,
     GrammarError,
     GrammarSyntaxError,
     CnfGrammar,
     derivation_count,
+    derivation_counts,
     dyck_grammar,
     enumerate_language,
     format_grammar,
@@ -17,6 +24,37 @@ from gramhmm.grammar import (
 )
 
 from conftest import count_trees_by_enumeration, random_grammar
+
+
+@st.composite
+def cnf_grammars(draw):
+    """Random CNF grammar whose start symbol and every terminal occur in a rule."""
+    n = draw(st.integers(1, 4))
+    names = draw(st.lists(st.from_regex(r"[A-Z][A-Za-z0-9_]{0,4}", fullmatch=True),
+                          min_size=n, max_size=n, unique=True))
+    nonterminal = st.integers(0, n - 1)
+    binary = draw(st.sets(st.tuples(nonterminal, nonterminal, nonterminal), max_size=8))
+    lexical = draw(st.sets(st.tuples(nonterminal, st.sampled_from("abc")), min_size=1, max_size=5))
+    used = sorted({r[0] for r in binary} | {r[0] for r in lexical})
+    alphabet = draw(st.permutations(sorted({s for _, s in lexical})))
+    return CnfGrammar(
+        nonterminal_count=n,
+        start=draw(st.sampled_from(used)),
+        binary_rules=tuple(binary),
+        lexical_rules=tuple(lexical),
+        alphabet=tuple(alphabet),
+        nonterminal_names=tuple(names),
+    )
+
+
+@st.composite
+def grammar_and_strings(draw):
+    """A random grammar and equal-length strings over its alphabet, with repeats."""
+    g = draw(cnf_grammars())
+    L = draw(st.integers(1, 8))
+    words = draw(st.lists(st.text(alphabet=g.alphabet, min_size=L, max_size=L),
+                          min_size=1, max_size=20))
+    return g, words + words[::2]
 
 
 class TestParse:
@@ -66,6 +104,11 @@ class TestParse:
     def test_round_trip(self, dyck):
         assert parse_grammar(format_grammar(dyck)).same_rules(dyck)
 
+    @settings(max_examples=200, deadline=None)
+    @given(cnf_grammars())
+    def test_round_trip_property(self, g):
+        assert parse_grammar(format_grammar(g)).same_rules(g)
+
 
 class TestInsideVector:
     def test_catalan(self, ss_grammar):
@@ -114,6 +157,43 @@ class TestDerivationCount:
             for tup in itertools.product(g.alphabet, repeat=L):
                 w = "".join(tup)
                 assert derivation_count(g, w) == count_trees_by_enumeration(g, w)
+
+
+class TestDerivationCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(grammar_and_strings())
+    def test_matches_per_string_count(self, instance):
+        g, strings = instance
+        assert derivation_counts(g, strings) == [derivation_count(g, w) for w in strings]
+
+    def test_counts_beyond_float_fall_back(self, ss_grammar, monkeypatch):
+        counted = []
+
+        def spy(g, w):
+            counted.append(w)
+            return derivation_count(g, w)
+
+        monkeypatch.setattr(grammar, "derivation_count", spy)
+        # Catalan(30) < 2^53 stays on the float chart; Catalan(33) does not
+        assert derivation_counts(ss_grammar, ["a" * 31]) == [math.comb(60, 30) // 31]
+        assert counted == []
+        catalan33 = math.comb(66, 33) // 34
+        assert catalan33 > EXACT_FLOAT_LIMIT
+        assert derivation_counts(ss_grammar, ["a" * 34] * 3) == [catalan33] * 3
+        assert counted == ["a" * 34]
+
+    def test_empty_batch(self, ss_grammar):
+        assert derivation_counts(ss_grammar, []) == []
+
+    def test_errors(self, universal_ab):
+        with pytest.raises(GrammarError, match="nonempty"):
+            derivation_counts(universal_ab, ["", ""])
+        with pytest.raises(GrammarError, match="equal lengths"):
+            derivation_counts(universal_ab, ["ab", "a"])
+        with pytest.raises(GrammarError, match="symbol 'c' not in grammar alphabet"):
+            derivation_counts(universal_ab, ["ab", "ac", "ad"])
+        with pytest.raises(GrammarError, match="symbol 'd' not in grammar alphabet"):
+            derivation_counts(universal_ab, ["da", "ac"])
 
 
 class TestUnion:
