@@ -9,9 +9,17 @@ the grammar is unambiguous.
 
 Layer l is built from the shorter layers by a loop over split points and
 binary rules: for each split m = 1..l-1 and each rule a -> b c in index
-order, F_l[a] += F_m[b] @ F_{l-m}[c].  All layers live in one read-only,
-C-contiguous float64 array of shape (L, N, n, n), indexed [l-1, a, s, t],
-which the likelihood, the sampler and the FPRAS read in place.
+order, F_l[a] += F_m[b] @ F_{l-m}[c].  Only live products are formed: those
+where b derives some string of length m and c some string of length l - m,
+as recorded in ``ForwardTable.live`` (``grammar.derivable_lengths``).  Every
+other product is an exact zero matrix, and adding +0.0 to a nonnegative
+entry changes nothing, so the layers are bit-identical to the full loop's
+while their entries are finite.  The one difference is after overflow: a
+dead product against an overflowed layer is 0 * inf = NaN in the full loop,
+and is never formed here, so such entries stay inf.  All layers live in one
+read-only, C-contiguous float64 array of shape (L, N, n, n), indexed
+[l-1, a, s, t], which the likelihood, the sampler and the FPRAS read in
+place.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grammar import CnfGrammar
+from .grammar import CnfGrammar, derivable_lengths, live_products
 from .hmm import Hmm
 
 __all__ = [
@@ -59,9 +67,12 @@ class AttestationViolatedError(AttestationError, NumericalError):
 @dataclass(frozen=True)
 class ForwardTable:
     """Layers 1..length as one C-contiguous, read-only float64 array of
-    shape (length, N, n, n), where layers[l-1, a, s, t] = F_l[a][s,t]."""
+    shape (length, N, n, n), where layers[l-1, a, s, t] = F_l[a][s,t], and
+    the grammar's ``derivable_lengths`` as the read-only bool array ``live``
+    of shape (length, N): where live[l-1, a] is false, F_l[a] is zero."""
     length: int
     layers: np.ndarray
+    live: np.ndarray
     grammar: CnfGrammar
     model: Hmm
 
@@ -103,8 +114,12 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
 
     Base case: F_1[a] = sum of A_sigma over lexical rules a -> sigma.
     Combine:   F_l[a] += F_m[b] @ F_{l-m}[c] for each rule a -> b c and
-    split m, accumulated in fixed order (ascending m, then rule index) so
-    results are bit-reproducible.  Cost is O(l * |G| * n'^3) per layer.
+    split m whose product is live (b derives length m and c length l - m),
+    accumulated in fixed order (ascending m, then rule index) so results are
+    bit-reproducible.  Skipping the dead products, which are exact zeros,
+    leaves every finite entry bit-identical to the full loop; an entry the
+    full loop would make NaN by 0 * inf after overflow stays inf.  Cost is
+    O(live products of the layer * n'^3) per layer, at most O(l * |G| * n'^3).
     """
     _check_alphabets(g, model)
     if L < 1:
@@ -116,14 +131,23 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     layers = np.frombuffer(buf).reshape(L, n, np_, np_)
     for a, s in g.lexical_rules:
         layers[0, a] += model.matrices[s]
+    live = derivable_lengths(g, L)
+    rules = g.binary_rules
+    _, B, C = np.array(rules, dtype=np.intp).reshape(-1, 3).T
+    # views[l-1][a] is F_l[a]; the loop looks up four per product, and a
+    # list lookup costs less than indexing an ndarray
+    views = [list(layer) for layer in layers]
     for l in range(2, L + 1):
-        cur = layers[l - 1]
-        for m in range(1, l):
-            lo, hi = layers[m - 1], layers[l - m - 1]
-            for a, b, c in g.binary_rules:
-                cur[a] += lo[b] @ hi[c]
+        cur = views[l - 1]
+        # i = m - 1 for split m; the live pairs come in ascending split order
+        split, rule = live_products(live, l, B, C)
+        last = -1
+        for i, (a, b, c) in zip(split.tolist(), map(rules.__getitem__, rule.tolist())):
+            if i != last:
+                lo, hi, last = views[i], views[l - i - 2], i
+            cur[a] += lo[b] @ hi[c]
     layers.setflags(write=False)
-    return ForwardTable(length=L, layers=layers, grammar=g, model=model)
+    return ForwardTable(length=L, layers=layers, live=live, grammar=g, model=model)
 
 
 def weighted_mass(

@@ -12,10 +12,15 @@ Draws are made in batches of ``CHUNK``.  A batch keeps a frontier of pending
 nodes (nonterminal, span length, state pair, position, draw) and expands it
 from length L down to 1, one group of nodes sharing a (nonterminal, length)
 at a time.  For each node only its own choice weights
-F_m[b][s,:] * F_{l-m}[c][:,t] are formed, in the table's fixed order
+F_m[b][s,:] * F_{l-m}[c][:,t] are formed, over the live (split, rule)
+columns of its (nonterminal, length) only, in the table's fixed order
 (ascending split, then rule index, then middle state), and the whole group
 is drawn with one vectorized inverse-CDF step, so memory stays flat in the
-number of draws and nothing is cached per (nonterminal, length).  Derivation
+number of draws.  A column is live when b derives length m and c length
+l - m (``ForwardTable.live``); a dead column's weights are exact zeros,
+which never win a draw and leave the cumulative sums of the others
+unchanged, so dropping them changes no draw.  The live columns are the only
+thing cached per (nonterminal, length), on first use.  Derivation
 trees are assembled from the recorded choices only when the caller asks for
 them; the strings-only path keeps no per-node records.  A seeded stream is
 deterministic in the seed and the arguments, whether or not trees are
@@ -30,7 +35,7 @@ from itertools import chain
 
 import numpy as np
 
-from .grammar import CnfGrammar
+from .grammar import CnfGrammar, live_products
 from .hmm import Hmm
 from .inference import ForwardTable, NumericalError, forward_table
 
@@ -145,11 +150,7 @@ class Sampler:
         self.model = table.model
         g, n = self.grammar, self.model.state_count
         self._layers_t = table.layers.transpose(0, 1, 3, 2)  # [l-1, a, t, s]
-        self._rules = {}
-        for a in range(g.nonterminal_count):
-            pairs = g.binary_rules_of(a)
-            self._rules[a] = (np.array([b for b, _ in pairs], dtype=np.intp),
-                              np.array([c for _, c in pairs], dtype=np.intp))
+        self._columns_of: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
         self._symbols = sorted(g.alphabet)
         self._codes = np.array([ord(s) for s in self._symbols], dtype=np.uint32)
         self._leaf = {}
@@ -162,28 +163,37 @@ class Sampler:
                 w = np.zeros((n, n, 0))
             self._leaf[a] = (ids, w)
 
+    def _columns(self, a: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live (split, rule) columns of nodes (a, l) as arrays (m, b, c),
+        one entry per column, ordered by ascending split m, then rule
+        a -> b c in index order."""
+        columns = self._columns_of.get((a, l))
+        if columns is None:
+            B, C = np.array(self.grammar.binary_rules_of(a), dtype=np.intp).reshape(-1, 2).T
+            split, rule = live_products(self.table.live, l, B, C)
+            columns = self._columns_of[a, l] = (split + 1, B[rule], C[rule])
+        return columns
+
     def _factors(self, a: int, l: int, s: np.ndarray, t: np.ndarray):
         """Left and right factors of the choices of nodes (a, l, s[i], t[i]).
 
-        Both have shape (k, (l - 1) * rules, n): column j = (m - 1) * rules + r
-        stands for split m and rule r = a -> b c, and the weight of middle
-        state u is lo[i, j, u] * hi[i, j, u] = F_m[b][s,u] * F_{l-m}[c][u,t].
-        A node's weights sum to F_l[a][s,t].
+        Both have shape (k, columns, n), with the columns of ``_columns``:
+        column j stands for split m and rule a -> b c, and the weight of
+        middle state u is lo[i, j, u] * hi[i, j, u] = F_m[b][s,u] *
+        F_{l-m}[c][u,t].  A node's weights sum to F_l[a][s,t].
         """
-        B, C = self._rules[a]
-        m = np.arange(l - 1)[None, :, None]
-        lo = self.table.layers[m, B[None, None, :], s[:, None, None], :]
-        hi = self._layers_t[l - 2 - m, C[None, None, :], t[:, None, None], :]
-        n = self.model.state_count
-        return lo.reshape(len(s), -1, n), hi.reshape(len(s), -1, n)
+        m, b, c = self._columns(a, l)
+        lo = self.table.layers[m - 1, b, s[:, None], :]
+        hi = self._layers_t[l - m - 1, c, t[:, None], :]
+        return lo, hi
 
     def _choose(self, a: int, l: int, s, t, u) -> tuple[np.ndarray, np.ndarray]:
-        """Draw each node's (split, rule) column of ``_factors``, then its
-        middle state given that column, with the uniforms u[0] and u[1]."""
-        rules = len(self._rules[a][0])
-        if rules == 0:
+        """Draw each node's column of ``_factors``, then its middle state
+        given that column, with the uniforms u[0] and u[1]."""
+        columns = len(self._columns(a, l)[0])
+        if columns == 0:
             raise SamplingNumericalError("numerical underflow at node")
-        step = max(1, BLOCK_ELEMENTS // ((l - 1) * rules * self.model.state_count))
+        step = max(1, BLOCK_ELEMENTS // (columns * self.model.state_count))
         column = np.empty(len(s), dtype=np.intp)
         middle = np.empty(len(s), dtype=np.intp)
         for i in range(0, len(s), step):
@@ -228,17 +238,15 @@ class Sampler:
                     if trees:
                         nodes.add(ids, a, 1, s, t, pos, syms[j], -1)
                     continue
-                B, C = self._rules[a]
                 column, mid = self._choose(a, l, s, t, rng.random((2, len(sel))))
-                split, rule = np.divmod(column, len(B))
-                m = split + 1
+                m, b, c = (x[column] for x in self._columns(a, l))
                 if trees:
                     left, right = nodes.new_ids(len(sel)), nodes.new_ids(len(sel))
                     nodes.add(ids, a, l, s, t, pos, left, right)
                 else:
                     left = right = d
-                children += [(m, B[rule], s, mid, pos, d, left),
-                             (l - m, C[rule], mid, t, pos + m, d, right)]
+                children += [(m, b, s, mid, pos, d, left),
+                             (l - m, c, mid, t, pos + m, d, right)]
             if not children:
                 continue
             # file this step's children under their span lengths

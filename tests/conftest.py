@@ -28,23 +28,39 @@ def ss_grammar():
     return parse_grammar("start S\nS -> S S\nS -> 'a'")
 
 
-def random_grammar(rng: np.random.Generator, max_nonterminals=4, alphabet="abc") -> CnfGrammar:
-    """Small random CNF grammar guaranteed to have at least one rule."""
+def random_grammar(rng: np.random.Generator, max_nonterminals=4, alphabet="abc",
+                   sparse=False) -> CnfGrammar:
+    """Small random CNF grammar guaranteed to have at least one rule.
+
+    With ``sparse``, four nonterminals that derive sparse sets of lengths
+    follow the random ones N0..N{n-1}: U derives only length 1, O only odd
+    and E only even lengths (O -> E O or a terminal, E -> O O), and X none
+    (X -> X X).  The random rules may use them as children but never as
+    parents, so their length sets stay as stated; one that no rule uses is
+    unreachable.
+    """
     n = int(rng.integers(1, max_nonterminals + 1))
     sigma = "".join(alphabet[: int(rng.integers(1, len(alphabet) + 1))])
-    all_binary = list(itertools.product(range(n), repeat=3))
+    children = range(n + 4 if sparse else n)
+    all_binary = list(itertools.product(range(n), children, children))
     all_lexical = list(itertools.product(range(n), sigma))
     n_bin = int(rng.integers(0, min(6, len(all_binary)) + 1))
     n_lex = int(rng.integers(1, min(4, len(all_lexical)) + 1))
     binary = [all_binary[i] for i in rng.choice(len(all_binary), size=n_bin, replace=False)]
     lexical = [all_lexical[i] for i in rng.choice(len(all_lexical), size=n_lex, replace=False)]
+    names = [f"N{i}" for i in range(n)]
+    if sparse:
+        u, o, e, x = range(n, n + 4)
+        binary += [(o, e, o), (e, o, o), (x, x, x)]
+        lexical += [(u, sigma[0]), (o, sigma[-1])]
+        names += ["U", "O", "E", "X"]
     return CnfGrammar(
-        nonterminal_count=n,
+        nonterminal_count=len(names),
         start=0,
         binary_rules=tuple(binary),
         lexical_rules=tuple(lexical),
         alphabet=tuple(sigma),
-        nonterminal_names=tuple(f"N{i}" for i in range(n)),
+        nonterminal_names=tuple(names),
     )
 
 

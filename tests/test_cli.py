@@ -86,6 +86,17 @@ class TestLikelihood:
         assert r.stdout == ""
         assert "non-finite result: likelihood.value is Infinity" in r.stderr
 
+    def test_overflow_past_dead_product_is_infinity(self, files, tmp_path):
+        # F_2[Z] is structurally zero; formed against the overflowed S layer
+        # it would give 0 * inf = NaN
+        p = tmp_path / "sz.grm"
+        p.write_text("start S\nS -> S S\nS -> Z S\nS -> 'a'\nS -> 'b'\nZ -> 'a'\n")
+        r = run_cli("likelihood", "--grammar", p, "--hmm", files["ab_hmm"],
+                    "--length", 460, "--mode", "weighted")
+        assert r.returncode == 4
+        assert r.stdout == ""
+        assert "non-finite result: likelihood.value is Infinity" in r.stderr
+
     def test_nan_hmm_is_validation_error(self, files, tmp_path):
         h = tmp_path / "nan.hmm.json"
         h.write_text('{"states": 1, "alphabet": ["(", ")"], "initial": [NaN], '

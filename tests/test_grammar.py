@@ -11,6 +11,7 @@ from gramhmm.grammar import (
     GrammarError,
     GrammarSyntaxError,
     CnfGrammar,
+    derivable_lengths,
     derivation_count,
     derivation_counts,
     dyck_grammar,
@@ -23,7 +24,7 @@ from gramhmm.grammar import (
     universal_grammar,
 )
 
-from conftest import count_trees_by_enumeration, random_grammar
+from conftest import count_trees_by_enumeration, enumerate_yields, random_grammar
 
 
 @st.composite
@@ -194,6 +195,24 @@ class TestDerivationCounts:
             derivation_counts(universal_ab, ["ab", "ac", "ad"])
         with pytest.raises(GrammarError, match="symbol 'd' not in grammar alphabet"):
             derivation_counts(universal_ab, ["da", "ac"])
+
+
+class TestDerivableLengths:
+    def test_dyck(self, dyck):
+        live = derivable_lengths(dyck, 8)
+        assert live.shape == (8, dyck.nonterminal_count) and not live.flags.writeable
+        names = dyck.nonterminal_names
+        assert live[:, names.index("S")].tolist() == [l % 2 == 0 for l in range(1, 9)]
+        assert live[:, names.index("X")].tolist() == [l % 2 == 1 for l in range(1, 9)]
+        assert live[:, names.index("A")].tolist() == [True] + [False] * 7
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_tree_enumeration(self, seed):
+        g = random_grammar(np.random.default_rng(300 + seed), sparse=True)
+        live = derivable_lengths(g, 6)
+        for l in range(1, 7):
+            for a in range(g.nonterminal_count):
+                assert live[l - 1, a] == any(True for _ in enumerate_yields(g, a, l))
 
 
 class TestUnion:

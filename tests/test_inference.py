@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramhmm.grammar import (
+    derivable_lengths,
     dyck_grammar,
     max_ambiguity,
     parse_grammar,
@@ -19,7 +22,22 @@ from gramhmm.inference import (
 )
 from gramhmm.oracle import brute_force_weighted_mass
 
-from conftest import random_instance
+from conftest import random_grammar, random_instance
+
+
+def full_loop_layers(g, model, L):
+    """Reference: the split-then-rule loop that forms every product, live or not."""
+    n = model.state_count
+    layers = np.zeros((L, g.nonterminal_count, n, n))
+    for a, s in g.lexical_rules:
+        layers[0, a] += model.matrices[s]
+    for l in range(2, L + 1):
+        cur = layers[l - 1]
+        for m in range(1, l):
+            lo, hi = layers[m - 1], layers[l - m - 1]
+            for a, b, c in g.binary_rules:
+                cur[a] += lo[b] @ hi[c]
+    return layers
 
 
 class TestForwardTable:
@@ -67,6 +85,32 @@ class TestForwardTable:
         assert table.layers.flags.c_contiguous and not table.layers.flags.writeable
         for l in range(1, 6):
             assert np.shares_memory(table.layer(l), table.layers)
+        assert table.live.shape == (5, 2) and table.live.dtype == bool
+        assert not table.live.flags.writeable
+        assert np.array_equal(table.live, derivable_lengths(g, 5))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_live_products_match_full_loop(self, seed, L):
+        # random_hmm's entries are strictly positive, so F_l[a] has a
+        # positive entry exactly when a derives some string of length l
+        rng = np.random.default_rng(seed)
+        g = random_grammar(rng, sparse=True)
+        model = random_hmm(int(rng.integers(1, 4)), g.alphabet, int(rng.integers(0, 2**31)))
+        table = forward_table(g, model, L)
+        assert np.array_equal(table.layers, full_loop_layers(g, model, L))
+        assert np.array_equal(table.live, (table.layers > 0).any(axis=(2, 3)))
+
+    def test_overflow_gives_inf_not_nan(self):
+        # F_l[Z] is zero for l >= 2.  The full loop multiplies F_2[Z] by the
+        # overflowed S layers and gets 0 * inf = NaN from L = 453 on; the
+        # live products alone leave those entries inf
+        g = parse_grammar("start S\nS -> S S\nS -> Z S\nS -> 'a'\nS -> 'b'\nZ -> 'a'")
+        with np.errstate(over="ignore"):
+            table = forward_table(g, uniform_hmm("ab"), 460)
+        assert not np.isnan(table.layers).any()
+        assert np.isinf(table.layers[450:, g.start]).all()
+        assert np.isfinite(table.layers[:450]).all()
 
 
 class TestWeightedMass:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramhmm.grammar import CnfGrammar, derivation_count, parse_grammar
+from gramhmm.grammar import CnfGrammar, derivation_count, parse_grammar, union, universal_grammar
 from gramhmm.hmm import Hmm, random_hmm, uniform_hmm
 from gramhmm.inference import NumericalError, forward_table
 from gramhmm.oracle import exact_distribution, tv_distance
@@ -77,7 +77,11 @@ class TestSample:
             if l == 1:
                 weights = sampler._leaf[a][1][s, t]
             else:
+                m, b, c = sampler._columns(a, l)
+                # one column per live (split, rule) pair, and no other
+                assert table.live[m - 1, b].all() and table.live[l - m - 1, c].all()
                 lo, hi = sampler._factors(a, l, np.array([s]), np.array([t]))
+                assert lo.shape == hi.shape == (1, len(m), paren_uniform.state_count)
                 weights = lo * hi
             assert weights.sum() == pytest.approx(table.layer(l)[a][s, t], rel=1e-9)
             for child in node.children:
@@ -147,6 +151,33 @@ class TestSampleMany:
     def test_negative_count(self, dyck, paren_uniform):
         with pytest.raises(SamplingError):
             sample_many(dyck, paren_uniform, 4, -1, RngSeed(0))
+
+
+class TestStreamPin:
+    """Seeded strings recorded from the sampler that formed every (split,
+    rule) column, dead or live; dropping dead columns must not move them."""
+
+    def test_dyck(self, dyck):
+        strings = [t.string for t in sample_many(dyck, random_hmm(2, "()", seed=3), 16, 20,
+                                                 RngSeed(0))]
+        assert strings == [
+            "(()()()())(()())", "(())(()()(())())", "()()(()()((())))", "(()()(())()())()",
+            "((()))(()()()())", "()()()(()()()())", "(())()()(())()()", "(((())()()())())",
+            "((())())()()()()", "()()(()())()(())", "(((()())()()))()", "(()(()(()()))())",
+            "()(()()((()())))", "((()()())()()())", "(()()()()())()()", "(()()()())()()()",
+            "((())((()())))()", "(((()()()))()())", "((((()))()()()))", "(()(()())())()()",
+        ]
+
+    def test_union(self, dyck):
+        g = union(dyck, universal_grammar("()"))
+        strings = [t.string for t in sample_many(g, random_hmm(2, "()", seed=3), 10, 20,
+                                                 RngSeed(0))]
+        assert strings == [
+            "(()())()((", "((((((((((", "((()(((())", "(()()(((((", ")((()))()(",
+            ")())()()((", ")()(()((()", ")))()((()(", ")((()(()()", ")()()((()(",
+            ")()((()()(", "()(()(((()", "()(((((()(", "()((()()()", ")()()()(((",
+            "(()()()()(", ")())(()()(", "))(()((()(", ")))))))(()", ")((())))()",
+        ]
 
 
 class TestDistribution:
