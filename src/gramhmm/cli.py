@@ -22,10 +22,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
-# json.dumps recurses once per nested container against the interpreter's
-# recursion limit (1000 by default), and each tree level nests two, so
-# deeper derivation trees cannot be written.
-MAX_TREE_DEPTH = 400
+
+
+class JsonText(str):
+    """Text that is already JSON; ``main`` writes it into the document as is."""
 
 
 class CliFailure(Exception):
@@ -48,28 +48,6 @@ def _load_hmm(path: str) -> hmm_mod.Hmm:
             return hmm_mod.parse_hmm(fh.read())
     except OSError as e:
         raise CliFailure(f"cannot read HMM file: {e}", EXIT_VALIDATION) from None
-
-
-def _tree_doc(node: sampling.DerivationNode) -> dict:
-    doc = {
-        "nonterminal": node.nonterminal,
-        "span": [node.start, node.end],
-        "states": list(node.states),
-    }
-    if node.terminal is not None:
-        doc["terminal"] = node.terminal
-    if node.children:
-        doc["children"] = [_tree_doc(c) for c in node.children]
-    return doc
-
-
-def _tree_depth(root: sampling.DerivationNode) -> int:
-    """Nodes on the longest root-to-leaf path, counted level by level."""
-    depth, level = 0, [root]
-    while level:
-        depth += 1
-        level = [c for node in level for c in node.children]
-    return depth
 
 
 def cmd_likelihood(args) -> dict:
@@ -101,14 +79,7 @@ def cmd_sample(args) -> dict:
         "strings": [t.string for t in traces],
     }
     if args.emit_trees:
-        # a child spans fewer symbols than its parent, so no tree is deeper
-        # than the string is long
-        if args.length > MAX_TREE_DEPTH:
-            depth = max((_tree_depth(t.tree) for t in traces), default=0)
-            if depth > MAX_TREE_DEPTH:
-                raise CliFailure(f"derivation tree depth {depth} exceeds the output limit "
-                                 f"of {MAX_TREE_DEPTH}", EXIT_VALIDATION)
-        doc["trees"] = [_tree_doc(t.tree) for t in traces]
+        doc["trees"] = JsonText(sampling.trees_json(traces))
     return doc
 
 
@@ -268,12 +239,17 @@ def main(argv: list[str] | None = None) -> int:
         print(str(e), file=sys.stderr)
         return _failure_code(e)
     elapsed = time.perf_counter() - started
+    # values already written as JSON go last, after the encoded keys
+    written = {key: body.pop(key) for key in list(body) if isinstance(body[key], JsonText)}
     doc = {"command": args.command, "status": "ok", **body}
     try:
         text = json.dumps(doc, allow_nan=False)
     except ValueError:
         print(f"non-finite result: {_nonfinite(body, args.command)}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if written:
+        text = text[:-1] + "".join(f", {json.dumps(key)}: {value}"
+                                   for key, value in written.items()) + "}"
     sys.stdout.write(text + "\n")
     print(f"{args.command}: {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK

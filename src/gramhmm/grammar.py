@@ -1,4 +1,4 @@
-"""Chomsky-form grammars: parsing, derivation counting, derivable lengths,
+"""Chomsky-form grammars: parsing, derivation counting, live products,
 unions, enumeration.
 
 Nonterminals are interned to 0-based integer indices in order of first
@@ -24,7 +24,6 @@ __all__ = [
     "inside_vector",
     "derivation_count",
     "derivation_counts",
-    "derivable_lengths",
     "live_products",
     "union",
     "enumerate_language",
@@ -343,29 +342,13 @@ def derivation_counts(g: CnfGrammar, strings: list[str]) -> list[int]:
 def live_products(live: np.ndarray, l: int, B: np.ndarray, C: np.ndarray):
     """The (split, rule) pairs of span length l whose children can both derive.
 
-    ``live`` is a ``derivable_lengths`` array with at least l - 1 rows, and
-    rule r has children B[r] and C[r].  Returns the index arrays (m - 1, r)
+    ``live`` is a bool array whose row m - 1 tells, for m = 1..l-1, which
+    nonterminals derive some string of length m (``ForwardTable.live``),
+    and rule r has children B[r] and C[r].  Returns the index arrays (m - 1, r)
     of every split m in 1..l-1 and rule r with live[m-1, B[r]] and
     live[l-m-1, C[r]], ordered by ascending split, then rule.
     """
     return np.nonzero(live[:l - 1, B] & live[l - 2::-1, C])
-
-
-def derivable_lengths(g: CnfGrammar, L: int) -> np.ndarray:
-    """Read-only bool array ``live`` of shape (L, N): live[l-1, a] is true
-    iff nonterminal a derives some string of length l.
-
-    Row 1 comes from the lexical rules; row l from the binary rules a -> b c
-    with a live product at some split.  It depends on the grammar alone.
-    """
-    live = np.zeros((L, g.nonterminal_count), dtype=bool)
-    for a, _ in g.lexical_rules:
-        live[0, a] = True
-    A, B, C = np.array(g.binary_rules, dtype=np.intp).reshape(-1, 3).T
-    for l in range(2, L + 1):
-        live[l - 1, A[live_products(live, l, B, C)[1]]] = True
-    live.setflags(write=False)
-    return live
 
 
 def union(g1: CnfGrammar, g2: CnfGrammar) -> CnfGrammar:

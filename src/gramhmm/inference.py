@@ -11,7 +11,8 @@ Layer l is built from the shorter layers by a loop over split points and
 binary rules: for each split m = 1..l-1 and each rule a -> b c in index
 order, F_l[a] += F_m[b] @ F_{l-m}[c].  Only live products are formed: those
 where b derives some string of length m and c some string of length l - m,
-as recorded in ``ForwardTable.live`` (``grammar.derivable_lengths``).  Every
+as recorded in ``ForwardTable.live``, whose row l is filled from the live
+products of layer l as that layer is built (``grammar.live_products``).  Every
 other product is an exact zero matrix, and adding +0.0 to a nonnegative
 entry changes nothing, so the layers are bit-identical to the full loop's
 while their entries are finite.  The one difference is after overflow: a
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grammar import CnfGrammar, derivable_lengths, live_products
+from .grammar import CnfGrammar, live_products
 from .hmm import Hmm
 
 __all__ = [
@@ -68,8 +69,9 @@ class AttestationViolatedError(AttestationError, NumericalError):
 class ForwardTable:
     """Layers 1..length as one C-contiguous, read-only float64 array of
     shape (length, N, n, n), where layers[l-1, a, s, t] = F_l[a][s,t], and
-    the grammar's ``derivable_lengths`` as the read-only bool array ``live``
-    of shape (length, N): where live[l-1, a] is false, F_l[a] is zero."""
+    the read-only bool array ``live`` of shape (length, N): live[l-1, a] is
+    true iff a derives some string of length l, which depends on the
+    grammar alone; where it is false, F_l[a] is zero."""
     length: int
     layers: np.ndarray
     live: np.ndarray
@@ -118,7 +120,9 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     accumulated in fixed order (ascending m, then rule index) so results are
     bit-reproducible.  Skipping the dead products, which are exact zeros,
     leaves every finite entry bit-identical to the full loop; an entry the
-    full loop would make NaN by 0 * inf after overflow stays inf.  Cost is
+    full loop would make NaN by 0 * inf after overflow stays inf.  Row l of
+    ``live`` marks the parents of layer l's live products, so each layer's
+    live pairs are found once.  Cost is
     O(live products of the layer * n'^3) per layer, at most O(l * |G| * n'^3).
     """
     _check_alphabets(g, model)
@@ -129,11 +133,13 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     # stay zero never are) and go back to the OS when the table is freed
     buf = mmap.mmap(-1, L * n * np_ * np_ * 8, access=mmap.ACCESS_COPY)
     layers = np.frombuffer(buf).reshape(L, n, np_, np_)
+    # live[l-1, a]: a derives some string of length l, so F_l[a] may be nonzero
+    live = np.zeros((L, n), dtype=bool)
     for a, s in g.lexical_rules:
         layers[0, a] += model.matrices[s]
-    live = derivable_lengths(g, L)
+        live[0, a] = True
     rules = g.binary_rules
-    _, B, C = np.array(rules, dtype=np.intp).reshape(-1, 3).T
+    A, B, C = np.array(rules, dtype=np.intp).reshape(-1, 3).T
     # views[l-1][a] is F_l[a]; the loop looks up four per product, and a
     # list lookup costs less than indexing an ndarray
     views = [list(layer) for layer in layers]
@@ -141,12 +147,14 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
         cur = views[l - 1]
         # i = m - 1 for split m; the live pairs come in ascending split order
         split, rule = live_products(live, l, B, C)
+        live[l - 1, A[rule]] = True
         last = -1
         for i, (a, b, c) in zip(split.tolist(), map(rules.__getitem__, rule.tolist())):
             if i != last:
                 lo, hi, last = views[i], views[l - i - 2], i
             cur[a] += lo[b] @ hi[c]
     layers.setflags(write=False)
+    live.setflags(write=False)
     return ForwardTable(length=L, layers=layers, live=live, grammar=g, model=model)
 
 

@@ -20,17 +20,25 @@ number of draws.  A column is live when b derives length m and c length
 l - m (``ForwardTable.live``); a dead column's weights are exact zeros,
 which never win a draw and leave the cumulative sums of the others
 unchanged, so dropping them changes no draw.  The live columns are the only
-thing cached per (nonterminal, length), on first use.  Derivation
-trees are assembled from the recorded choices only when the caller asks for
-them; the strings-only path keeps no per-node records.  A seeded stream is
-deterministic in the seed and the arguments, whether or not trees are
-requested; it differs from the per-draw recursion of gramhmm 0.1.0.
+thing cached per (nonterminal, length), on first use.
+
+Derivation trees are recorded only when the caller asks for them; the
+strings-only path keeps no per-node records.  A batch drawn with trees keeps
+its nodes as int arrays (``_Forest``: draw, nonterminal, start, end, state
+pair, left child or symbol, right child), which ``trees_json`` writes as
+JSON text in one preorder pass, with no recursion and so no depth limit.
+``SampleTrace.tree`` builds ``DerivationNode`` objects from the same arrays
+only when it is read.  A seeded stream is deterministic in the seed and the
+arguments, whether or not trees are requested; it differs from the per-draw
+recursion of gramhmm 0.1.0.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+import json
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -47,6 +55,7 @@ __all__ = [
     "SampleTrace",
     "Sampler",
     "sample_many",
+    "trees_json",
 ]
 
 UNDERFLOW_FLOOR = 1e-300
@@ -86,11 +95,34 @@ class DerivationNode:
     children: tuple["DerivationNode", ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleTrace:
+    """One draw: its string, its weight and, if drawn with trees, its tree.
+
+    A draw made with trees refers to its batch's int-array node records
+    (``_Forest``) and its root there; ``tree`` builds ``DerivationNode``
+    objects from them on first read, and is None for a draw made without
+    trees.  Traces compare equal when string, tree and weight do.
+    """
     string: str
-    tree: DerivationNode | None  # None unless the draw was made with trees
     weight: float  # pi'[root s] times the product of leaf operator entries
+    forest: _Forest | None = field(default=None, repr=False)
+    root: int = field(default=0, repr=False)
+
+    @property
+    def tree(self) -> DerivationNode | None:
+        return None if self.forest is None else self.forest.tree(self.root)
+
+    def _key(self) -> tuple:
+        return self.string, self.tree, self.weight
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SampleTrace):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -120,25 +152,93 @@ class _Nodes:
         self.next_id += k
         return ids
 
-    def add(self, ids, a, l, s, t, pos, left_or_symbol, right) -> None:
-        """Record nodes ids; a leaf has right = -1 and carries its symbol index."""
-        self.records.append((ids, a, pos, pos + l, s, t, left_or_symbol, right))
+    def add(self, ids, d, a, l, s, t, pos, left_or_symbol, right) -> None:
+        """Record nodes ids of draws d; a leaf has right = -1 and carries its
+        symbol index."""
+        self.records.append((ids, d, a, pos, pos + l, s, t, left_or_symbol, right))
 
-    def build(self, names: tuple[str, ...], symbols: list[str]) -> list[DerivationNode]:
-        # rows: nonterminal, start, end, s, t, left child or symbol, right child
-        fields = np.empty((7, self.next_id), dtype=np.int64)
+    def forest(self, names: tuple[str, ...], symbols: list[str]) -> _Forest:
+        fields = np.empty((8, self.next_id), dtype=np.int64)
         for ids, *values in self.records:
             for row, value in zip(fields, values):
                 row[ids] = value
-        nodes: list[DerivationNode | None] = [None] * self.next_id
-        # children always carry larger ids than their parent
-        for i, (a, start, end, s, t, x, right) in reversed(list(enumerate(fields.T.tolist()))):
+        fields.setflags(write=False)
+        return _Forest(fields, names, symbols)
+
+
+class _Forest:
+    """The derivation trees of one batch as int arrays.
+
+    ``fields`` has one column per node and the rows draw, nonterminal,
+    start, end, s, t, left child or symbol index, right child (-1 for a
+    leaf).  Column i is node i; columns 0..k-1 are the roots of draws
+    0..k-1, and every child has a larger index than its parent.
+    """
+
+    def __init__(self, fields: np.ndarray, names: tuple[str, ...], symbols: list[str]):
+        self.fields = fields
+        self.names = names
+        self.symbols = symbols
+
+    @cached_property
+    def _nodes(self) -> list[DerivationNode]:
+        nodes: list[DerivationNode | None] = [None] * self.fields.shape[1]
+        for i, (_, a, start, end, s, t, x, right) in reversed(
+                list(enumerate(self.fields.T.tolist()))):
             if right < 0:
-                nodes[i] = DerivationNode(names[a], start, end, (s, t), terminal=symbols[x])
+                nodes[i] = DerivationNode(self.names[a], start, end, (s, t),
+                                          terminal=self.symbols[x])
             else:
-                nodes[i] = DerivationNode(names[a], start, end, (s, t),
+                nodes[i] = DerivationNode(self.names[a], start, end, (s, t),
                                           children=(nodes[x], nodes[right]))
         return nodes
+
+    def tree(self, root: int) -> DerivationNode:
+        """Draw ``root``'s tree as ``DerivationNode`` objects, built for the
+        whole batch on first use."""
+        return self._nodes[root]
+
+    def texts(self) -> list[str]:
+        """Each draw's tree as JSON text, in draw order.
+
+        The text equals ``json.dumps`` of the nested document with keys
+        nonterminal, span, states, then terminal (a leaf) or children.  It
+        is joined from short pieces, seven per node in preorder, with no
+        recursion: in a CNF tree the children split their parent's span, so
+        sorting by (draw, start, -span length) gives the preorder, and a
+        leaf closes every internal node of its draw that ends where it ends.
+        """
+        d, _, start, end, *_ = self.fields
+        length = int(end.max())
+        # (draw, start, -span length) as one int; no two nodes share it
+        order = np.argsort((d * (length + 1) + start) * (length + 1) + start - end)
+        d, a, start, end, s, t, x, right = self.fields[:, order]
+        leaf = right < 0
+        states = int(max(s.max(), t.max())) + 1
+        key = d * (length + 1) + end
+        closes = np.bincount(key[~leaf], minlength=key.max() + 1)[key]
+        # a leaf's closing brackets, then ", " unless it ends its draw; an
+        # internal node's code 1 stands for the empty string
+        ending = np.where(leaf, 2 * closes + (end == length), 1)
+        endings, ending = np.unique(ending, return_inverse=True)
+        pieces = [
+            [f'{{"nonterminal": {json.dumps(name)}, "span": [' for name in self.names],
+            [f"{i}, " for i in range(max(length, states))],
+            [f'{j}], "states": [' for j in range(length + 1)],
+            [f"{q}]" for q in range(states)],
+            [', "children": ['],
+            [f', "terminal": {json.dumps(symbol)}}}' for symbol in self.symbols],
+            ["]}" * (e // 2) + ("" if e % 2 else ", ") for e in endings.tolist()],
+        ]
+        offset = np.cumsum([0] + [len(p) for p in pieces])
+        tokens = np.stack([
+            a, offset[1] + start, offset[2] + end, offset[1] + s, offset[3] + t,
+            np.where(leaf, offset[5] + x, offset[4]), offset[6] + ending,
+        ], axis=1)
+        vocabulary = np.array([p for part in pieces for p in part], dtype=object)
+        words = vocabulary[tokens].ravel().tolist()
+        cuts = (tokens.shape[1] * np.cumsum(np.bincount(d))).tolist()
+        return ["".join(words[lo:hi]) for lo, hi in zip([0, *cuts], cuts)]
 
 
 class Sampler:
@@ -236,13 +336,13 @@ class Sampler:
                     codes[d, pos] = self._codes[syms[j]]
                     np.multiply.at(weight, d, leaf_w[np.arange(len(sel)), j])
                     if trees:
-                        nodes.add(ids, a, 1, s, t, pos, syms[j], -1)
+                        nodes.add(ids, d, a, 1, s, t, pos, syms[j], -1)
                     continue
                 column, mid = self._choose(a, l, s, t, rng.random((2, len(sel))))
                 m, b, c = (x[column] for x in self._columns(a, l))
                 if trees:
                     left, right = nodes.new_ids(len(sel)), nodes.new_ids(len(sel))
-                    nodes.add(ids, a, l, s, t, pos, left, right)
+                    nodes.add(ids, d, a, l, s, t, pos, left, right)
                 else:
                     left = right = d
                 children += [(m, b, s, mid, pos, d, left),
@@ -258,9 +358,9 @@ class Sampler:
             for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(lengths)]):
                 pending.setdefault(int(lengths[lo]), []).append(tuple(col[lo:hi] for col in child))
         strings = codes.view(f"<U{L}")[:, 0].tolist()
-        roots = nodes.build(g.nonterminal_names, self._symbols)[:k] if trees else [None] * k
-        return [SampleTrace(string=w, tree=tree, weight=float(x))
-                for w, tree, x in zip(strings, roots, weight)]
+        forest = nodes.forest(g.nonterminal_names, self._symbols) if trees else None
+        return [SampleTrace(string=w, weight=x, forest=forest, root=i)
+                for i, (w, x) in enumerate(zip(strings, weight.tolist()))]
 
     def draw_batches(self, L: int, count: int, rng: np.random.Generator,
                      trees: bool = False) -> Iterator[list[SampleTrace]]:
@@ -317,3 +417,23 @@ def sample_many(
     if count == 0:
         return []
     return list(Sampler(table).draw_many(L, count, rng=seed.generator(), trees=trees))
+
+
+def trees_json(traces: Sequence[SampleTrace]) -> str:
+    """The derivation trees of traces drawn with trees, as the text of one
+    JSON array.
+
+    Equal to ``json.dumps`` of the list of nested documents, one per tree,
+    each with the keys nonterminal, span, states, then terminal (a leaf) or
+    children, but written from the int-array records of each batch with no
+    recursion, so trees of any depth can be written.
+    """
+    texts: dict[_Forest, list[str]] = {}
+    out = []
+    for trace in traces:
+        if trace.forest is None:
+            raise SamplingError("trace was drawn without its tree")
+        if trace.forest not in texts:
+            texts[trace.forest] = trace.forest.texts()
+        out.append(texts[trace.forest][trace.root])
+    return "[" + ", ".join(out) + "]"

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gramhmm.cli import MAX_TREE_DEPTH, _failure_code
+from gramhmm.cli import _failure_code
 from gramhmm.grammar import dyck_grammar, format_grammar, parse_grammar, union, universal_grammar
 from gramhmm.hmm import HmmError, format_hmm, uniform_hmm
 from gramhmm.inference import AttestationError, AttestationViolatedError
@@ -173,15 +173,31 @@ class TestSample:
 
         assert [spell(t) for t in with_trees["trees"]] == plain["strings"]
 
-    def test_trees_deeper_than_output_limit(self, files):
+    def test_trees_have_no_depth_limit(self, files):
         # universal_grammar is right-linear, so a length-L tree is L nodes deep
-        for L, code in ((MAX_TREE_DEPTH, 0), (MAX_TREE_DEPTH + 1, 3)):
-            r = run_cli("sample", "--grammar", files["universal"], "--hmm", files["ab_hmm"],
-                        "--length", L, "--count", 1, "--seed", 0, "--emit-trees")
-            assert r.returncode == code
-        assert r.stdout == ""
-        assert r.stderr.splitlines() == [
-            f"derivation tree depth {L} exceeds the output limit of {MAX_TREE_DEPTH}"]
+        args = ("sample", "--grammar", files["universal"], "--hmm", files["ab_hmm"],
+                "--length", 1100, "--count", 1, "--seed", 0)
+        plain = run_cli(*args)
+        r = run_cli(*args, "--emit-trees")
+        assert plain.returncode == r.returncode == 0, r.stderr
+        # json.loads recurses once per nested container, two per tree level
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)
+        try:
+            doc = json.loads(r.stdout)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert doc["strings"] == json.loads(plain.stdout)["strings"]
+        (tree,) = doc["trees"]
+        depth, spelled, stack = 0, [], [(tree, 1)]
+        while stack:
+            node, level = stack.pop()
+            depth = max(depth, level)
+            if "terminal" in node:
+                spelled.append(node["terminal"])
+            stack += [(child, level + 1) for child in reversed(node.get("children", []))]
+        assert "".join(spelled) == doc["strings"][0]
+        assert depth == 1100
 
     def test_trees(self, files):
         r = run_cli("sample", "--grammar", files["dyck"], "--hmm", files["paren_hmm"],
@@ -292,15 +308,15 @@ class TestDeterminism:
         commands = [
             ("sample", "--grammar", files["dyck"], "--hmm", files["paren_hmm"],
              "--length", 6, "--count", 10, "--seed", 5, "--emit-trees"),
+            ("sample", "--grammar", files["universal"], "--hmm", files["ab_hmm"],
+             "--length", 450, "--count", 3, "--seed", 5, "--emit-trees"),
             ("approx", "--grammar", files["double"], "--hmm", files["ab_hmm"],
              "--length", 3, "--epsilon", 0.2, "--ambiguity-bound", 2, "--seed", 5),
         ]
         for cmd in commands:
-            outs = {
-                run_cli(*cmd).stdout,
-                run_cli(*cmd).stdout,
-            }
-            assert len(outs) == 1
+            first, second = run_cli(*cmd), run_cli(*cmd)
+            assert first.returncode == second.returncode == 0, first.stderr
+            assert first.stdout == second.stdout
 
 
 @pytest.mark.parametrize("error, code", [

@@ -11,7 +11,6 @@ from gramhmm.grammar import (
     GrammarError,
     GrammarSyntaxError,
     CnfGrammar,
-    derivable_lengths,
     derivation_count,
     derivation_counts,
     dyck_grammar,
@@ -23,6 +22,9 @@ from gramhmm.grammar import (
     union,
     universal_grammar,
 )
+
+from gramhmm.hmm import random_hmm, uniform_hmm
+from gramhmm.inference import forward_table
 
 from conftest import count_trees_by_enumeration, enumerate_yields, random_grammar
 
@@ -198,9 +200,14 @@ class TestDerivationCounts:
 
 
 class TestDerivableLengths:
+    """``ForwardTable.live`` against tree enumeration and against the
+    table's own nonzero layers (the HMMs here have only positive entries)."""
+
     def test_dyck(self, dyck):
-        live = derivable_lengths(dyck, 8)
+        table = forward_table(dyck, uniform_hmm("()"), 8)
+        live = table.live
         assert live.shape == (8, dyck.nonterminal_count) and not live.flags.writeable
+        assert np.array_equal(live, (table.layers > 0).any(axis=(2, 3)))
         names = dyck.nonterminal_names
         assert live[:, names.index("S")].tolist() == [l % 2 == 0 for l in range(1, 9)]
         assert live[:, names.index("X")].tolist() == [l % 2 == 1 for l in range(1, 9)]
@@ -209,7 +216,9 @@ class TestDerivableLengths:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_tree_enumeration(self, seed):
         g = random_grammar(np.random.default_rng(300 + seed), sparse=True)
-        live = derivable_lengths(g, 6)
+        table = forward_table(g, random_hmm(2, g.alphabet, seed), 6)
+        live = table.live
+        assert np.array_equal(live, (table.layers > 0).any(axis=(2, 3)))
         for l in range(1, 7):
             for a in range(g.nonterminal_count):
                 assert live[l - 1, a] == any(True for _ in enumerate_yields(g, a, l))

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -17,9 +18,34 @@ from gramhmm.sampling import (
     SamplingNumericalError,
     _pick,
     sample_many,
+    trees_json,
 )
 
-from conftest import random_instance
+from conftest import random_grammar, random_instance
+
+
+def ref_tree_doc(node):
+    """The recursive tree document that ``trees_json`` must reproduce."""
+    doc = {
+        "nonterminal": node.nonterminal,
+        "span": [node.start, node.end],
+        "states": list(node.states),
+    }
+    if node.terminal is not None:
+        doc["terminal"] = node.terminal
+    if node.children:
+        doc["children"] = [ref_tree_doc(c) for c in node.children]
+    return doc
+
+
+def assert_same_text(actual: str, expected: str) -> None:
+    """Fail with the first differing offset; pytest's own diff of two long
+    one-line strings can take minutes."""
+    if actual != expected:
+        i = next((i for i, (x, y) in enumerate(zip(actual, expected)) if x != y),
+                 min(len(actual), len(expected)))
+        pytest.fail(f"texts differ at offset {i}: {actual[i - 40:i + 40]!r} "
+                    f"!= {expected[i - 40:i + 40]!r}")
 
 
 def leaves(node):
@@ -131,6 +157,15 @@ class TestSampleMany:
         assert all(t.tree is None for t in plain)
         for t in with_trees:
             assert "".join(n.terminal for n in leaves(t.tree)) == t.string
+        with pytest.raises(SamplingError, match="without its tree"):
+            trees_json(plain)
+
+    def test_trees_json_across_batches_in_any_order(self, dyck):
+        m = random_hmm(2, "()", seed=4)
+        traces = sample_many(dyck, m, 6, CHUNK + 5, RngSeed(2), trees=True)
+        assert traces[0].forest is not traces[-1].forest
+        picked = traces[::-3] + traces[:4]
+        assert_same_text(trees_json(picked), json.dumps([ref_tree_doc(t.tree) for t in picked]))
 
     def test_several_batches(self, dyck, paren_uniform):
         count = 2 * CHUNK + 7
@@ -254,3 +289,20 @@ class TestProperties:
         for trace in first:
             assert len(trace.string) == L
             assert derivation_count(g, trace.string) >= 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 7), st.integers(1, 40), st.booleans())
+    def test_trees_json_matches_recursive_writer(self, seed, pick, count, sparse):
+        rng = np.random.default_rng(seed)
+        while True:
+            g = random_grammar(rng, sparse=sparse)
+            model = random_hmm(int(rng.integers(1, 4)), g.alphabet, int(rng.integers(0, 2**31)))
+            table = forward_table(g, model, 8)
+            lengths = [l for l in range(1, 9) if table.contract(l) > 0]
+            if lengths:
+                break
+        L = lengths[pick % len(lengths)]
+        traces = sample_many(g, model, L, count, RngSeed(seed), table=table, trees=True)
+        assert_same_text(trees_json(traces), json.dumps([ref_tree_doc(t.tree) for t in traces]))
+        for trace in traces:
+            assert "".join(n.terminal for n in leaves(trace.tree)) == trace.string
