@@ -37,7 +37,6 @@ from .inference import (
     weighted_mass,
 )
 from .sampling import (
-    DerivationNode,
     RngSeed,
     Sampler,
     SampleTrace,
@@ -71,4 +70,4 @@ from .reductions import (
     parse_dimacs,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -34,20 +34,20 @@ class CliFailure(Exception):
         self.code = code
 
 
-def _load_grammar(path: str) -> grammar_mod.CnfGrammar:
+def _read(path: str, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return grammar_mod.parse_grammar(fh.read())
+            return fh.read()
     except OSError as e:
-        raise CliFailure(f"cannot read grammar file: {e}", EXIT_VALIDATION) from None
+        raise CliFailure(f"cannot read {what} file: {e}", EXIT_VALIDATION) from None
+
+
+def _load_grammar(path: str) -> grammar_mod.CnfGrammar:
+    return grammar_mod.parse_grammar(_read(path, "grammar"))
 
 
 def _load_hmm(path: str) -> hmm_mod.Hmm:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return hmm_mod.parse_hmm(fh.read())
-    except OSError as e:
-        raise CliFailure(f"cannot read HMM file: {e}", EXIT_VALIDATION) from None
+    return hmm_mod.parse_hmm(_read(path, "HMM"))
 
 
 def cmd_likelihood(args) -> dict:
@@ -131,11 +131,7 @@ def cmd_oracle(args) -> dict:
 
 
 def cmd_reduce3sat(args) -> dict:
-    try:
-        with open(args.cnf, encoding="utf-8") as fh:
-            formula = reductions.parse_dimacs(fh.read())
-    except OSError as e:
-        raise CliFailure(f"cannot read DIMACS file: {e}", EXIT_VALIDATION) from None
+    formula = reductions.parse_dimacs(_read(args.cnf, "DIMACS"))
     g = reductions.formula_to_cfg(formula)
     doc = {
         "variables": formula.variable_count,
@@ -143,8 +139,11 @@ def cmd_reduce3sat(args) -> dict:
         "grammar_size": g.size,
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(grammar_mod.format_grammar(g))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(grammar_mod.format_grammar(g))
+        except OSError as e:
+            raise CliFailure(f"cannot write grammar file: {e}", EXIT_VALIDATION) from None
         doc["out"] = args.out
     if args.count:
         doc["model_count"] = reductions.model_count_via_likelihood(formula)

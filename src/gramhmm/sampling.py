@@ -24,21 +24,19 @@ thing cached per (nonterminal, length), on first use.
 
 Derivation trees are recorded only when the caller asks for them; the
 strings-only path keeps no per-node records.  A batch drawn with trees keeps
-its nodes as int arrays (``_Forest``: draw, nonterminal, start, end, state
-pair, left child or symbol, right child), which ``trees_json`` writes as
-JSON text in one preorder pass, with no recursion and so no depth limit.
-``SampleTrace.tree`` builds ``DerivationNode`` objects from the same arrays
-only when it is read.  A seeded stream is deterministic in the seed and the
-arguments, whether or not trees are requested; it differs from the per-draw
-recursion of gramhmm 0.1.0.
+its nodes as int arrays (draw, nonterminal, start, end, state pair, left
+child or symbol, right child) and writes every draw's tree from them as JSON
+text in one preorder pass, with no recursion and so no depth limit; that
+text is ``SampleTrace.tree``.  A seeded stream is deterministic in the seed
+and the arguments, whether or not trees are requested; it differs from the
+per-draw recursion of gramhmm 0.1.0.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -51,7 +49,6 @@ __all__ = [
     "SamplingError",
     "SamplingNumericalError",
     "RngSeed",
-    "DerivationNode",
     "SampleTrace",
     "Sampler",
     "sample_many",
@@ -80,49 +77,27 @@ class RngSeed:
 
     seed: int
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise SamplingError(f"seed must be nonnegative, got {self.seed}")
+
     def generator(self) -> np.random.Generator:
         # the trailing 0 keeps every stream identical to gramhmm 0.2.0
         return np.random.default_rng([self.seed, 0])
 
 
 @dataclass(frozen=True)
-class DerivationNode:
-    nonterminal: str
-    start: int               # span [start, end) into the sampled string
-    end: int
-    states: tuple[int, int]  # HMM state pair carried across the span
-    terminal: str | None = None
-    children: tuple["DerivationNode", ...] = ()
-
-
-@dataclass(frozen=True, eq=False)
 class SampleTrace:
-    """One draw: its string, its weight and, if drawn with trees, its tree.
+    """One draw: its string, its weight and, if drawn with trees, its
+    derivation tree as JSON text (None for a draw made without trees).
 
-    A draw made with trees refers to its batch's int-array node records
-    (``_Forest``) and its root there; ``tree`` builds ``DerivationNode``
-    objects from them on first read, and is None for a draw made without
-    trees.  Traces compare equal when string, tree and weight do.
+    The tree text is one JSON object per node with the keys nonterminal,
+    span [start, end), states [s, t], then terminal (a leaf) or children
+    (two nodes whose spans split their parent's).
     """
     string: str
     weight: float  # pi'[root s] times the product of leaf operator entries
-    forest: _Forest | None = field(default=None, repr=False)
-    root: int = field(default=0, repr=False)
-
-    @property
-    def tree(self) -> DerivationNode | None:
-        return None if self.forest is None else self.forest.tree(self.root)
-
-    def _key(self) -> tuple:
-        return self.string, self.tree, self.weight
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SampleTrace):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    tree: str | None = None
 
 
 def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -157,48 +132,7 @@ class _Nodes:
         symbol index."""
         self.records.append((ids, d, a, pos, pos + l, s, t, left_or_symbol, right))
 
-    def forest(self, names: tuple[str, ...], symbols: list[str]) -> _Forest:
-        fields = np.empty((8, self.next_id), dtype=np.int64)
-        for ids, *values in self.records:
-            for row, value in zip(fields, values):
-                row[ids] = value
-        fields.setflags(write=False)
-        return _Forest(fields, names, symbols)
-
-
-class _Forest:
-    """The derivation trees of one batch as int arrays.
-
-    ``fields`` has one column per node and the rows draw, nonterminal,
-    start, end, s, t, left child or symbol index, right child (-1 for a
-    leaf).  Column i is node i; columns 0..k-1 are the roots of draws
-    0..k-1, and every child has a larger index than its parent.
-    """
-
-    def __init__(self, fields: np.ndarray, names: tuple[str, ...], symbols: list[str]):
-        self.fields = fields
-        self.names = names
-        self.symbols = symbols
-
-    @cached_property
-    def _nodes(self) -> list[DerivationNode]:
-        nodes: list[DerivationNode | None] = [None] * self.fields.shape[1]
-        for i, (_, a, start, end, s, t, x, right) in reversed(
-                list(enumerate(self.fields.T.tolist()))):
-            if right < 0:
-                nodes[i] = DerivationNode(self.names[a], start, end, (s, t),
-                                          terminal=self.symbols[x])
-            else:
-                nodes[i] = DerivationNode(self.names[a], start, end, (s, t),
-                                          children=(nodes[x], nodes[right]))
-        return nodes
-
-    def tree(self, root: int) -> DerivationNode:
-        """Draw ``root``'s tree as ``DerivationNode`` objects, built for the
-        whole batch on first use."""
-        return self._nodes[root]
-
-    def texts(self) -> list[str]:
+    def texts(self, names: tuple[str, ...], symbols: list[str]) -> list[str]:
         """Each draw's tree as JSON text, in draw order.
 
         The text equals ``json.dumps`` of the nested document with keys
@@ -208,11 +142,18 @@ class _Forest:
         sorting by (draw, start, -span length) gives the preorder, and a
         leaf closes every internal node of its draw that ends where it ends.
         """
-        d, _, start, end, *_ = self.fields
+        # one column per node: draw, nonterminal, start, end, s, t, left
+        # child or symbol index, right child (-1 for a leaf)
+        fields = np.empty((8, self.next_id), dtype=np.int64)
+        while self.records:  # drained, so each record is freed once copied
+            ids, *values = self.records.pop()
+            for row, value in zip(fields, values):
+                row[ids] = value
+        d, _, start, end, *_ = fields
         length = int(end.max())
         # (draw, start, -span length) as one int; no two nodes share it
         order = np.argsort((d * (length + 1) + start) * (length + 1) + start - end)
-        d, a, start, end, s, t, x, right = self.fields[:, order]
+        d, a, start, end, s, t, x, right = fields[:, order]
         leaf = right < 0
         states = int(max(s.max(), t.max())) + 1
         key = d * (length + 1) + end
@@ -222,12 +163,12 @@ class _Forest:
         ending = np.where(leaf, 2 * closes + (end == length), 1)
         endings, ending = np.unique(ending, return_inverse=True)
         pieces = [
-            [f'{{"nonterminal": {json.dumps(name)}, "span": [' for name in self.names],
+            [f'{{"nonterminal": {json.dumps(name)}, "span": [' for name in names],
             [f"{i}, " for i in range(max(length, states))],
             [f'{j}], "states": [' for j in range(length + 1)],
             [f"{q}]" for q in range(states)],
             [', "children": ['],
-            [f', "terminal": {json.dumps(symbol)}}}' for symbol in self.symbols],
+            [f', "terminal": {json.dumps(symbol)}}}' for symbol in symbols],
             ["]}" * (e // 2) + ("" if e % 2 else ", ") for e in endings.tolist()],
         ]
         offset = np.cumsum([0] + [len(p) for p in pieces])
@@ -306,6 +247,8 @@ class Sampler:
         return column, middle
 
     def _draw_batch(self, L: int, k: int, rng: np.random.Generator, trees: bool):
+        """k draws of length L: their strings, their weights and, with trees,
+        their node records."""
         g, n = self.grammar, self.model.state_count
         cum = np.cumsum(self.model.initial[:, None] * self.table.layer(L)[g.start])
         if cum[-1] <= 0.0:
@@ -357,22 +300,27 @@ class Sampler:
             cuts = np.flatnonzero(np.diff(lengths)) + 1
             for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(lengths)]):
                 pending.setdefault(int(lengths[lo]), []).append(tuple(col[lo:hi] for col in child))
-        strings = codes.view(f"<U{L}")[:, 0].tolist()
-        forest = nodes.forest(g.nonterminal_names, self._symbols) if trees else None
-        return [SampleTrace(string=w, weight=x, forest=forest, root=i)
-                for i, (w, x) in enumerate(zip(strings, weight.tolist()))]
+        return codes.view(f"<U{L}")[:, 0].tolist(), weight.tolist(), nodes
+
+    def _traces(self, L: int, k: int, rng: np.random.Generator, trees: bool) -> list[SampleTrace]:
+        """One batch of ``_draw_batch`` as traces.  The tree texts are written
+        after the draw's working arrays are freed, so the two do not add up
+        in peak memory."""
+        strings, weights, nodes = self._draw_batch(L, k, rng, trees)
+        texts = nodes.texts(self.grammar.nonterminal_names, self._symbols) if trees else [None] * k
+        return [SampleTrace(w, x, tree) for w, x, tree in zip(strings, weights, texts)]
 
     def draw_batches(self, L: int, count: int, rng: np.random.Generator,
                      trees: bool = False) -> Iterator[list[SampleTrace]]:
         """``count`` independent draws of length L, as lists of at most CHUNK.
 
         A batch is drawn only when the previous one has been consumed, so at
-        most CHUNK draws are held at a time.  Trees are built only when
+        most CHUNK draws are held at a time.  Trees are written only when
         ``trees`` is true; the strings and weights do not depend on it.
         """
         if L < 1 or L > self.table.length:
             raise SamplingError(f"length {L} outside table range [1, {self.table.length}]")
-        return (self._draw_batch(L, min(CHUNK, count - first), rng, trees)
+        return (self._traces(L, min(CHUNK, count - first), rng, trees)
                 for first in range(0, count, CHUNK))
 
     def draw_many(self, L: int, count: int, rng: np.random.Generator,
@@ -421,19 +369,7 @@ def sample_many(
 
 def trees_json(traces: Sequence[SampleTrace]) -> str:
     """The derivation trees of traces drawn with trees, as the text of one
-    JSON array.
-
-    Equal to ``json.dumps`` of the list of nested documents, one per tree,
-    each with the keys nonterminal, span, states, then terminal (a leaf) or
-    children, but written from the int-array records of each batch with no
-    recursion, so trees of any depth can be written.
-    """
-    texts: dict[_Forest, list[str]] = {}
-    out = []
-    for trace in traces:
-        if trace.forest is None:
-            raise SamplingError("trace was drawn without its tree")
-        if trace.forest not in texts:
-            texts[trace.forest] = trace.forest.texts()
-        out.append(texts[trace.forest][trace.root])
-    return "[" + ", ".join(out) + "]"
+    JSON array of their ``tree`` texts."""
+    if any(trace.tree is None for trace in traces):
+        raise SamplingError("trace was drawn without its tree")
+    return "[" + ", ".join(trace.tree for trace in traces) + "]"

@@ -72,10 +72,21 @@ class TestLikelihood:
                     "--length", 4, "--mode", "upto", "--attest-unambiguous")
         assert json.loads(r.stdout)["value"] == 0.375
 
-    def test_missing_file(self, files):
-        r = run_cli("likelihood", "--grammar", files["tmp"] / "nope.grm",
-                    "--hmm", files["paren_hmm"], "--length", 4, "--mode", "weighted")
+    @pytest.mark.parametrize("kind, message", [
+        ("grammar", "cannot read grammar file"),
+        ("hmm", "cannot read HMM file"),
+        ("cnf", "cannot read DIMACS file"),
+    ], ids=["grammar", "hmm", "cnf"])
+    def test_missing_file(self, files, kind, message):
+        paths = {"grammar": files["dyck"], "hmm": files["paren_hmm"], kind: files["tmp"] / "nope"}
+        if kind == "cnf":
+            r = run_cli("reduce3sat", "--cnf", paths["cnf"])
+        else:
+            r = run_cli("likelihood", "--grammar", paths["grammar"], "--hmm", paths["hmm"],
+                        "--length", 4, "--mode", "weighted")
         assert r.returncode == 3
+        assert r.stdout == ""
+        assert message in r.stderr
 
     def test_overflow_is_numerical_error(self, files, tmp_path):
         p = tmp_path / "ss.grm"
@@ -303,6 +314,13 @@ class TestReduce3Sat:
         assert enumerate_language(g, 3) == {"000"}
 
 
+    def test_out_to_unwritable_path(self, files, tmp_path):
+        r = run_cli("reduce3sat", "--cnf", files["cnf"], "--out", tmp_path / "no" / "g.grm")
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr.startswith("cannot write grammar file: ")
+
+
 class TestDeterminism:
     def test_seeded_commands_bit_identical(self, files):
         commands = [
@@ -317,6 +335,19 @@ class TestDeterminism:
             first, second = run_cli(*cmd), run_cli(*cmd)
             assert first.returncode == second.returncode == 0, first.stderr
             assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize("command", [
+    ("sample", "--count", 2),
+    ("approx", "--epsilon", 0.2, "--ambiguity-bound", 1),
+], ids=["sample", "approx"])
+def test_negative_seed_is_validation_error(files, command):
+    name, *options = command
+    r = run_cli(name, "--grammar", files["dyck"], "--hmm", files["paren_hmm"], "--length", 4,
+                *options, "--seed", -1)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == ["seed must be nonnegative, got -1"]
 
 
 @pytest.mark.parametrize("error, code", [

@@ -24,20 +24,6 @@ from gramhmm.sampling import (
 from conftest import random_grammar, random_instance
 
 
-def ref_tree_doc(node):
-    """The recursive tree document that ``trees_json`` must reproduce."""
-    doc = {
-        "nonterminal": node.nonterminal,
-        "span": [node.start, node.end],
-        "states": list(node.states),
-    }
-    if node.terminal is not None:
-        doc["terminal"] = node.terminal
-    if node.children:
-        doc["children"] = [ref_tree_doc(c) for c in node.children]
-    return doc
-
-
 def assert_same_text(actual: str, expected: str) -> None:
     """Fail with the first differing offset; pytest's own diff of two long
     one-line strings can take minutes."""
@@ -48,13 +34,49 @@ def assert_same_text(actual: str, expected: str) -> None:
                     f"!= {expected[i - 40:i + 40]!r}")
 
 
-def leaves(node):
-    if node.terminal is not None:
-        return [node]
-    out = []
-    for child in node.children:
-        out.extend(leaves(child))
-    return out
+def nodes(text: str):
+    """The nodes of a tree's JSON text in preorder, so its leaves come in
+    string order."""
+    stack = [json.loads(text)]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.get("children", [])))
+
+
+def spell(text: str) -> str:
+    return "".join(node["terminal"] for node in nodes(text) if "terminal" in node)
+
+
+def check_tree(g: CnfGrammar, model: Hmm, trace) -> None:
+    """Assert that ``trace.tree`` is a derivation of ``trace.string`` under g
+    whose states and leaf operator entries give ``trace.weight``."""
+    text, w = trace.tree, trace.string
+    assert json.dumps(json.loads(text)) == text
+    names = g.nonterminal_names
+    root = json.loads(text)
+    assert root["nonterminal"] == names[g.start]
+    assert root["span"] == [0, len(w)]
+    weight = model.initial[root["states"][0]]
+    for node in nodes(text):
+        a = names.index(node["nonterminal"])
+        (start, end), (s, t) = node["span"], node["states"]
+        if "terminal" in node:
+            assert set(node) == {"nonterminal", "span", "states", "terminal"}
+            assert end == start + 1
+            assert node["terminal"] in g.lexical_rules_of(a)
+            assert node["terminal"] == w[start]
+            weight *= model.matrices[node["terminal"]][s, t]
+            continue
+        assert set(node) == {"nonterminal", "span", "states", "children"}
+        left, right = node["children"]
+        rule = (names.index(left["nonterminal"]), names.index(right["nonterminal"]))
+        assert rule in g.binary_rules_of(a)
+        (l0, m), (m2, r1) = left["span"], right["span"]
+        assert l0 == start < m == m2 < r1 == end
+        (ls, u), (u2, rt) = left["states"], right["states"]
+        assert (ls, u, rt) == (s, u2, t)
+    assert weight == pytest.approx(trace.weight, rel=1e-12)
 
 
 class TestSample:
@@ -78,7 +100,8 @@ class TestSample:
         traces = sample_many(ss_grammar, m, 3, 4000, RngSeed(5), trees=True)
         assert all(t.string == "aaa" for t in traces)
         # two derivations of aaa, each drawn with probability 1/2
-        shapes = Counter(len(t.tree.children[0].children) for t in traces)
+        shapes = Counter(len(json.loads(t.tree)["children"][0].get("children", []))
+                         for t in traces)
         assert set(shapes) == {0, 2}
         for count in shapes.values():
             assert count == pytest.approx(2000, abs=200)
@@ -87,8 +110,7 @@ class TestSample:
         for trace in sample_many(dyck, paren_uniform, 6, 50, RngSeed(3), trees=True):
             assert len(trace.string) == 6
             assert derivation_count(dyck, trace.string) >= 1
-            lf = leaves(trace.tree)
-            assert "".join(n.terminal for n in lf) == trace.string
+            check_tree(dyck, paren_uniform, trace)
             assert trace.weight > 0
 
     def test_local_probabilities_sum_to_one(self, dyck, paren_uniform):
@@ -96,10 +118,10 @@ class TestSample:
         sampler = Sampler(table)
         trace = sampler.draw(6, RngSeed(9).generator())
 
-        def visit(node):
-            l = node.end - node.start
-            s, t = node.states
-            a = dyck.nonterminal_names.index(node.nonterminal)
+        for node in nodes(trace.tree):
+            (start, end), (s, t) = node["span"], node["states"]
+            l = end - start
+            a = dyck.nonterminal_names.index(node["nonterminal"])
             if l == 1:
                 weights = sampler._leaf[a][1][s, t]
             else:
@@ -110,10 +132,6 @@ class TestSample:
                 assert lo.shape == hi.shape == (1, len(m), paren_uniform.state_count)
                 weights = lo * hi
             assert weights.sum() == pytest.approx(table.layer(l)[a][s, t], rel=1e-9)
-            for child in node.children:
-                visit(child)
-
-        visit(trace.tree)
 
     def test_underflow_is_numerical_error(self):
         # every node of b^102 carries weight 0.001^102 < UNDERFLOW_FLOOR
@@ -144,7 +162,22 @@ class TestSample:
         one = Sampler(table).draw(8, RngSeed(4).generator())
         (batch,) = Sampler(table).draw_many(8, 1, RngSeed(4).generator(), trees=True)
         assert one == batch
-        assert "".join(n.terminal for n in leaves(one.tree)) == one.string
+        assert spell(one.tree) == one.string
+
+    def test_deep_traces_compare_hash_and_print(self):
+        # universal_grammar is right-linear, so this tree is 1100 nodes deep
+        g, m = universal_grammar("ab"), uniform_hmm("ab")
+        (a,) = sample_many(g, m, 1100, 1, 0, trees=True)
+        (b,) = sample_many(g, m, 1100, 1, 0, trees=True)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) and repr(a.tree)
+
+    def test_negative_seed(self, dyck, paren_uniform):
+        with pytest.raises(SamplingError, match="^seed must be nonnegative, got -1$"):
+            RngSeed(-1)
+        with pytest.raises(SamplingError, match="^seed must be nonnegative, got -1$"):
+            sample_many(dyck, paren_uniform, 4, 1, -1)
 
 
 class TestSampleMany:
@@ -156,16 +189,18 @@ class TestSampleMany:
         assert [t.weight for t in plain] == [t.weight for t in with_trees]
         assert all(t.tree is None for t in plain)
         for t in with_trees:
-            assert "".join(n.terminal for n in leaves(t.tree)) == t.string
+            check_tree(dyck, m, t)
         with pytest.raises(SamplingError, match="without its tree"):
             trees_json(plain)
 
     def test_trees_json_across_batches_in_any_order(self, dyck):
         m = random_hmm(2, "()", seed=4)
+        # the first CHUNK draws are one batch, the last 5 another
         traces = sample_many(dyck, m, 6, CHUNK + 5, RngSeed(2), trees=True)
-        assert traces[0].forest is not traces[-1].forest
         picked = traces[::-3] + traces[:4]
-        assert_same_text(trees_json(picked), json.dumps([ref_tree_doc(t.tree) for t in picked]))
+        assert_same_text(trees_json(picked), json.dumps([json.loads(t.tree) for t in picked]))
+        for t in picked:
+            check_tree(dyck, m, t)
 
     def test_several_batches(self, dyck, paren_uniform):
         count = 2 * CHUNK + 7
@@ -244,12 +279,12 @@ class TestDistribution:
         traces = sample_many(ss_grammar, m, 4, 25000, RngSeed(8), trees=True)
 
         def shape(node):
-            if node.terminal is not None:
+            if "terminal" in node:
                 return "*"
-            l, r = node.children
+            l, r = node["children"]
             return f"({shape(l)}{shape(r)})"
 
-        freq = Counter(shape(t.tree) for t in traces)
+        freq = Counter(shape(json.loads(t.tree)) for t in traces)
         assert len(freq) == 5
         for count in freq.values():
             assert count / 25000 == pytest.approx(0.2, abs=0.02)
@@ -292,7 +327,7 @@ class TestProperties:
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 7), st.integers(1, 40), st.booleans())
-    def test_trees_json_matches_recursive_writer(self, seed, pick, count, sparse):
+    def test_trees_are_derivations_of_their_strings(self, seed, pick, count, sparse):
         rng = np.random.default_rng(seed)
         while True:
             g = random_grammar(rng, sparse=sparse)
@@ -303,6 +338,6 @@ class TestProperties:
                 break
         L = lengths[pick % len(lengths)]
         traces = sample_many(g, model, L, count, RngSeed(seed), table=table, trees=True)
-        assert_same_text(trees_json(traces), json.dumps([ref_tree_doc(t.tree) for t in traces]))
+        assert_same_text(trees_json(traces), json.dumps([json.loads(t.tree) for t in traces]))
         for trace in traces:
-            assert "".join(n.terminal for n in leaves(trace.tree)) == trace.string
+            check_tree(g, model, trace)
