@@ -8,7 +8,6 @@ from .grammar import (
     dyck_grammar,
     enumerate_language,
     format_grammar,
-    inside_vector,
     max_ambiguity,
     parse_grammar,
     union,
@@ -70,4 +69,4 @@ from .reductions import (
     parse_dimacs,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

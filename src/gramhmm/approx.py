@@ -4,18 +4,20 @@ Proposals come from the exact ancestral sampler in batches of its CHUNK
 draws, whose string marginal is f_G(w) * f_A(w) / Z; accepting each proposal
 with probability exactly 1 / f_G(w) makes the acceptance rate Z-normalized
 constrained likelihood, so Z * (accepted / N) estimates
-f_A(L_G intersect Sigma^L).  The exact derivation counts of a batch come
-from one call of ``grammar.derivation_counts``, which counts each distinct
-string once; the Bernoulli draws then run per proposal in draw order.  The
-Bernoulli draw is carried out over big integers, never via a floating-point
-reciprocal, since derivation counts can exceed 2^53.
+f_A(L_G intersect Sigma^L).  Z is ``table.contract(L)`` of the table the
+proposals are drawn from, and N is set by an integer ambiguity bound.  The
+exact derivation counts of a batch come from one call of
+``grammar.derivation_counts``, which counts each distinct string once; the
+Bernoulli draws then run per proposal in draw order.  The Bernoulli draw
+is carried out over big integers, never via a floating-point reciprocal,
+since derivation counts can exceed 2^53.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .grammar import CnfGrammar, derivation_counts
 # unused here; kept bound because the traced benchmark run wraps this name
 from .grammar import derivation_count  # noqa: F401
 from .hmm import Hmm
-from .inference import forward_table, weighted_mass
+from .inference import forward_table
 from .sampling import RngSeed, Sampler
 
 __all__ = [
@@ -91,25 +93,28 @@ def fpras_likelihood(
     model: Hmm,
     L: int,
     epsilon: float,
-    bound: int | Callable[[int], int],
+    bound: int,
     seed: RngSeed | int,
     confidence_failure: float = DEFAULT_FAILURE_PROB,
 ) -> FprasReport:
     """Randomized estimate of the constrained likelihood for a polynomially
     ambiguous grammar.
 
-    ``bound`` is either a constant or a function of the length upper-bounding
-    the derivation count of any length-L string; with probability at least
-    1 - confidence_failure the estimate is within relative error epsilon of
-    the true value.  A zero weighted mass short-circuits to estimate 0.
+    ``bound`` is an integer upper-bounding the derivation count of any
+    length-L string; with probability at least 1 - confidence_failure the
+    estimate is within relative error epsilon of the true value.  A zero
+    weighted mass short-circuits to estimate 0.
     """
     if isinstance(seed, int):
         seed = RngSeed(seed)
-    bound_value = bound(L) if callable(bound) else int(bound)
+    try:
+        bound_value = operator.index(bound)
+    except TypeError:
+        raise ApproxError("ambiguity bound must be an integer") from None
     n_samples = sample_size(bound_value, epsilon, confidence_failure)
 
     table = forward_table(g, model, L)
-    z = weighted_mass(g, model, L, table=table).value
+    z = table.contract(L)
     if z == 0.0:
         return FprasReport(
             estimate=0.0, z_weighted=0.0, samples=0, accepted=0,

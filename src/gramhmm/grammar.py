@@ -4,14 +4,14 @@ unions, enumeration.
 Nonterminals are interned to 0-based integer indices in order of first
 appearance in the rule list.  The number of derivation trees of a length-L
 string can grow like the Catalan numbers, so every count returned is exact:
-``inside_vector`` counts with Python's arbitrary-precision integers, and the
-batched ``derivation_counts`` uses a float64 chart only while it provably
-holds integers exactly, falling back to ``inside_vector`` otherwise.
+``derivation_count`` counts with Python's arbitrary-precision integers, and
+the batched ``derivation_counts`` uses a float64 chart only while it provably
+holds integers exactly, falling back to ``derivation_count`` otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "CnfGrammar",
     "parse_grammar",
     "format_grammar",
-    "inside_vector",
     "derivation_count",
     "derivation_counts",
     "live_products",
@@ -67,11 +66,6 @@ class CnfGrammar:
     lexical_rules: tuple[tuple[int, str], ...]
     alphabet: tuple[str, ...]
     nonterminal_names: tuple[str, ...]
-    # index caches, derived in __post_init__
-    _lexical_by_symbol: dict = field(default=None, repr=False, compare=False)
-    _rules_by_children: dict = field(default=None, repr=False, compare=False)
-    _rules_by_parent: dict = field(default=None, repr=False, compare=False)
-    _lexical_by_parent: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.nonterminal_count
@@ -99,6 +93,8 @@ class CnfGrammar:
         object.__setattr__(self, "binary_rules", tuple(sorted(self.binary_rules)))
         object.__setattr__(self, "lexical_rules", tuple(sorted(self.lexical_rules)))
 
+        # index caches: plain attributes, not fields, so they are neither
+        # constructor parameters nor part of equality, hash or repr
         lex_by_sym: dict[str, list[int]] = {}
         lex_by_parent: dict[int, list[str]] = {}
         for a, s in self.lexical_rules:
@@ -227,13 +223,12 @@ def format_grammar(g: CnfGrammar) -> str:
     return "\n".join(lines) + "\n"
 
 
-def inside_vector(g: CnfGrammar, w: str) -> list[int]:
-    """Exact per-nonterminal derivation-tree counts for the string w.
+def derivation_count(g: CnfGrammar, w: str) -> int:
+    """Number of derivation trees of w from the start symbol; 0 iff w is not in the language.
 
-    Entry a is the number of derivation trees rooted at a whose yield is w,
-    computed by the standard CYK chart over substrings: a span's counts are
-    the sum, over splits and binary rules, of the products of the two child
-    span counts.
+    Exact, over Python integers, by the standard CYK chart over substrings:
+    a span's count for nonterminal a is the sum, over splits and binary
+    rules a -> b c, of the products of the two child span counts.
     """
     if len(w) < 1:
         raise GrammarError("string must be nonempty")
@@ -266,13 +261,7 @@ def inside_vector(g: CnfGrammar, w: str) -> list[int]:
                             for a in parents:
                                 cell[a] = cell.get(a, 0) + prod
             chart[(i, j)] = cell
-    top = chart[(0, L)]
-    return [top.get(a, 0) for a in range(g.nonterminal_count)]
-
-
-def derivation_count(g: CnfGrammar, w: str) -> int:
-    """Number of derivation trees of w from the start symbol; 0 iff w is not in the language."""
-    return inside_vector(g, w)[g.start]
+    return chart[(0, L)].get(g.start, 0)
 
 
 def derivation_counts(g: CnfGrammar, strings: list[str]) -> list[int]:
@@ -287,7 +276,7 @@ def derivation_counts(g: CnfGrammar, strings: list[str]) -> list[int]:
     integers and rounding is monotone, so a computed entry is at least any
     rounded partial term, and a chart whose computed maximum stays below
     2^53 has made no rounding at all.  When that guard trips, the batch's
-    distinct strings are counted with the big-integer ``inside_vector``
+    distinct strings are counted with the big-integer ``derivation_count``
     instead.
     """
     if not strings:
@@ -402,6 +391,8 @@ def union(g1: CnfGrammar, g2: CnfGrammar) -> CnfGrammar:
 
 def _all_strings(alphabet: tuple[str, ...], L: int):
     """Yield all length-L strings over the alphabet in lexicographic order."""
+    if L < 1:
+        raise GrammarError("length must be >= 1")
     if len(alphabet) ** L > DEFAULT_ENUMERATION_GUARD:
         raise GrammarError(
             f"enumeration guard exceeded: |alphabet|^L = {len(alphabet) ** L}"

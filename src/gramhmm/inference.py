@@ -20,7 +20,9 @@ dead product against an overflowed layer is 0 * inf = NaN in the full loop,
 and is never formed here, so such entries stay inf.  All layers live in one
 read-only, C-contiguous float64 array of shape (L, N, n, n), indexed
 [l-1, a, s, t], which the likelihood, the sampler and the FPRAS read in
-place.
+place.  A table carries the grammar and HMM it was built from, so it is
+passed alone: ``table.contract(l)`` and ``sampling.Sampler(table)`` read it,
+and there is no check that a table matches some other grammar or HMM.
 """
 
 from __future__ import annotations
@@ -78,14 +80,6 @@ class ForwardTable:
     grammar: CnfGrammar
     model: Hmm
 
-    def built_for(self, g: CnfGrammar, model: Hmm) -> bool:
-        """Whether the table was built from grammar g and HMM model, compared by value."""
-        m = self.model
-        return self.grammar == g and (m is model or (
-            m.alphabet == model.alphabet
-            and np.array_equal(m.initial, model.initial)
-            and all(np.array_equal(m.matrices[s], model.matrices[s]) for s in m.alphabet)))
-
     def layer(self, l: int) -> np.ndarray:
         if not 1 <= l <= self.length:
             raise InferenceError(f"layer index {l} out of range [1, {self.length}]")
@@ -131,7 +125,13 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     n, np_ = g.nonterminal_count, model.state_count
     # pages of a private anonymous map take no memory until written (rows that
     # stay zero never are) and go back to the OS when the table is freed
-    buf = mmap.mmap(-1, L * n * np_ * np_ * 8, access=mmap.ACCESS_COPY)
+    size = L * n * np_ * np_ * 8
+    try:
+        buf = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
+    except (OSError, OverflowError) as e:
+        raise InferenceError(
+            f"forward table for length {L} needs {size} bytes and cannot be allocated: {e}"
+        ) from None
     layers = np.frombuffer(buf).reshape(L, n, np_, np_)
     # live[l-1, a]: a derives some string of length l, so F_l[a] may be nonzero
     live = np.zeros((L, n), dtype=bool)
@@ -158,23 +158,28 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     return ForwardTable(length=L, layers=layers, live=live, grammar=g, model=model)
 
 
-def weighted_mass(
-    g: CnfGrammar, model: Hmm, L: int, table: ForwardTable | None = None
-) -> LikelihoodResult:
-    """Z = sum over length-L strings of f_G(w) * f_A(w); valid for any CFG."""
-    if table is None:
-        table = forward_table(g, model, L)
-    elif not table.built_for(g, model):
-        raise InferenceError("forward table was built for a different grammar or HMM")
-    return LikelihoodResult(value=table.contract(L), length=L, mode="weighted-mass")
+def weighted_mass(g: CnfGrammar, model: Hmm, L: int) -> LikelihoodResult:
+    """Z = sum over length-L strings of f_G(w) * f_A(w); valid for any CFG.
+
+    A caller that holds a forward table reads the same value, at any length
+    the table covers, as ``table.contract(L)``.
+    """
+    return LikelihoodResult(value=forward_table(g, model, L).contract(L), length=L,
+                            mode="weighted-mass")
+
+
+def _attested(value: float, L: int) -> float:
+    """The weighted mass ``value`` at length L of a grammar attested
+    unambiguous; a value above 1 proves the attestation broken and raises."""
+    if value > 1.0 + AMBIGUITY_SLACK:
+        raise AttestationViolatedError(
+            f"ambiguity attestation violated: weighted mass {value} exceeds 1 at length {L}"
+        )
+    return value
 
 
 def ucfg_likelihood(
-    g: CnfGrammar,
-    model: Hmm,
-    L: int,
-    unambiguity_attested: bool = False,
-    table: ForwardTable | None = None,
+    g: CnfGrammar, model: Hmm, L: int, unambiguity_attested: bool = False
 ) -> LikelihoodResult:
     """Exact constrained likelihood, valid when the caller attests the grammar unambiguous.
 
@@ -185,12 +190,8 @@ def ucfg_likelihood(
         raise AttestationError(
             "ucfg likelihood requires the caller to attest the grammar is unambiguous"
         )
-    z = weighted_mass(g, model, L, table=table)
-    if z.value > 1.0 + AMBIGUITY_SLACK:
-        raise AttestationViolatedError(
-            f"ambiguity attestation violated: weighted mass {z.value} exceeds 1 at length {L}"
-        )
-    return LikelihoodResult(value=z.value, length=L, mode="ucfg-exact")
+    value = _attested(weighted_mass(g, model, L).value, L)
+    return LikelihoodResult(value=value, length=L, mode="ucfg-exact")
 
 
 def likelihood_upto(
@@ -208,5 +209,5 @@ def likelihood_upto(
     table = forward_table(g, model, L)
     total = 0.0
     for l in range(1, L + 1):
-        total += ucfg_likelihood(g, model, l, unambiguity_attested=True, table=table).value
+        total += _attested(table.contract(l), l)
     return LikelihoodResult(value=total, length=L, mode="upto-L")

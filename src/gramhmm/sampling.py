@@ -6,7 +6,8 @@ each node a (rule, split, middle state) choice proportional to the product
 of the two child table entries, then a terminal at each leaf.  For an
 unambiguous grammar the string marginal is the constrained distribution;
 for an ambiguous one it is exactly the proposal the rejection estimator
-needs.
+needs.  ``sample_many`` builds its own table; ``Sampler(table)`` draws
+from a table the caller already holds, at any length it covers.
 
 Draws are made in batches of ``CHUNK``.  A batch keeps a frontier of pending
 nodes (nonterminal, span length, state pair, position, draw) and expands it
@@ -88,15 +89,14 @@ class RngSeed:
 
 @dataclass(frozen=True)
 class SampleTrace:
-    """One draw: its string, its weight and, if drawn with trees, its
-    derivation tree as JSON text (None for a draw made without trees).
+    """One draw: its string and, if drawn with trees, its derivation tree as
+    JSON text (None for a draw made without trees).
 
     The tree text is one JSON object per node with the keys nonterminal,
     span [start, end), states [s, t], then terminal (a leaf) or children
     (two nodes whose spans split their parent's).
     """
     string: str
-    weight: float  # pi'[root s] times the product of leaf operator entries
     tree: str | None = None
 
 
@@ -247,14 +247,13 @@ class Sampler:
         return column, middle
 
     def _draw_batch(self, L: int, k: int, rng: np.random.Generator, trees: bool):
-        """k draws of length L: their strings, their weights and, with trees,
-        their node records."""
+        """k draws of length L: their strings and, with trees, their node
+        records."""
         g, n = self.grammar, self.model.state_count
         cum = np.cumsum(self.model.initial[:, None] * self.table.layer(L)[g.start])
         if cum[-1] <= 0.0:
             raise SamplingError("empty constrained support")
         s0, t0 = np.divmod(_pick(np.broadcast_to(cum, (k, cum.size)), rng.random(k)), n)
-        weight = self.model.initial[s0].copy()
         codes = np.zeros((k, L), dtype=np.uint32)
         nodes = _Nodes(k) if trees else None
         draw = np.arange(k)
@@ -274,10 +273,8 @@ class Sampler:
                 _, s, t, pos, d, ids = (col[sel] for col in rows)
                 if l == 1:
                     syms, w = self._leaf[a]
-                    leaf_w = w[s, t]
-                    j = _pick(np.cumsum(leaf_w, axis=1), rng.random(len(sel)))
+                    j = _pick(np.cumsum(w[s, t], axis=1), rng.random(len(sel)))
                     codes[d, pos] = self._codes[syms[j]]
-                    np.multiply.at(weight, d, leaf_w[np.arange(len(sel)), j])
                     if trees:
                         nodes.add(ids, d, a, 1, s, t, pos, syms[j], -1)
                     continue
@@ -300,15 +297,15 @@ class Sampler:
             cuts = np.flatnonzero(np.diff(lengths)) + 1
             for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(lengths)]):
                 pending.setdefault(int(lengths[lo]), []).append(tuple(col[lo:hi] for col in child))
-        return codes.view(f"<U{L}")[:, 0].tolist(), weight.tolist(), nodes
+        return codes.view(f"<U{L}")[:, 0].tolist(), nodes
 
     def _traces(self, L: int, k: int, rng: np.random.Generator, trees: bool) -> list[SampleTrace]:
         """One batch of ``_draw_batch`` as traces.  The tree texts are written
         after the draw's working arrays are freed, so the two do not add up
         in peak memory."""
-        strings, weights, nodes = self._draw_batch(L, k, rng, trees)
+        strings, nodes = self._draw_batch(L, k, rng, trees)
         texts = nodes.texts(self.grammar.nonterminal_names, self._symbols) if trees else [None] * k
-        return [SampleTrace(w, x, tree) for w, x, tree in zip(strings, weights, texts)]
+        return [SampleTrace(w, tree) for w, tree in zip(strings, texts)]
 
     def draw_batches(self, L: int, count: int, rng: np.random.Generator,
                      trees: bool = False) -> Iterator[list[SampleTrace]]:
@@ -316,7 +313,7 @@ class Sampler:
 
         A batch is drawn only when the previous one has been consumed, so at
         most CHUNK draws are held at a time.  Trees are written only when
-        ``trees`` is true; the strings and weights do not depend on it.
+        ``trees`` is true; the strings do not depend on it.
         """
         if L < 1 or L > self.table.length:
             raise SamplingError(f"length {L} outside table range [1, {self.table.length}]")
@@ -333,35 +330,25 @@ class Sampler:
         return next(self.draw_many(L, 1, rng, trees=True))
 
 
-def _check_table(g: CnfGrammar, model: Hmm, L: int, table: ForwardTable) -> None:
-    if not table.built_for(g, model):
-        raise SamplingError("forward table was built for a different grammar or HMM")
-    if table.length < L:
-        raise SamplingError("forward table too short for requested length")
-
-
 def sample_many(
     g: CnfGrammar,
     model: Hmm,
     L: int,
     count: int,
     seed: RngSeed | int,
-    table: ForwardTable | None = None,
     trees: bool = False,
 ) -> list[SampleTrace]:
     """Independent draws sharing one forward table; deterministic under the seed.
 
     Each trace carries its derivation tree only when ``trees`` is true; the
-    strings are the same either way.
+    strings are the same either way.  A caller that holds a forward table
+    draws from it with ``Sampler(table).draw_many``.
     """
     if count < 0:
         raise SamplingError("count must be nonnegative")
     if isinstance(seed, int):
         seed = RngSeed(seed)
-    if table is None:
-        table = forward_table(g, model, L)
-    else:
-        _check_table(g, model, L, table)
+    table = forward_table(g, model, L)
     if count == 0:
         return []
     return list(Sampler(table).draw_many(L, count, rng=seed.generator(), trees=trees))

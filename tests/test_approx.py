@@ -84,13 +84,21 @@ class TestFpras:
         assert report.z_weighted == pytest.approx(2.0, abs=1e-12)
         assert 0.9 <= report.estimate <= 1.1
 
-    def test_callable_bound(self, ss_grammar):
+    def test_bound_from_derivation_count(self, ss_grammar):
         report = fpras_likelihood(
             ss_grammar, uniform_hmm("a"), 4, epsilon=0.2,
-            bound=lambda L: derivation_count(ss_grammar, "a" * L), seed=2,
+            bound=derivation_count(ss_grammar, "aaaa"), seed=2,
         )
         assert report.bound_value == 5
         assert report.estimate == pytest.approx(1.0, rel=0.2)
+
+    def test_bound_must_be_integer(self, universal_ab):
+        g, m = union(universal_ab, universal_ab), uniform_hmm("ab")
+        with pytest.raises(ApproxError, match="^ambiguity bound must be an integer$"):
+            fpras_likelihood(g, m, 3, epsilon=0.2, bound=2.5, seed=1)
+        report = fpras_likelihood(g, m, 3, epsilon=0.2, bound=np.int64(2), seed=1)
+        assert report == fpras_likelihood(g, m, 3, epsilon=0.2, bound=2, seed=1)
+        assert type(report.bound_value) is int
 
     def test_deterministic_under_seed(self, universal_ab):
         g = union(universal_ab, universal_ab)

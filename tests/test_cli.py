@@ -272,6 +272,13 @@ class TestOracle:
         assert r.returncode == 3
         assert "guard" in r.stderr
 
+    @pytest.mark.parametrize("what, length", [("maxambiguity", -1), ("mass", 0)])
+    def test_length_below_one(self, files, what, length):
+        r = run_cli("oracle", "--grammar", files["dyck"], "--hmm", files["paren_hmm"],
+                    "--length", length, "--what", what)
+        assert r.returncode == 3
+        assert r.stderr.splitlines() == ["length must be >= 1"]
+
 
 class TestReduce3Sat:
     def test_count(self, files):
@@ -348,6 +355,23 @@ def test_negative_seed_is_validation_error(files, command):
     assert r.returncode == 3
     assert r.stdout == ""
     assert r.stderr.splitlines() == ["seed must be nonnegative, got -1"]
+
+
+@pytest.mark.parametrize("length", [10**17, 10**18])
+@pytest.mark.parametrize("command", [
+    ("likelihood", "--mode", "weighted"),
+    ("sample", "--count", 1, "--seed", 0),
+    ("approx", "--epsilon", 0.2, "--ambiguity-bound", 1, "--seed", 0),
+], ids=["likelihood", "sample", "approx"])
+def test_table_too_large_is_validation_error(files, command, length):
+    # the table needs 8 bytes per entry: 5 Dyck nonterminals, 1 state
+    name, *options = command
+    r = run_cli(name, "--grammar", files["dyck"], "--hmm", files["paren_hmm"],
+                "--length", length, *options)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith(
+        f"forward table for length {length} needs {40 * length} bytes and cannot be allocated")
 
 
 @pytest.mark.parametrize("error, code", [

@@ -16,7 +16,6 @@ from gramhmm.grammar import (
     dyck_grammar,
     enumerate_language,
     format_grammar,
-    inside_vector,
     max_ambiguity,
     parse_grammar,
     union,
@@ -114,22 +113,24 @@ class TestParse:
 
 
 class TestInsideVector:
+    """The big-integer inside (CYK) chart, read through ``derivation_count``."""
+
     def test_catalan(self, ss_grammar):
-        assert inside_vector(ss_grammar, "aaaa")[ss_grammar.start] == 5
+        assert derivation_count(ss_grammar, "aaaa") == 5
 
     def test_single_rule(self):
         g = parse_grammar("start S\nS -> 'a'")
-        assert inside_vector(g, "a") == [1]
+        assert derivation_count(g, "a") == 1
 
     def test_unknown_symbol(self):
         g = parse_grammar("start S\nS -> 'a'")
         with pytest.raises(GrammarError, match="alphabet"):
-            inside_vector(g, "b")
+            derivation_count(g, "b")
 
     def test_empty_string(self):
         g = parse_grammar("start S\nS -> 'a'")
         with pytest.raises(GrammarError):
-            inside_vector(g, "")
+            derivation_count(g, "")
 
 
 class TestDerivationCount:

@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramhmm.grammar import (
-    dyck_grammar,
-    max_ambiguity,
-    parse_grammar,
-    union,
-    universal_grammar,
-)
+from gramhmm.grammar import max_ambiguity, parse_grammar, union
 from gramhmm.hmm import random_hmm, uniform_hmm
 from gramhmm.inference import (
     AttestationError,
@@ -125,22 +119,11 @@ class TestWeightedMass:
     def test_dyck(self, dyck, paren_uniform):
         assert weighted_mass(dyck, paren_uniform, 4).value == pytest.approx(0.125, abs=1e-15)
 
-    @pytest.mark.parametrize("other", ["grammar", "hmm"])
-    def test_mismatched_table_rejected(self, dyck, paren_uniform, other):
-        if other == "grammar":
-            table = forward_table(universal_grammar("()"), paren_uniform, 6)
-        else:
-            table = forward_table(dyck, random_hmm(2, "()", seed=1), 6)
-        with pytest.raises(InferenceError, match="different grammar or HMM"):
-            weighted_mass(dyck, paren_uniform, 6, table=table)
-        with pytest.raises(InferenceError, match="different grammar or HMM"):
-            ucfg_likelihood(dyck, paren_uniform, 6, unambiguity_attested=True, table=table)
-
-    def test_table_of_equal_models_accepted(self, dyck, paren_uniform):
-        table = forward_table(dyck_grammar(), uniform_hmm("()"), 6)
-        assert weighted_mass(dyck, paren_uniform, 6, table=table).value == 0.078125
+    def test_contract_out_of_range(self, dyck, paren_uniform):
+        table = forward_table(dyck, paren_uniform, 6)
+        assert table.contract(6) == weighted_mass(dyck, paren_uniform, 6).value == 0.078125
         with pytest.raises(InferenceError, match="out of range"):
-            weighted_mass(dyck, paren_uniform, 8, table=table)
+            table.contract(8)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_brute_force(self, seed):

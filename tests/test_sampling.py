@@ -50,14 +50,14 @@ def spell(text: str) -> str:
 
 def check_tree(g: CnfGrammar, model: Hmm, trace) -> None:
     """Assert that ``trace.tree`` is a derivation of ``trace.string`` under g
-    whose states and leaf operator entries give ``trace.weight``."""
+    whose root state and leaf operator entries all have positive weight."""
     text, w = trace.tree, trace.string
     assert json.dumps(json.loads(text)) == text
     names = g.nonterminal_names
     root = json.loads(text)
     assert root["nonterminal"] == names[g.start]
     assert root["span"] == [0, len(w)]
-    weight = model.initial[root["states"][0]]
+    assert model.initial[root["states"][0]] > 0
     for node in nodes(text):
         a = names.index(node["nonterminal"])
         (start, end), (s, t) = node["span"], node["states"]
@@ -66,7 +66,7 @@ def check_tree(g: CnfGrammar, model: Hmm, trace) -> None:
             assert end == start + 1
             assert node["terminal"] in g.lexical_rules_of(a)
             assert node["terminal"] == w[start]
-            weight *= model.matrices[node["terminal"]][s, t]
+            assert model.matrices[node["terminal"]][s, t] > 0
             continue
         assert set(node) == {"nonterminal", "span", "states", "children"}
         left, right = node["children"]
@@ -76,24 +76,16 @@ def check_tree(g: CnfGrammar, model: Hmm, trace) -> None:
         assert l0 == start < m == m2 < r1 == end
         (ls, u), (u2, rt) = left["states"], right["states"]
         assert (ls, u, rt) == (s, u2, t)
-    assert weight == pytest.approx(trace.weight, rel=1e-12)
 
 
 class TestSample:
     def test_singleton_support(self, dyck, paren_uniform):
-        table = forward_table(dyck, paren_uniform, 2)
-        traces = sample_many(dyck, paren_uniform, 2, 20, RngSeed(0), table=table)
+        traces = sample_many(dyck, paren_uniform, 2, 20, RngSeed(0))
         assert [t.string for t in traces] == ["()"] * 20
 
     def test_empty_support(self, dyck, paren_uniform):
-        table = forward_table(dyck, paren_uniform, 3)
         with pytest.raises(SamplingError, match="empty constrained support"):
-            sample_many(dyck, paren_uniform, 3, 1, RngSeed(0), table=table)
-
-    def test_table_mismatch(self, dyck, universal_ab, paren_uniform):
-        table = forward_table(universal_ab, uniform_hmm("ab"), 4)
-        with pytest.raises(SamplingError, match="different grammar"):
-            sample_many(dyck, paren_uniform, 4, 1, RngSeed(0), table=table)
+            sample_many(dyck, paren_uniform, 3, 1, RngSeed(0))
 
     def test_ambiguous_tree_varies(self, ss_grammar):
         m = uniform_hmm("a")
@@ -111,7 +103,6 @@ class TestSample:
             assert len(trace.string) == 6
             assert derivation_count(dyck, trace.string) >= 1
             check_tree(dyck, paren_uniform, trace)
-            assert trace.weight > 0
 
     def test_local_probabilities_sum_to_one(self, dyck, paren_uniform):
         table = forward_table(dyck, paren_uniform, 6)
@@ -146,10 +137,9 @@ class TestSample:
     def test_overflow_is_numerical_error(self):
         # the weighted mass of S -> S S | 'a' | 'b' passes float64 range by L = 540
         g = parse_grammar("start S\nS -> S S\nS -> 'a'\nS -> 'b'")
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = forward_table(g, uniform_hmm("ab"), 540)
-        with pytest.raises(SamplingNumericalError, match="numerical overflow at node"):
-            sample_many(g, uniform_hmm("ab"), 540, 2, RngSeed(0), table=table)
+        with (np.errstate(over="ignore", invalid="ignore"),
+              pytest.raises(SamplingNumericalError, match="numerical overflow at node")):
+            sample_many(g, uniform_hmm("ab"), 540, 2, RngSeed(0))
 
     def test_nan_total_is_overflow(self):
         # inf * 0 in a node's weights gives a NaN total, whose cause is overflow
@@ -186,7 +176,6 @@ class TestSampleMany:
         plain = sample_many(dyck, m, 10, 300, RngSeed(6))
         with_trees = sample_many(dyck, m, 10, 300, RngSeed(6), trees=True)
         assert [t.string for t in plain] == [t.string for t in with_trees]
-        assert [t.weight for t in plain] == [t.weight for t in with_trees]
         assert all(t.tree is None for t in plain)
         for t in with_trees:
             check_tree(dyck, m, t)
@@ -318,8 +307,8 @@ class TestProperties:
     @given(grammar_and_hmm(), st.integers(0, 2**32 - 1), st.integers(1, 40))
     def test_draws_are_members_and_deterministic(self, instance, seed, count):
         g, model, L, table = instance
-        first = sample_many(g, model, L, count, RngSeed(seed), table=table)
-        again = sample_many(g, model, L, count, RngSeed(seed), table=table)
+        first = list(Sampler(table).draw_many(L, count, RngSeed(seed).generator()))
+        again = list(Sampler(table).draw_many(L, count, RngSeed(seed).generator()))
         assert [t.string for t in first] == [t.string for t in again]
         for trace in first:
             assert len(trace.string) == L
@@ -337,7 +326,7 @@ class TestProperties:
             if lengths:
                 break
         L = lengths[pick % len(lengths)]
-        traces = sample_many(g, model, L, count, RngSeed(seed), table=table, trees=True)
+        traces = list(Sampler(table).draw_many(L, count, RngSeed(seed).generator(), trees=True))
         assert_same_text(trees_json(traces), json.dumps([json.loads(t.tree) for t in traces]))
         for trace in traces:
             check_tree(g, model, trace)
