@@ -1,5 +1,5 @@
-"""Chomsky-form grammars: parsing, derivation counting, live products,
-unions, enumeration.
+"""Chomsky-form grammars: parsing, the rule index, derivation counting,
+live products, unions, enumeration.
 
 Nonterminals are interned to 0-based integer indices in order of first
 appearance in the rule list.  The number of derivation trees of a length-L
@@ -58,6 +58,12 @@ class CnfGrammar:
     ``lexical_rules`` holds (a, sigma) pairs meaning a -> sigma, with
     nonterminals as indices into ``nonterminal_names``.  Rule tuples are
     stored sorted so iteration order is deterministic.
+
+    The rule index that every kernel reads is built here as three read-only
+    arrays: ``pairs`` (P, 2), the sorted distinct children pairs (b, c);
+    ``parents`` (P, N) bool, true at [p, a] iff a -> pairs[p] is a rule; and
+    ``emits`` (|alphabet|, N) bool, true at [i, a] iff a emits the i-th
+    symbol of the sorted alphabet.
     """
 
     nonterminal_count: int
@@ -82,6 +88,8 @@ class CnfGrammar:
         if len(set(self.lexical_rules)) != len(self.lexical_rules):
             raise GrammarError("duplicate lexical rule")
         sigma = set(self.alphabet)
+        if len(sigma) != len(self.alphabet):
+            raise GrammarError("duplicate symbol in alphabet")
         for a, b, c in self.binary_rules:
             if not all(0 <= x < n for x in (a, b, c)):
                 raise GrammarError(f"binary rule ({a},{b},{c}) references undeclared nonterminal")
@@ -93,34 +101,25 @@ class CnfGrammar:
         object.__setattr__(self, "binary_rules", tuple(sorted(self.binary_rules)))
         object.__setattr__(self, "lexical_rules", tuple(sorted(self.lexical_rules)))
 
-        # index caches: plain attributes, not fields, so they are neither
-        # constructor parameters nor part of equality, hash or repr
-        lex_by_sym: dict[str, list[int]] = {}
-        lex_by_parent: dict[int, list[str]] = {}
-        for a, s in self.lexical_rules:
-            lex_by_sym.setdefault(s, []).append(a)
-            lex_by_parent.setdefault(a, []).append(s)
-        by_children: dict[tuple[int, int], list[int]] = {}
-        by_parent: dict[int, list[tuple[int, int]]] = {}
+        # the rule index, as plain attributes, not fields, so it is neither a
+        # constructor parameter nor part of equality, hash or repr
+        pairs = sorted({(b, c) for _, b, c in self.binary_rules})
+        row = {pair: p for p, pair in enumerate(pairs)}
+        parents = np.zeros((len(pairs), n), dtype=bool)
         for a, b, c in self.binary_rules:
-            by_children.setdefault((b, c), []).append(a)
-            by_parent.setdefault(a, []).append((b, c))
-        object.__setattr__(self, "_lexical_by_symbol", lex_by_sym)
-        object.__setattr__(self, "_rules_by_children", by_children)
-        object.__setattr__(self, "_rules_by_parent", by_parent)
-        object.__setattr__(self, "_lexical_by_parent", lex_by_parent)
+            parents[row[b, c], a] = True
+        symbols = sorted(self.alphabet)
+        emits = np.zeros((len(symbols), n), dtype=bool)
+        for a, s in self.lexical_rules:
+            emits[symbols.index(s), a] = True
+        for name, index in (("pairs", np.array(pairs, dtype=np.intp).reshape(-1, 2)),
+                            ("parents", parents), ("emits", emits)):
+            index.setflags(write=False)
+            object.__setattr__(self, name, index)
 
     @property
     def size(self) -> int:
         return len(self.binary_rules) + len(self.lexical_rules)
-
-    def binary_rules_of(self, a: int) -> list[tuple[int, int]]:
-        """Children pairs (b, c) of all binary rules with parent a, sorted."""
-        return self._rules_by_parent.get(a, [])
-
-    def lexical_rules_of(self, a: int) -> list[str]:
-        """Terminals emitted by a, in sorted order."""
-        return self._lexical_by_parent.get(a, [])
 
     def same_rules(self, other: "CnfGrammar") -> bool:
         """Structural identity at the level of symbol names."""
@@ -228,7 +227,8 @@ def derivation_count(g: CnfGrammar, w: str) -> int:
 
     Exact, over Python integers, by the standard CYK chart over substrings:
     a span's count for nonterminal a is the sum, over splits and binary
-    rules a -> b c, of the products of the two child span counts.
+    rules a -> b c, of the products of the two child span counts.  The
+    oracles' reference count, and the fallback of ``derivation_counts``.
     """
     if len(w) < 1:
         raise GrammarError("string must be nonempty")
@@ -237,13 +237,14 @@ def derivation_count(g: CnfGrammar, w: str) -> int:
         if ch not in sigma:
             raise GrammarError(f"symbol {ch!r} not in grammar alphabet")
     L = len(w)
+    # the rule index's rows as lookups: symbol -> emitters, pair -> parents
+    emitters = {s: np.flatnonzero(row).tolist() for s, row in zip(sorted(sigma), g.emits)}
+    by_children = {(b, c): np.flatnonzero(row).tolist()
+                   for (b, c), row in zip(g.pairs.tolist(), g.parents)}
     # chart[(i, j)] maps nonterminal -> count for substring w[i:j]
     chart: dict[tuple[int, int], dict[int, int]] = {}
     for i, ch in enumerate(w):
-        cell: dict[int, int] = {}
-        for a in g._lexical_by_symbol.get(ch, ()):
-            cell[a] = cell.get(a, 0) + 1
-        chart[(i, i + 1)] = cell
+        chart[(i, i + 1)] = dict.fromkeys(emitters[ch], 1)
     for span in range(2, L + 1):
         for i in range(L - span + 1):
             j = i + span
@@ -255,7 +256,7 @@ def derivation_count(g: CnfGrammar, w: str) -> int:
                     continue
                 for b, cb in left.items():
                     for c, cc in right.items():
-                        parents = g._rules_by_children.get((b, c))
+                        parents = by_children.get((b, c))
                         if parents:
                             prod = cb * cc
                             for a in parents:
@@ -269,9 +270,9 @@ def derivation_counts(g: CnfGrammar, strings: list[str]) -> list[int]:
 
     Each distinct string is counted once.  The chart is filled one span
     width at a time, vectorized over (start position, string): for every
-    split, the left and right child columns of each distinct children pair
-    of the binary rules are multiplied, and the products are scatter-added
-    into the rules' parents.  The chart is float64 and exact while every
+    split, the left and right child columns of each children pair of
+    ``CnfGrammar.pairs`` are multiplied, and the products are scatter-added
+    into the pairs' parents.  The chart is float64 and exact while every
     entry is below 2^53: the entries are sums of products of nonnegative
     integers and rounding is monotone, so a computed entry is at least any
     rounded partial term, and a chart whose computed maximum stays below
@@ -298,25 +299,18 @@ def derivation_counts(g: CnfGrammar, strings: list[str]) -> list[int]:
         raise GrammarError(f"symbol {next(ch for ch in w if ch not in g.alphabet)!r} "
                            "not in grammar alphabet")
 
-    N = g.nonterminal_count
-    lexical = np.zeros((len(symbols), N))
-    for a, s in g.lexical_rules:
-        lexical[np.searchsorted(symbols, ord(s)), a] = 1.0
     # each distinct children pair (b, c) is multiplied once per split, and
     # the product is added into every parent a of a rule a -> b c
-    pairs = sorted(g._rules_by_children)
-    B, C = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    scatter = np.zeros((len(pairs), N))
-    for i, pair in enumerate(pairs):
-        scatter[i, g._rules_by_children[pair]] = 1.0
+    B, C = g.pairs.T
+    scatter = g.parents.astype(float)
     # cell is (start, string, nonterminal) for the spans of one width; left[l]
     # and right[l] keep the columns of width l that each pair's b and c read
-    cell = lexical[np.searchsorted(symbols, codes)].transpose(1, 0, 2)
+    cell = g.emits[np.searchsorted(symbols, codes)].transpose(1, 0, 2).astype(float)
     left, right = {}, {}
     for width in range(2, L + 1):
         left[width - 1], right[width - 1] = cell[..., B], cell[..., C]
         spans = L - width + 1
-        acc = np.zeros((spans, len(words), len(pairs)))
+        acc = np.zeros((spans, len(words), len(B)))
         for m in range(1, width):
             acc += left[m][:spans] * right[width - m][m:m + spans]
         cell = acc @ scatter
@@ -329,13 +323,13 @@ def derivation_counts(g: CnfGrammar, strings: list[str]) -> list[int]:
 
 
 def live_products(live: np.ndarray, l: int, B: np.ndarray, C: np.ndarray):
-    """The (split, rule) pairs of span length l whose children can both derive.
+    """The (split, pair) products of span length l whose children can both derive.
 
     ``live`` is a bool array whose row m - 1 tells, for m = 1..l-1, which
     nonterminals derive some string of length m (``ForwardTable.live``),
-    and rule r has children B[r] and C[r].  Returns the index arrays (m - 1, r)
-    of every split m in 1..l-1 and rule r with live[m-1, B[r]] and
-    live[l-m-1, C[r]], ordered by ascending split, then rule.
+    and children pair r is (B[r], C[r]).  Returns the index arrays (m - 1, r)
+    of every split m in 1..l-1 and pair r with live[m-1, B[r]] and
+    live[l-m-1, C[r]], ordered by ascending split, then pair.
     """
     return np.nonzero(live[:l - 1, B] & live[l - 2::-1, C])
 

@@ -38,6 +38,8 @@ class Hmm:
     alphabet: tuple[str, ...]
 
     def __post_init__(self):
+        if len(set(self.alphabet)) != len(self.alphabet):
+            raise HmmError("duplicate symbol in alphabet")
         n = self.state_count
         if n < 1:
             raise HmmError("state count must be positive")
@@ -100,8 +102,6 @@ def parse_hmm(text: str) -> Hmm:
         not isinstance(s, str) or len(s) != 1 for s in alphabet
     ):
         raise HmmError("alphabet must be a list of single-character strings")
-    if len(set(alphabet)) != len(alphabet):
-        raise HmmError("duplicate symbol in alphabet")
     states = doc["states"]
     if not isinstance(states, int) or isinstance(states, bool):
         raise HmmError("states must be an integer")

@@ -7,20 +7,21 @@ symbol and the initial distribution gives the weighted mass
 Z = sum_w f_G(w) * f_A(w), which is the exact constrained likelihood when
 the grammar is unambiguous.
 
-Layer l is built from the shorter layers by a loop over split points and
-binary rules: for each split m = 1..l-1 and each rule a -> b c in index
-order, F_l[a] += F_m[b] @ F_{l-m}[c].  Only live products are formed: those
-where b derives some string of length m and c some string of length l - m,
-as recorded in ``ForwardTable.live``, whose row l is filled from the live
-products of layer l as that layer is built (``grammar.live_products``).  Every
-other product is an exact zero matrix, and adding +0.0 to a nonnegative
-entry changes nothing, so the layers are bit-identical to the full loop's
-while their entries are finite.  The one difference is after overflow: a
-dead product against an overflowed layer is 0 * inf = NaN in the full loop,
-and is never formed here, so such entries stay inf.  All layers live in one
-read-only, C-contiguous float64 array of shape (L, N, n, n), indexed
-[l-1, a, s, t], which the likelihood, the sampler and the FPRAS read in
-place.  A table carries the grammar and HMM it was built from, so it is
+Layer l is built from the shorter layers by a loop over split points
+m = 1..l-1, then over the distinct children pairs (b, c) of
+``CnfGrammar.pairs``: each product F_m[b] @ F_{l-m}[c] is formed once and
+added into F_l[a] for every rule a -> b c, so each F_l[a] gets its addends
+in the order of a loop over splits, then rules.  Only live products are
+formed: those where b derives some string of length m and c some string of
+length l - m, as recorded in ``ForwardTable.live``
+(``grammar.live_products``).  Every other product is an exact zero matrix,
+and adding +0.0 to a nonnegative entry changes nothing, so the layers are
+bit-identical to the full loop's while their entries are finite.  The one
+difference is after overflow: a dead product against an overflowed layer is
+0 * inf = NaN in the full loop, and is never formed here, so such entries
+stay inf.  All layers live in one read-only, C-contiguous float64 array of
+shape (L, N, n, n), indexed [l-1, a, s, t], which the likelihood, the
+sampler and the FPRAS read in place.  A table carries the grammar and HMM it was built from, so it is
 passed alone: ``table.contract(l)`` and ``sampling.Sampler(table)`` read it,
 and there is no check that a table matches some other grammar or HMM.
 """
@@ -109,15 +110,16 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     """Build all layers 1..L bottom-up.
 
     Base case: F_1[a] = sum of A_sigma over lexical rules a -> sigma.
-    Combine:   F_l[a] += F_m[b] @ F_{l-m}[c] for each rule a -> b c and
-    split m whose product is live (b derives length m and c length l - m),
-    accumulated in fixed order (ascending m, then rule index) so results are
-    bit-reproducible.  Skipping the dead products, which are exact zeros,
-    leaves every finite entry bit-identical to the full loop; an entry the
-    full loop would make NaN by 0 * inf after overflow stays inf.  Row l of
-    ``live`` marks the parents of layer l's live products, so each layer's
-    live pairs are found once.  Cost is
-    O(live products of the layer * n'^3) per layer, at most O(l * |G| * n'^3).
+    Combine:   for each split m, then each distinct children pair (b, c)
+    whose product is live (b derives length m and c length l - m), form
+    F_m[b] @ F_{l-m}[c] once and add it into F_l[a] for each rule a -> b c.
+    Each F_l[a] accumulates in fixed order (ascending m, then rule index),
+    so results are bit-reproducible.  Skipping the dead products, which are
+    exact zeros, leaves every finite entry bit-identical to the full loop;
+    an entry the full loop would make NaN by 0 * inf after overflow stays
+    inf.  Row l of ``live`` is set for the parents of layer l's live
+    products as they are formed.  Cost is O(live pair products of the
+    layer * n'^3) per layer, at most O(l * |pairs| * n'^3).
     """
     _check_alphabets(g, model)
     if L < 1:
@@ -138,21 +140,28 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     for a, s in g.lexical_rules:
         layers[0, a] += model.matrices[s]
         live[0, a] = True
-    rules = g.binary_rules
-    A, B, C = np.array(rules, dtype=np.intp).reshape(-1, 3).T
-    # views[l-1][a] is F_l[a]; the loop looks up four per product, and a
+    B, C = g.pairs.T
+    # fan[p] is (b, c, parents of pair p), as Python ints for the loop
+    fan = [(b, c, np.flatnonzero(parents).tolist())
+           for (b, c), parents in zip(g.pairs.tolist(), g.parents)]
+    # views[l-1][a] is F_l[a]; the loop looks up several per product, and a
     # list lookup costs less than indexing an ndarray
     views = [list(layer) for layer in layers]
     for l in range(2, L + 1):
-        cur = views[l - 1]
+        # row marks the parents of live products; a list item is cheaper to
+        # set than an ndarray item
+        cur, row = views[l - 1], [False] * n
         # i = m - 1 for split m; the live pairs come in ascending split order
-        split, rule = live_products(live, l, B, C)
-        live[l - 1, A[rule]] = True
+        split, pair = live_products(live, l, B, C)
         last = -1
-        for i, (a, b, c) in zip(split.tolist(), map(rules.__getitem__, rule.tolist())):
+        for i, (b, c, parents) in zip(split.tolist(), map(fan.__getitem__, pair.tolist())):
             if i != last:
                 lo, hi, last = views[i], views[l - i - 2], i
-            cur[a] += lo[b] @ hi[c]
+            product = lo[b] @ hi[c]
+            for a in parents:
+                cur[a] += product
+                row[a] = True
+        live[l - 1] = row
     layers.setflags(write=False)
     live.setflags(write=False)
     return ForwardTable(length=L, layers=layers, live=live, grammar=g, model=model)

@@ -20,8 +20,10 @@ is drawn with one vectorized inverse-CDF step, so memory stays flat in the
 number of draws.  A column is live when b derives length m and c length
 l - m (``ForwardTable.live``); a dead column's weights are exact zeros,
 which never win a draw and leave the cumulative sums of the others
-unchanged, so dropping them changes no draw.  The live columns are the only
-thing cached per (nonterminal, length), on first use.
+unchanged, so dropping them changes no draw.  A nonterminal a's rules come
+from the grammar's rule index: its children pairs ``pairs[parents[:, a]]``
+and its symbols ``emits[:, a]``.  The live columns are the only thing cached
+per (nonterminal, length), on first use.
 
 Derivation trees are recorded only when the caller asks for them; the
 strings-only path keeps no per-node records.  A batch drawn with trees keeps
@@ -189,28 +191,22 @@ class Sampler:
         self.table = table
         self.grammar = table.grammar
         self.model = table.model
-        g, n = self.grammar, self.model.state_count
         self._layers_t = table.layers.transpose(0, 1, 3, 2)  # [l-1, a, t, s]
         self._columns_of: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-        self._symbols = sorted(g.alphabet)
+        self._symbols = sorted(self.grammar.alphabet)
         self._codes = np.array([ord(s) for s in self._symbols], dtype=np.uint32)
-        self._leaf = {}
-        for a in range(g.nonterminal_count):
-            syms = g.lexical_rules_of(a)
-            ids = np.array([self._symbols.index(s) for s in syms], dtype=np.intp)
-            if syms:
-                w = np.stack([self.model.matrices[s] for s in syms], axis=2)
-            else:
-                w = np.zeros((n, n, 0))
-            self._leaf[a] = (ids, w)
+        # _leaf[a] is (symbol indices a emits, their matrices stacked on axis 2)
+        stacked = np.stack([self.model.matrices[s] for s in self._symbols], axis=2)
+        self._leaf = {a: (ids, stacked[:, :, ids])
+                      for a, ids in enumerate(map(np.flatnonzero, self.grammar.emits.T))}
 
     def _columns(self, a: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live (split, rule) columns of nodes (a, l) as arrays (m, b, c),
         one entry per column, ordered by ascending split m, then rule
-        a -> b c in index order."""
+        a -> b c in index order, which is the order of a's children pairs."""
         columns = self._columns_of.get((a, l))
         if columns is None:
-            B, C = np.array(self.grammar.binary_rules_of(a), dtype=np.intp).reshape(-1, 2).T
+            B, C = self.grammar.pairs[self.grammar.parents[:, a]].T
             split, rule = live_products(self.table.live, l, B, C)
             columns = self._columns_of[a, l] = (split + 1, B[rule], C[rule])
         return columns
@@ -315,6 +311,8 @@ class Sampler:
         most CHUNK draws are held at a time.  Trees are written only when
         ``trees`` is true; the strings do not depend on it.
         """
+        if count < 0:
+            raise SamplingError("count must be nonnegative")
         if L < 1 or L > self.table.length:
             raise SamplingError(f"length {L} outside table range [1, {self.table.length}]")
         return (self._traces(L, min(CHUNK, count - first), rng, trees)
@@ -344,13 +342,9 @@ def sample_many(
     strings are the same either way.  A caller that holds a forward table
     draws from it with ``Sampler(table).draw_many``.
     """
-    if count < 0:
-        raise SamplingError("count must be nonnegative")
     if isinstance(seed, int):
         seed = RngSeed(seed)
     table = forward_table(g, model, L)
-    if count == 0:
-        return []
     return list(Sampler(table).draw_many(L, count, rng=seed.generator(), trees=trees))
 
 

@@ -79,10 +79,13 @@ def enumerate_yields(g: CnfGrammar, root: int, length: int):
     per tree (with multiplicity), by recursing over rules and leaf splits.
     """
     if length == 1:
-        for sym in g.lexical_rules_of(root):
-            yield sym
+        for a, sym in g.lexical_rules:
+            if a == root:
+                yield sym
         return
-    for b, c in g.binary_rules_of(root):
+    for a, b, c in g.binary_rules:
+        if a != root:
+            continue
         for m in range(1, length):
             for left in enumerate_yields(g, b, m):
                 for right in enumerate_yields(g, c, length - m):

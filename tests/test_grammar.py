@@ -337,3 +337,40 @@ class TestValidation:
     def test_undeclared_terminal(self):
         with pytest.raises(GrammarError):
             CnfGrammar(1, 0, (), ((0, "z"),), ("a",), ("S",))
+
+    def test_duplicate_symbol(self):
+        with pytest.raises(GrammarError, match="^duplicate symbol in alphabet$"):
+            CnfGrammar(1, 0, (), ((0, "a"),), ("a", "a"), ("S",))
+
+
+class TestRuleIndex:
+    @pytest.mark.parametrize("name", ["universal", "union-uu", "union-dyck-u", "lexical-only"])
+    def test_index_rebuilds_the_rules(self, name):
+        u = universal_grammar("ab")
+        g = {
+            "universal": u,
+            "union-uu": union(u, u),
+            "union-dyck-u": union(dyck_grammar(), universal_grammar("()")),
+            "lexical-only": parse_grammar("start S\nS -> 'b'\nT -> 'a'"),
+        }[name]
+        for index in (g.pairs, g.parents, g.emits):
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[...] = 0
+        assert g.parents.shape == (len(g.pairs), g.nonterminal_count)
+        assert g.emits.shape == (len(g.alphabet), g.nonterminal_count)
+        pairs = [tuple(p) for p in g.pairs.tolist()]
+        assert pairs == sorted({(b, c) for _, b, c in g.binary_rules})
+        binary = sorted((a, b, c) for (b, c), row in zip(pairs, g.parents)
+                        for a in np.flatnonzero(row).tolist())
+        assert tuple(binary) == g.binary_rules
+        symbols = sorted(g.alphabet)
+        lexical = sorted((a, symbols[i]) for i, a in zip(*np.nonzero(g.emits)))
+        assert tuple(lexical) == g.lexical_rules
+
+    def test_union_start_copies_share_pairs(self):
+        u = universal_grammar("ab")
+        g = union(u, u)
+        assert (len(g.binary_rules), len(g.pairs)) == (8, 4)
+        # each pair of a side has that side's start and the union's start as parents
+        assert g.parents.sum(axis=1).tolist() == [2, 2, 2, 2]

@@ -115,6 +115,14 @@ class TestParse:
         with pytest.raises(HmmError, match="outside the alphabet: 'b'"):
             parse_hmm(json.dumps(doc))
 
+    def test_duplicate_symbol(self):
+        doc = {"states": 1, "alphabet": ["a", "a"], "initial": [1], "matrices": {"a": [[0.5]]}}
+        with pytest.raises(HmmError, match="^duplicate symbol in alphabet$"):
+            parse_hmm(json.dumps(doc))
+        # the one matrix would be summed twice and pass as row-stochastic
+        with pytest.raises(HmmError, match="^duplicate symbol in alphabet$"):
+            Hmm(1, np.array([1.0]), {"a": np.array([[0.5]])}, ("a", "a"))
+
     def test_missing_field(self):
         with pytest.raises(HmmError, match="matrices"):
             parse_hmm('{"states": 1, "alphabet": ["a"], "initial": [1.0]}')

@@ -95,6 +95,21 @@ class TestForwardTable:
         assert np.array_equal(table.layers, full_loop_layers(g, model, L))
         assert np.array_equal(table.live, (table.layers > 0).any(axis=(2, 3)))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_shared_pairs_match_full_loop(self, seed1, seed2, L):
+        # the start copies of a union share children pairs with their side,
+        # so one pair product feeds several parents
+        g = union(random_grammar(np.random.default_rng(seed1)),
+                  random_grammar(np.random.default_rng(seed2)))
+        model = random_hmm(int(np.random.default_rng(seed1 ^ seed2).integers(1, 4)),
+                           g.alphabet, seed1)
+        table = forward_table(g, model, L)
+        assert np.array_equal(table.layers, full_loop_layers(g, model, L))
+        assert np.array_equal(table.live, (table.layers > 0).any(axis=(2, 3)))
+        exact = brute_force_weighted_mass(g, model, L)
+        assert weighted_mass(g, model, L).value == pytest.approx(exact, rel=1e-9)
+
     def test_overflow_gives_inf_not_nan(self):
         # F_l[Z] is zero for l >= 2.  The full loop multiplies F_2[Z] by the
         # overflowed S layers and gets 0 * inf = NaN from L = 453 on; the

@@ -64,14 +64,14 @@ def check_tree(g: CnfGrammar, model: Hmm, trace) -> None:
         if "terminal" in node:
             assert set(node) == {"nonterminal", "span", "states", "terminal"}
             assert end == start + 1
-            assert node["terminal"] in g.lexical_rules_of(a)
+            assert (a, node["terminal"]) in g.lexical_rules
             assert node["terminal"] == w[start]
             assert model.matrices[node["terminal"]][s, t] > 0
             continue
         assert set(node) == {"nonterminal", "span", "states", "children"}
         left, right = node["children"]
-        rule = (names.index(left["nonterminal"]), names.index(right["nonterminal"]))
-        assert rule in g.binary_rules_of(a)
+        rule = (a, names.index(left["nonterminal"]), names.index(right["nonterminal"]))
+        assert rule in g.binary_rules
         (l0, m), (m2, r1) = left["span"], right["span"]
         assert l0 == start < m == m2 < r1 == end
         (ls, u), (u2, rt) = left["states"], right["states"]
@@ -208,8 +208,13 @@ class TestSampleMany:
         assert sample_many(dyck, paren_uniform, 4, 0, RngSeed(0)) == []
 
     def test_negative_count(self, dyck, paren_uniform):
-        with pytest.raises(SamplingError):
+        with pytest.raises(SamplingError, match="^count must be nonnegative$"):
             sample_many(dyck, paren_uniform, 4, -1, RngSeed(0))
+        sampler = Sampler(forward_table(dyck, paren_uniform, 4))
+        with pytest.raises(SamplingError, match="^count must be nonnegative$"):
+            sampler.draw_many(4, -3, RngSeed(0).generator())
+        with pytest.raises(SamplingError, match="^count must be nonnegative$"):
+            sampler.draw_batches(4, -1, RngSeed(0).generator())
 
 
 class TestStreamPin:
