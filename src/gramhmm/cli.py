@@ -2,7 +2,7 @@
 
 Human-readable diagnostics (timings, progress) go to stderr so stdout stays
 machine-readable and bit-reproducible for seeded commands.  Exit codes:
-0 ok, 2 usage error, 3 validation error, 4 numerical/consistency error.
+0 ok, 2 usage error (from argparse), 3 validation error, 4 numerical/consistency error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from . import hmm as hmm_mod
 from . import inference, oracle, reductions, sampling
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
@@ -28,10 +27,8 @@ class JsonText(str):
     """Text that is already JSON; ``main`` writes it into the document as is."""
 
 
-class CliFailure(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+class CliFailure(ValueError):
+    """A command's own validation error (a missing file or option)."""
 
 
 def _read(path: str, what: str) -> str:
@@ -39,7 +36,7 @@ def _read(path: str, what: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        raise CliFailure(f"cannot read {what} file: {e}", EXIT_VALIDATION) from None
+        raise CliFailure(f"cannot read {what} file: {e}") from None
 
 
 def _load_grammar(path: str) -> grammar_mod.CnfGrammar:
@@ -112,7 +109,7 @@ def cmd_oracle(args) -> dict:
         return {"what": args.what, "length": args.length,
                 "value": grammar_mod.max_ambiguity(g, args.length)}
     if args.hmm is None:
-        raise CliFailure(f"--hmm is required for --what {args.what}", EXIT_VALIDATION)
+        raise CliFailure(f"--hmm is required for --what {args.what}")
     model = _load_hmm(args.hmm)
     if args.what == "mass":
         value = oracle.brute_force_weighted_mass(g, model, args.length)
@@ -143,7 +140,7 @@ def cmd_reduce3sat(args) -> dict:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(grammar_mod.format_grammar(g))
         except OSError as e:
-            raise CliFailure(f"cannot write grammar file: {e}", EXIT_VALIDATION) from None
+            raise CliFailure(f"cannot write grammar file: {e}") from None
         doc["out"] = args.out
     if args.count:
         doc["model_count"] = reductions.model_count_via_likelihood(formula)
@@ -231,9 +228,6 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         body = args.func(args)
-    except CliFailure as e:
-        print(str(e), file=sys.stderr)
-        return e.code
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return _failure_code(e)

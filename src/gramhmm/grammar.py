@@ -57,7 +57,8 @@ class CnfGrammar:
     ``binary_rules`` holds (a, b, c) triples meaning a -> b c and
     ``lexical_rules`` holds (a, sigma) pairs meaning a -> sigma, with
     nonterminals as indices into ``nonterminal_names``.  Rule tuples are
-    stored sorted so iteration order is deterministic.
+    stored sorted so iteration order is deterministic.  Names are distinct
+    and symbols are single characters, so ``format_grammar`` round-trips.
 
     The rule index that every kernel reads is built here as three read-only
     arrays: ``pairs`` (P, 2), the sorted distinct children pairs (b, c);
@@ -81,12 +82,16 @@ class CnfGrammar:
             raise GrammarError("start symbol index out of range")
         if len(self.nonterminal_names) != n:
             raise GrammarError("nonterminal name list does not match count")
+        if len(set(self.nonterminal_names)) != n:
+            raise GrammarError("duplicate nonterminal name")
         if not self.binary_rules and not self.lexical_rules:
             raise GrammarError("grammar has no rules")
         if len(set(self.binary_rules)) != len(self.binary_rules):
             raise GrammarError("duplicate binary rule")
         if len(set(self.lexical_rules)) != len(self.lexical_rules):
             raise GrammarError("duplicate lexical rule")
+        if not all(isinstance(s, str) and len(s) == 1 for s in self.alphabet):
+            raise GrammarError("alphabet symbols must be single characters")
         sigma = set(self.alphabet)
         if len(sigma) != len(self.alphabet):
             raise GrammarError("duplicate symbol in alphabet")
@@ -120,18 +125,6 @@ class CnfGrammar:
     @property
     def size(self) -> int:
         return len(self.binary_rules) + len(self.lexical_rules)
-
-    def same_rules(self, other: "CnfGrammar") -> bool:
-        """Structural identity at the level of symbol names."""
-        def named(g):
-            nb = frozenset(
-                (g.nonterminal_names[a], g.nonterminal_names[b], g.nonterminal_names[c])
-                for a, b, c in g.binary_rules
-            )
-            nl = frozenset((g.nonterminal_names[a], s) for a, s in g.lexical_rules)
-            return (nb, nl, g.nonterminal_names[g.start], frozenset(g.alphabet))
-
-        return named(self) == named(other)
 
 
 def parse_grammar(text: str) -> CnfGrammar:

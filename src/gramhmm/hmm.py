@@ -38,6 +38,8 @@ class Hmm:
     alphabet: tuple[str, ...]
 
     def __post_init__(self):
+        if not all(isinstance(s, str) and len(s) == 1 for s in self.alphabet):
+            raise HmmError("alphabet symbols must be single characters")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise HmmError("duplicate symbol in alphabet")
         n = self.state_count

@@ -27,10 +27,11 @@ per (nonterminal, length), on first use.
 
 Derivation trees are recorded only when the caller asks for them; the
 strings-only path keeps no per-node records.  A batch drawn with trees keeps
-its nodes as int arrays (draw, nonterminal, start, end, state pair, left
-child or symbol, right child) and writes every draw's tree from them as JSON
-text in one preorder pass, with no recursion and so no depth limit; that
-text is ``SampleTrace.tree``.  A seeded stream is deterministic in the seed
+its nodes as int arrays (draw, nonterminal, start, end, state pair, symbol);
+a node is fixed by its draw and span, so no node ids or child links are
+kept.  Every draw's tree is written from them as JSON text in one preorder
+pass, with no recursion and so no depth limit; that text is
+``SampleTrace.tree``.  A seeded stream is deterministic in the seed
 and the arguments, whether or not trees are requested; it differs from the
 per-draw recursion of gramhmm 0.1.0.
 """
@@ -117,71 +118,58 @@ def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.count_nonzero(cum <= r[:, None], axis=1)
 
 
-class _Nodes:
-    """Node records of one batch, kept only when trees are requested."""
+def _tree_texts(records: list[tuple], names: tuple[str, ...], symbols: list[str]) -> list[str]:
+    """Each draw's tree as JSON text, in draw order, from a batch's node
+    records (draw, nonterminal, start, end, s, t, symbol), one array or
+    scalar per field, with symbol -1 at an internal node.
 
-    def __init__(self, count: int):
-        self.next_id = count  # ids 0..count-1 are the roots
-        self.records: list[tuple] = []
-
-    def new_ids(self, k: int) -> np.ndarray:
-        ids = np.arange(self.next_id, self.next_id + k)
-        self.next_id += k
-        return ids
-
-    def add(self, ids, d, a, l, s, t, pos, left_or_symbol, right) -> None:
-        """Record nodes ids of draws d; a leaf has right = -1 and carries its
-        symbol index."""
-        self.records.append((ids, d, a, pos, pos + l, s, t, left_or_symbol, right))
-
-    def texts(self, names: tuple[str, ...], symbols: list[str]) -> list[str]:
-        """Each draw's tree as JSON text, in draw order.
-
-        The text equals ``json.dumps`` of the nested document with keys
-        nonterminal, span, states, then terminal (a leaf) or children.  It
-        is joined from short pieces, seven per node in preorder, with no
-        recursion: in a CNF tree the children split their parent's span, so
-        sorting by (draw, start, -span length) gives the preorder, and a
-        leaf closes every internal node of its draw that ends where it ends.
-        """
-        # one column per node: draw, nonterminal, start, end, s, t, left
-        # child or symbol index, right child (-1 for a leaf)
-        fields = np.empty((8, self.next_id), dtype=np.int64)
-        while self.records:  # drained, so each record is freed once copied
-            ids, *values = self.records.pop()
-            for row, value in zip(fields, values):
-                row[ids] = value
-        d, _, start, end, *_ = fields
-        length = int(end.max())
-        # (draw, start, -span length) as one int; no two nodes share it
-        order = np.argsort((d * (length + 1) + start) * (length + 1) + start - end)
-        d, a, start, end, s, t, x, right = fields[:, order]
-        leaf = right < 0
-        states = int(max(s.max(), t.max())) + 1
-        key = d * (length + 1) + end
-        closes = np.bincount(key[~leaf], minlength=key.max() + 1)[key]
-        # a leaf's closing brackets, then ", " unless it ends its draw; an
-        # internal node's code 1 stands for the empty string
-        ending = np.where(leaf, 2 * closes + (end == length), 1)
-        endings, ending = np.unique(ending, return_inverse=True)
-        pieces = [
-            [f'{{"nonterminal": {json.dumps(name)}, "span": [' for name in names],
-            [f"{i}, " for i in range(max(length, states))],
-            [f'{j}], "states": [' for j in range(length + 1)],
-            [f"{q}]" for q in range(states)],
-            [', "children": ['],
-            [f', "terminal": {json.dumps(symbol)}}}' for symbol in symbols],
-            ["]}" * (e // 2) + ("" if e % 2 else ", ") for e in endings.tolist()],
-        ]
-        offset = np.cumsum([0] + [len(p) for p in pieces])
-        tokens = np.stack([
-            a, offset[1] + start, offset[2] + end, offset[1] + s, offset[3] + t,
-            np.where(leaf, offset[5] + x, offset[4]), offset[6] + ending,
-        ], axis=1)
-        vocabulary = np.array([p for part in pieces for p in part], dtype=object)
-        words = vocabulary[tokens].ravel().tolist()
-        cuts = (tokens.shape[1] * np.cumsum(np.bincount(d))).tolist()
-        return ["".join(words[lo:hi]) for lo, hi in zip([0, *cuts], cuts)]
+    The text equals ``json.dumps`` of the nested document with keys
+    nonterminal, span, states, then terminal (a leaf) or children.  It is
+    joined from short pieces, seven per node in preorder, with no recursion:
+    in a CNF tree the children split their parent's span, so a node is fixed
+    by its draw and span, sorting by (draw, start, -span length) gives the
+    preorder, and a leaf closes every internal node of its draw that ends
+    where it ends.
+    """
+    stop = sum(len(record[0]) for record in records)
+    fields = np.empty((7, stop), dtype=np.int64)
+    while records:  # drained, so each record is freed once copied
+        values = records.pop()
+        first = stop - len(values[0])
+        for row, value in zip(fields, values):
+            row[first:stop] = value
+        stop = first
+    d, _, start, end, *_ = fields
+    length = int(end.max())
+    # (draw, start, -span length) as one int; no two nodes share it
+    order = np.argsort((d * (length + 1) + start) * (length + 1) + start - end)
+    d, a, start, end, s, t, symbol = fields[:, order]
+    leaf = symbol >= 0
+    states = int(max(s.max(), t.max())) + 1
+    key = d * (length + 1) + end
+    closes = np.bincount(key[~leaf], minlength=key.max() + 1)[key]
+    # a leaf's closing brackets, then ", " unless it ends its draw; an
+    # internal node's code 1 stands for the empty string
+    ending = np.where(leaf, 2 * closes + (end == length), 1)
+    endings, ending = np.unique(ending, return_inverse=True)
+    pieces = [
+        [f'{{"nonterminal": {json.dumps(name)}, "span": [' for name in names],
+        [f"{i}, " for i in range(max(length, states))],
+        [f'{j}], "states": [' for j in range(length + 1)],
+        [f"{q}]" for q in range(states)],
+        [', "children": ['],
+        [f', "terminal": {json.dumps(sym)}}}' for sym in symbols],
+        ["]}" * (e // 2) + ("" if e % 2 else ", ") for e in endings.tolist()],
+    ]
+    offset = np.cumsum([0] + [len(p) for p in pieces])
+    tokens = np.stack([
+        a, offset[1] + start, offset[2] + end, offset[1] + s, offset[3] + t,
+        np.where(leaf, offset[5] + symbol, offset[4]), offset[6] + ending,
+    ], axis=1)
+    vocabulary = np.array([p for part in pieces for p in part], dtype=object)
+    words = vocabulary[tokens].ravel().tolist()
+    cuts = (tokens.shape[1] * np.cumsum(np.bincount(d))).tolist()
+    return ["".join(words[lo:hi]) for lo, hi in zip([0, *cuts], cuts)]
 
 
 class Sampler:
@@ -197,8 +185,8 @@ class Sampler:
         self._codes = np.array([ord(s) for s in self._symbols], dtype=np.uint32)
         # _leaf[a] is (symbol indices a emits, their matrices stacked on axis 2)
         stacked = np.stack([self.model.matrices[s] for s in self._symbols], axis=2)
-        self._leaf = {a: (ids, stacked[:, :, ids])
-                      for a, ids in enumerate(map(np.flatnonzero, self.grammar.emits.T))}
+        self._leaf = {a: (syms, stacked[:, :, syms])
+                      for a, syms in enumerate(map(np.flatnonzero, self.grammar.emits.T))}
 
     def _columns(self, a: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live (split, rule) columns of nodes (a, l) as arrays (m, b, c),
@@ -244,19 +232,17 @@ class Sampler:
 
     def _draw_batch(self, L: int, k: int, rng: np.random.Generator, trees: bool):
         """k draws of length L: their strings and, with trees, their node
-        records."""
+        records for ``_tree_texts`` (None without trees)."""
         g, n = self.grammar, self.model.state_count
         cum = np.cumsum(self.model.initial[:, None] * self.table.layer(L)[g.start])
         if cum[-1] <= 0.0:
             raise SamplingError("empty constrained support")
         s0, t0 = np.divmod(_pick(np.broadcast_to(cum, (k, cum.size)), rng.random(k)), n)
         codes = np.zeros((k, L), dtype=np.uint32)
-        nodes = _Nodes(k) if trees else None
-        draw = np.arange(k)
-        # pending[l] lists row blocks (a, s, t, pos, draw, node id); without
-        # trees the node id column just repeats the draw
+        records = [] if trees else None
+        # pending[l] lists row blocks (a, s, t, pos, draw)
         pending: dict[int, list[tuple[np.ndarray, ...]]] = {
-            L: [(np.full(k, g.start), s0, t0, np.zeros(k, dtype=np.intp), draw, draw)]
+            L: [(np.full(k, g.start), s0, t0, np.zeros(k, dtype=np.intp), np.arange(k))]
         }
         for l in range(L, 0, -1):
             blocks = pending.pop(l, None)
@@ -266,23 +252,19 @@ class Sampler:
             children = []
             for a in np.flatnonzero(np.bincount(rows[0])).tolist():
                 sel = np.flatnonzero(rows[0] == a)
-                _, s, t, pos, d, ids = (col[sel] for col in rows)
+                _, s, t, pos, d = (col[sel] for col in rows)
                 if l == 1:
                     syms, w = self._leaf[a]
                     j = _pick(np.cumsum(w[s, t], axis=1), rng.random(len(sel)))
                     codes[d, pos] = self._codes[syms[j]]
                     if trees:
-                        nodes.add(ids, d, a, 1, s, t, pos, syms[j], -1)
+                        records.append((d, a, pos, pos + 1, s, t, syms[j]))
                     continue
                 column, mid = self._choose(a, l, s, t, rng.random((2, len(sel))))
                 m, b, c = (x[column] for x in self._columns(a, l))
                 if trees:
-                    left, right = nodes.new_ids(len(sel)), nodes.new_ids(len(sel))
-                    nodes.add(ids, d, a, l, s, t, pos, left, right)
-                else:
-                    left = right = d
-                children += [(m, b, s, mid, pos, d, left),
-                             (l - m, c, mid, t, pos + m, d, right)]
+                    records.append((d, a, pos, pos + l, s, t, -1))
+                children += [(m, b, s, mid, pos, d), (l - m, c, mid, t, pos + m, d)]
             if not children:
                 continue
             # file this step's children under their span lengths
@@ -293,14 +275,15 @@ class Sampler:
             cuts = np.flatnonzero(np.diff(lengths)) + 1
             for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(lengths)]):
                 pending.setdefault(int(lengths[lo]), []).append(tuple(col[lo:hi] for col in child))
-        return codes.view(f"<U{L}")[:, 0].tolist(), nodes
+        return codes.view(f"<U{L}")[:, 0].tolist(), records
 
     def _traces(self, L: int, k: int, rng: np.random.Generator, trees: bool) -> list[SampleTrace]:
         """One batch of ``_draw_batch`` as traces.  The tree texts are written
         after the draw's working arrays are freed, so the two do not add up
         in peak memory."""
-        strings, nodes = self._draw_batch(L, k, rng, trees)
-        texts = nodes.texts(self.grammar.nonterminal_names, self._symbols) if trees else [None] * k
+        strings, records = self._draw_batch(L, k, rng, trees)
+        texts = (_tree_texts(records, self.grammar.nonterminal_names, self._symbols)
+                 if trees else [None] * k)
         return [SampleTrace(w, tree) for w, tree in zip(strings, texts)]
 
     def draw_batches(self, L: int, count: int, rng: np.random.Generator,

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gramhmm.grammar import CnfGrammar, dyck_grammar, parse_grammar, universal_grammar
+from gramhmm.grammar import CnfGrammar, dyck_grammar, format_grammar, parse_grammar, universal_grammar
 from gramhmm.hmm import random_hmm, uniform_hmm
 
 
@@ -62,6 +62,12 @@ def random_grammar(rng: np.random.Generator, max_nonterminals=4, alphabet="abc",
         alphabet=tuple(sigma),
         nonterminal_names=tuple(names),
     )
+
+
+def same_rules(g: CnfGrammar, h: CnfGrammar) -> bool:
+    """Same start and rules, by name: the grammar files' lines agree up to
+    order."""
+    return sorted(format_grammar(g).splitlines()) == sorted(format_grammar(h).splitlines())
 
 
 def random_instance(rng: np.random.Generator, max_states=3):

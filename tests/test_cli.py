@@ -4,12 +4,14 @@ import sys
 
 import pytest
 
-from gramhmm.cli import _failure_code
+from gramhmm.cli import CliFailure, _failure_code
 from gramhmm.grammar import dyck_grammar, format_grammar, parse_grammar, union, universal_grammar
 from gramhmm.hmm import HmmError, format_hmm, uniform_hmm
 from gramhmm.inference import AttestationError, AttestationViolatedError
 from gramhmm.reductions import InconsistentModelCountError, ReductionError
 from gramhmm.sampling import SamplingError, SamplingNumericalError
+
+from conftest import same_rules
 
 
 def run_cli(*args):
@@ -315,7 +317,7 @@ class TestReduce3Sat:
         r = run_cli("reduce3sat", "--cnf", files["cnf"], "--out", out)
         assert r.returncode == 0
         g = parse_grammar(out.read_text())
-        assert g.same_rules(parse_grammar(format_grammar(g)))
+        assert same_rules(g, parse_grammar(format_grammar(g)))
         from gramhmm.grammar import enumerate_language
 
         assert enumerate_language(g, 3) == {"000"}
@@ -382,6 +384,7 @@ def test_table_too_large_is_validation_error(files, command, length):
     (AttestationError("ucfg likelihood requires the caller to attest"), 3),
     (ReductionError("reduction needs at least 2 variables"), 3),
     (HmmError("initial vector has a non-finite entry"), 3),
+    (CliFailure("cannot read grammar file: missing"), 3),
     # the type decides, not the message text
     (ValueError("numerical underflow at node"), 3),
 ])

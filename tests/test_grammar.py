@@ -25,7 +25,7 @@ from gramhmm.grammar import (
 from gramhmm.hmm import random_hmm, uniform_hmm
 from gramhmm.inference import forward_table
 
-from conftest import count_trees_by_enumeration, enumerate_yields, random_grammar
+from conftest import count_trees_by_enumeration, enumerate_yields, random_grammar, same_rules
 
 
 @st.composite
@@ -104,12 +104,12 @@ class TestParse:
             pytest.fail("expected syntax error")
 
     def test_round_trip(self, dyck):
-        assert parse_grammar(format_grammar(dyck)).same_rules(dyck)
+        assert same_rules(parse_grammar(format_grammar(dyck)), dyck)
 
     @settings(max_examples=200, deadline=None)
     @given(cnf_grammars())
     def test_round_trip_property(self, g):
-        assert parse_grammar(format_grammar(g)).same_rules(g)
+        assert same_rules(parse_grammar(format_grammar(g)), g)
 
 
 class TestInsideVector:
@@ -341,6 +341,17 @@ class TestValidation:
     def test_duplicate_symbol(self):
         with pytest.raises(GrammarError, match="^duplicate symbol in alphabet$"):
             CnfGrammar(1, 0, (), ((0, "a"),), ("a", "a"), ("S",))
+
+    def test_duplicate_nonterminal_name(self):
+        # would be written as "S -> S S" / "S -> 'a'", which reads back as a
+        # different, one-nonterminal grammar
+        with pytest.raises(GrammarError, match="^duplicate nonterminal name$"):
+            CnfGrammar(2, 0, ((0, 1, 1),), ((1, "a"),), ("a",), ("S", "S"))
+
+    @pytest.mark.parametrize("symbol", ["ab", "", 1])
+    def test_symbol_not_one_character(self, symbol):
+        with pytest.raises(GrammarError, match="^alphabet symbols must be single characters$"):
+            CnfGrammar(1, 0, (), ((0, symbol),), (symbol,), ("S",))
 
 
 class TestRuleIndex:

@@ -123,6 +123,14 @@ class TestParse:
         with pytest.raises(HmmError, match="^duplicate symbol in alphabet$"):
             Hmm(1, np.array([1.0]), {"a": np.array([[0.5]])}, ("a", "a"))
 
+    @pytest.mark.parametrize("symbol", ["ab", "", 1])
+    def test_symbol_not_one_character(self, symbol):
+        doc = {"states": 1, "alphabet": [symbol], "initial": [1], "matrices": {symbol: [[1]]}}
+        with pytest.raises(HmmError, match="^alphabet must be a list of single-character strings$"):
+            parse_hmm(json.dumps(doc))
+        with pytest.raises(HmmError, match="^alphabet symbols must be single characters$"):
+            Hmm(1, np.array([1.0]), {symbol: np.array([[1.0]])}, (symbol,))
+
     def test_missing_field(self):
         with pytest.raises(HmmError, match="matrices"):
             parse_hmm('{"states": 1, "alphabet": ["a"], "initial": [1.0]}')

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -242,6 +243,21 @@ class TestStreamPin:
             ")()((()()(", "()(()(((()", "()(((((()(", "()((()()()", ")()()()(((",
             "(()()()()(", ")())(()()(", "))(()((()(", ")))))))(()", ")((())))()",
         ]
+
+    @pytest.mark.parametrize("case, digest", [
+        ("dyck", "511b6656d059c625ec7c0426a1f0c95f3c9f8aa9b10105887e02d4752363651c"),
+        # 1025 draws: two batches
+        ("ss-ab", "be12e5137ce53bbff903c2f0375b011ed1a33d8fc2d0d44e5fed67e8de62de41"),
+    ])
+    def test_tree_bytes(self, dyck, case, digest):
+        """sha256 of the tree text, recorded at gramhmm 0.6.0; the state pairs
+        in it are pinned nowhere else."""
+        if case == "dyck":
+            traces = sample_many(dyck, random_hmm(2, "()", seed=3), 16, 20, RngSeed(0), trees=True)
+        else:
+            g = parse_grammar("start S\nS -> S S\nS -> 'a'\nS -> 'b'")
+            traces = sample_many(g, random_hmm(3, "ab", seed=5), 12, 1025, RngSeed(1), trees=True)
+        assert hashlib.sha256(trees_json(traces).encode()).hexdigest() == digest
 
 
 class TestDistribution:
