@@ -6,9 +6,7 @@ from .grammar import (
     GrammarSyntaxError,
     derivation_count,
     dyck_grammar,
-    enumerate_language,
     format_grammar,
-    max_ambiguity,
     parse_grammar,
     union,
     universal_grammar,
@@ -55,7 +53,9 @@ from .oracle import (
     OracleError,
     brute_force_likelihood,
     brute_force_weighted_mass,
+    enumerate_language,
     exact_distribution,
+    max_ambiguity,
     tv_distance,
 )
 from .reductions import (
@@ -69,4 +69,4 @@ from .reductions import (
     parse_dimacs,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

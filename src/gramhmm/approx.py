@@ -5,12 +5,15 @@ draws, whose string marginal is f_G(w) * f_A(w) / Z; accepting each proposal
 with probability exactly 1 / f_G(w) makes the acceptance rate Z-normalized
 constrained likelihood, so Z * (accepted / N) estimates
 f_A(L_G intersect Sigma^L).  Z is ``table.contract(L)`` of the table the
-proposals are drawn from, and N is set by an integer ambiguity bound.  The
-exact derivation counts of a batch come from one call of
-``grammar.derivation_counts``, which counts each distinct string once; the
-Bernoulli draws then run per proposal in draw order.  The Bernoulli draw
-is carried out over big integers, never via a floating-point reciprocal,
-since derivation counts can exceed 2^53.
+proposals are drawn from, and N is set by an integer ambiguity bound so
+that the estimate is within relative error epsilon with probability at
+least 3/4, the paper's fixed confidence.  The exact derivation counts of a
+batch come from one call of ``grammar.derivation_counts``, which counts
+each distinct string once; a count above the bound voids that guarantee
+and raises ``ApproxError`` before the batch's Bernoulli draws, which then
+run per proposal in draw order.  The Bernoulli draw is carried out over
+big integers, never via a floating-point reciprocal, since derivation
+counts can exceed 2^53.
 """
 
 from __future__ import annotations
@@ -36,9 +39,6 @@ __all__ = [
     "fpras_likelihood",
 ]
 
-DEFAULT_FAILURE_PROB = 0.25
-
-
 class ApproxError(ValueError):
     pass
 
@@ -54,19 +54,15 @@ class FprasReport:
     seed: RngSeed
 
 
-def sample_size(bound: int, epsilon: float, confidence_failure: float = DEFAULT_FAILURE_PROB) -> int:
-    """Smallest Hoeffding sample count for |p_hat - p| <= epsilon / bound.
-
-    N = ceil(ln(2/failure) * bound^2 / (2 * epsilon^2)); with the default
-    failure probability 1/4 this is ceil(ln(8) * bound^2 / (2 epsilon^2)).
+def sample_size(bound: int, epsilon: float) -> int:
+    """Smallest Hoeffding sample count for |p_hat - p| <= epsilon / bound
+    with probability at least 3/4: N = ceil(ln(8) * bound^2 / (2 epsilon^2)).
     """
     if bound < 1:
         raise ApproxError("ambiguity bound must be >= 1")
     if not 0.0 < epsilon < 1.0:
         raise ApproxError("epsilon must be in (0, 1)")
-    if not 0.0 < confidence_failure < 1.0:
-        raise ApproxError("failure probability must be in (0, 1)")
-    return math.ceil(math.log(2.0 / confidence_failure) * bound * bound / (2.0 * epsilon * epsilon))
+    return math.ceil(math.log(8.0) * bound * bound / (2.0 * epsilon * epsilon))
 
 
 def exact_bernoulli(count: int, rng: np.random.Generator) -> bool:
@@ -95,15 +91,15 @@ def fpras_likelihood(
     epsilon: float,
     bound: int,
     seed: RngSeed | int,
-    confidence_failure: float = DEFAULT_FAILURE_PROB,
 ) -> FprasReport:
     """Randomized estimate of the constrained likelihood for a polynomially
     ambiguous grammar.
 
     ``bound`` is an integer upper-bounding the derivation count of any
-    length-L string; with probability at least 1 - confidence_failure the
-    estimate is within relative error epsilon of the true value.  A zero
-    weighted mass short-circuits to estimate 0.
+    length-L string; with probability at least 3/4 the estimate is within
+    relative error epsilon of the true value.  A proposal whose count
+    exceeds ``bound`` raises ``ApproxError``.  A zero weighted mass
+    short-circuits to estimate 0.
     """
     if isinstance(seed, int):
         seed = RngSeed(seed)
@@ -111,7 +107,7 @@ def fpras_likelihood(
         bound_value = operator.index(bound)
     except TypeError:
         raise ApproxError("ambiguity bound must be an integer") from None
-    n_samples = sample_size(bound_value, epsilon, confidence_failure)
+    n_samples = sample_size(bound_value, epsilon)
 
     table = forward_table(g, model, L)
     z = table.contract(L)
@@ -123,7 +119,11 @@ def fpras_likelihood(
     rng = seed.generator()
     accepted = 0
     for batch in Sampler(table).draw_batches(L, n_samples, rng):
-        for count in derivation_counts(g, [trace.string for trace in batch]):
+        counts = derivation_counts(g, [trace.string for trace in batch])
+        if max(counts) > bound_value:
+            raise ApproxError(f"ambiguity bound {bound_value} exceeded: a length-{L} "
+                              f"proposal has {max(counts)} derivations")
+        for count in counts:
             if exact_bernoulli(count, rng):
                 accepted += 1
     return FprasReport(

@@ -90,7 +90,6 @@ def cmd_approx(args) -> dict:
         epsilon=args.epsilon,
         bound=args.ambiguity_bound,
         seed=sampling.RngSeed(args.seed),
-        confidence_failure=args.failure_prob,
     )
     return {
         "estimate": report.estimate,
@@ -107,7 +106,7 @@ def cmd_oracle(args) -> dict:
     g = _load_grammar(args.grammar)
     if args.what == "maxambiguity":
         return {"what": args.what, "length": args.length,
-                "value": grammar_mod.max_ambiguity(g, args.length)}
+                "value": oracle.max_ambiguity(g, args.length)}
     if args.hmm is None:
         raise CliFailure(f"--hmm is required for --what {args.what}")
     model = _load_hmm(args.hmm)
@@ -182,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--ambiguity-bound", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--failure-prob", type=float, default=approx_mod.DEFAULT_FAILURE_PROB)
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("oracle", help="brute-force reference values")

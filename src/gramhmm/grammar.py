@@ -1,5 +1,5 @@
 """Chomsky-form grammars: parsing, the rule index, derivation counting,
-live products, unions, enumeration.
+live products, unions.
 
 Nonterminals are interned to 0-based integer indices in order of first
 appearance in the rule list.  The number of derivation trees of a length-L
@@ -25,14 +25,10 @@ __all__ = [
     "derivation_counts",
     "live_products",
     "union",
-    "enumerate_language",
-    "max_ambiguity",
     "dyck_grammar",
     "universal_grammar",
 ]
 
-# Max number of strings brute-force enumeration may visit.
-DEFAULT_ENUMERATION_GUARD = 10**7
 # float64 represents every integer below this exactly.
 EXACT_FLOAT_LIMIT = 2.0**53
 
@@ -57,17 +53,16 @@ class CnfGrammar:
     ``binary_rules`` holds (a, b, c) triples meaning a -> b c and
     ``lexical_rules`` holds (a, sigma) pairs meaning a -> sigma, with
     nonterminals as indices into ``nonterminal_names``.  Rule tuples are
-    stored sorted so iteration order is deterministic.  Names are distinct
-    and symbols are single characters, so ``format_grammar`` round-trips.
+    stored sorted so iteration order is deterministic.  Names and symbols
+    are checked to be ones ``format_grammar`` writes back as themselves.
 
-    The rule index that every kernel reads is built here as three read-only
-    arrays: ``pairs`` (P, 2), the sorted distinct children pairs (b, c);
-    ``parents`` (P, N) bool, true at [p, a] iff a -> pairs[p] is a rule; and
-    ``emits`` (|alphabet|, N) bool, true at [i, a] iff a emits the i-th
-    symbol of the sorted alphabet.
+    The rule index that every kernel reads is built here: ``symbols``, the
+    sorted alphabet, and three read-only arrays: ``pairs`` (P, 2), the
+    sorted distinct children pairs (b, c); ``parents`` (P, N) bool, true at
+    [p, a] iff a -> pairs[p] is a rule; and ``emits`` (|alphabet|, N) bool,
+    true at [i, a] iff a emits ``symbols[i]``.
     """
 
-    nonterminal_count: int
     start: int
     binary_rules: tuple[tuple[int, int, int], ...]
     lexical_rules: tuple[tuple[int, str], ...]
@@ -80,10 +75,14 @@ class CnfGrammar:
             raise GrammarError("grammar must declare at least one nonterminal")
         if not (0 <= self.start < n):
             raise GrammarError("start symbol index out of range")
-        if len(self.nonterminal_names) != n:
-            raise GrammarError("nonterminal name list does not match count")
         if len(set(self.nonterminal_names)) != n:
             raise GrammarError("duplicate nonterminal name")
+        for name in self.nonterminal_names:
+            # each would write a line that reads back differently, or not at all
+            if (not isinstance(name, str) or not name or name == "start"
+                    or name[0] in "#'" or any(ch.isspace() for ch in name)):
+                raise GrammarError(
+                    f"nonterminal name {name!r} cannot be written to a grammar file")
         if not self.binary_rules and not self.lexical_rules:
             raise GrammarError("grammar has no rules")
         if len(set(self.binary_rules)) != len(self.binary_rules):
@@ -92,6 +91,8 @@ class CnfGrammar:
             raise GrammarError("duplicate lexical rule")
         if not all(isinstance(s, str) and len(s) == 1 for s in self.alphabet):
             raise GrammarError("alphabet symbols must be single characters")
+        if any(s.isspace() for s in self.alphabet):
+            raise GrammarError("alphabet symbols may not be whitespace")
         sigma = set(self.alphabet)
         if len(sigma) != len(self.alphabet):
             raise GrammarError("duplicate symbol in alphabet")
@@ -113,7 +114,8 @@ class CnfGrammar:
         parents = np.zeros((len(pairs), n), dtype=bool)
         for a, b, c in self.binary_rules:
             parents[row[b, c], a] = True
-        symbols = sorted(self.alphabet)
+        symbols = tuple(sorted(self.alphabet))
+        object.__setattr__(self, "symbols", symbols)
         emits = np.zeros((len(symbols), n), dtype=bool)
         for a, s in self.lexical_rules:
             emits[symbols.index(s), a] = True
@@ -121,6 +123,10 @@ class CnfGrammar:
                             ("parents", parents), ("emits", emits)):
             index.setflags(write=False)
             object.__setattr__(self, name, index)
+
+    @property
+    def nonterminal_count(self) -> int:
+        return len(self.nonterminal_names)
 
     @property
     def size(self) -> int:
@@ -196,7 +202,6 @@ def parse_grammar(text: str) -> CnfGrammar:
         raise GrammarSyntaxError(f"undeclared start symbol {start_name!r}", 1)
     ordered = sorted(names, key=names.get)
     return CnfGrammar(
-        nonterminal_count=len(names),
         start=names[start_name],
         binary_rules=tuple(binary),
         lexical_rules=tuple(lexical),
@@ -225,15 +230,14 @@ def derivation_count(g: CnfGrammar, w: str) -> int:
     """
     if len(w) < 1:
         raise GrammarError("string must be nonempty")
-    sigma = set(g.alphabet)
-    for ch in w:
-        if ch not in sigma:
-            raise GrammarError(f"symbol {ch!r} not in grammar alphabet")
     L = len(w)
     # the rule index's rows as lookups: symbol -> emitters, pair -> parents
-    emitters = {s: np.flatnonzero(row).tolist() for s, row in zip(sorted(sigma), g.emits)}
+    emitters = {s: np.flatnonzero(row).tolist() for s, row in zip(g.symbols, g.emits)}
     by_children = {(b, c): np.flatnonzero(row).tolist()
                    for (b, c), row in zip(g.pairs.tolist(), g.parents)}
+    for ch in w:
+        if ch not in emitters:
+            raise GrammarError(f"symbol {ch!r} not in grammar alphabet")
     # chart[(i, j)] maps nonterminal -> count for substring w[i:j]
     chart: dict[tuple[int, int], dict[int, int]] = {}
     for i, ch in enumerate(w):
@@ -283,7 +287,7 @@ def derivation_counts(g: CnfGrammar, strings: list[str]) -> list[int]:
     words, first, inverse = np.unique(np.array(strings, dtype=f"<U{L}"),
                                       return_index=True, return_inverse=True)
     codes = words.view(np.uint32).reshape(len(words), L)
-    symbols = np.array(sorted(ord(s) for s in g.alphabet), dtype=np.uint32)
+    symbols = np.array([ord(s) for s in g.symbols], dtype=np.uint32)
     foreign = ~np.isin(codes, symbols)
     if foreign.any():
         # report what a per-string loop would: the first bad symbol of the
@@ -367,37 +371,12 @@ def union(g1: CnfGrammar, g2: CnfGrammar) -> CnfGrammar:
     # every lexical copy is (0, symbol), so the set merges a symbol that both
     # starts emit
     return CnfGrammar(
-        nonterminal_count=len(names),
         start=0,
         binary_rules=tuple(binary),
         lexical_rules=tuple(set(lexical)),
         alphabet=tuple(alphabet),
         nonterminal_names=tuple(names),
     )
-
-
-def _all_strings(alphabet: tuple[str, ...], L: int):
-    """Yield all length-L strings over the alphabet in lexicographic order."""
-    if L < 1:
-        raise GrammarError("length must be >= 1")
-    if len(alphabet) ** L > DEFAULT_ENUMERATION_GUARD:
-        raise GrammarError(
-            f"enumeration guard exceeded: |alphabet|^L = {len(alphabet) ** L}"
-        )
-    import itertools
-
-    for tup in itertools.product(alphabet, repeat=L):
-        yield "".join(tup)
-
-
-def enumerate_language(g: CnfGrammar, L: int) -> set[str]:
-    """All length-L strings of the language, by exhaustive membership testing."""
-    return {w for w in _all_strings(g.alphabet, L) if derivation_count(g, w) > 0}
-
-
-def max_ambiguity(g: CnfGrammar, L: int) -> int:
-    """Max derivation count over all length-L strings (brute force)."""
-    return max((derivation_count(g, w) for w in _all_strings(g.alphabet, L)), default=0)
 
 
 def dyck_grammar() -> CnfGrammar:

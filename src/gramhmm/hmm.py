@@ -32,34 +32,28 @@ class HmmError(ValueError):
 
 @dataclass(frozen=True)
 class Hmm:
-    state_count: int
-    initial: np.ndarray                 # shape (n,)
-    matrices: dict[str, np.ndarray]     # symbol -> (n, n)
-    alphabet: tuple[str, ...]
+    initial: np.ndarray                 # shape (n,), n = state_count
+    matrices: dict[str, np.ndarray]     # symbol -> (n, n); the keys are the alphabet
 
     def __post_init__(self):
-        if not all(isinstance(s, str) and len(s) == 1 for s in self.alphabet):
+        if not all(isinstance(s, str) and len(s) == 1 for s in self.matrices):
             raise HmmError("alphabet symbols must be single characters")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise HmmError("duplicate symbol in alphabet")
-        n = self.state_count
+        init = np.asarray(self.initial, dtype=float)
+        if init.ndim != 1:
+            raise HmmError("initial vector must be one-dimensional")
+        n = len(init)
         if n < 1:
             raise HmmError("state count must be positive")
-        init = np.asarray(self.initial, dtype=float)
-        if init.shape != (n,):
-            raise HmmError(f"initial vector must have length {n}")
         if not np.all(np.isfinite(init)):
             raise HmmError("initial vector has a non-finite entry")
         if np.any(init < 0):
             raise HmmError("initial vector has a negative entry")
         if abs(init.sum() - 1.0) > STOCHASTICITY_TOL:
             raise HmmError(f"initial vector sums to {init.sum()!r}, not 1")
-        if set(self.matrices) != set(self.alphabet):
-            raise HmmError("matrices must cover exactly the alphabet")
         total = np.zeros((n, n))
         mats = {}
-        for sym in self.alphabet:
-            m = np.asarray(self.matrices[sym], dtype=float)
+        for sym, m in self.matrices.items():
+            m = np.asarray(m, dtype=float)
             if m.shape != (n, n):
                 raise HmmError(f"matrix for {sym!r} must be {n}x{n}")
             if not np.all(np.isfinite(m)):
@@ -80,6 +74,14 @@ class Hmm:
             m.setflags(write=False)
         object.__setattr__(self, "initial", init)
         object.__setattr__(self, "matrices", mats)
+
+    @property
+    def state_count(self) -> int:
+        return len(self.initial)
+
+    @property
+    def alphabet(self) -> tuple[str, ...]:
+        return tuple(self.matrices)
 
     def operator(self, symbol: str) -> np.ndarray:
         try:
@@ -114,13 +116,16 @@ def parse_hmm(text: str) -> Hmm:
         raise HmmError(
             f"matrices for symbols outside the alphabet: {', '.join(map(repr, extra))}"
         )
-    return Hmm(
-        state_count=states,
-        initial=_numbers(doc["initial"], 1, "initial vector"),
-        matrices={s: _numbers(doc["matrices"].get(s, []), 2, f"matrix for {s!r}")
-                  for s in alphabet},
-        alphabet=tuple(alphabet),
-    )
+    initial = _numbers(doc["initial"], 1, "initial vector")
+    matrices = {s: _numbers(doc["matrices"].get(s, []), 2, f"matrix for {s!r}")
+                for s in alphabet}
+    if len(matrices) != len(alphabet):
+        raise HmmError("duplicate symbol in alphabet")
+    if states < 1:
+        raise HmmError("state count must be positive")
+    if len(initial) != states:
+        raise HmmError(f"initial vector must have length {states}")
+    return Hmm(initial=initial, matrices=matrices)
 
 
 def _numbers(value, depth: int, what: str) -> np.ndarray:
@@ -186,34 +191,32 @@ def split_likelihood(model: Hmm, w: str, cut: int) -> float:
     return float(np.einsum("s,su,ut->", model.initial, a1, a2))
 
 
-def uniform_hmm(alphabet: str | tuple[str, ...]) -> Hmm:
-    """Single-state model giving every length-L string mass |alphabet|^-L."""
+def _symbols(alphabet: str | tuple[str, ...]) -> tuple[str, ...]:
+    """A generated model's alphabet: nonempty, with no symbol repeated."""
     symbols = tuple(alphabet)
     if not symbols:
         raise HmmError("alphabet must be nonempty")
+    if len(set(symbols)) != len(symbols):
+        raise HmmError("duplicate symbol in alphabet")
+    return symbols
+
+
+def uniform_hmm(alphabet: str | tuple[str, ...]) -> Hmm:
+    """Single-state model giving every length-L string mass |alphabet|^-L."""
+    symbols = _symbols(alphabet)
     p = 1.0 / len(symbols)
-    return Hmm(
-        state_count=1,
-        initial=np.array([1.0]),
-        matrices={s: np.array([[p]]) for s in symbols},
-        alphabet=symbols,
-    )
+    return Hmm(initial=np.array([1.0]), matrices={s: np.array([[p]]) for s in symbols})
 
 
 def random_hmm(state_count: int, alphabet: str | tuple[str, ...], seed: int) -> Hmm:
     """Seeded random model; rows of the stacked operators are normalized to 1."""
-    symbols = tuple(alphabet)
     if state_count < 1:
         raise HmmError("state count must be positive")
-    if not symbols:
-        raise HmmError("alphabet must be nonempty")
+    symbols = _symbols(alphabet)
     rng = np.random.default_rng(seed)
     init = rng.exponential(size=state_count)
     init /= init.sum()
     block = rng.exponential(size=(state_count, len(symbols) * state_count))
     block /= block.sum(axis=1, keepdims=True)
-    mats = {
-        s: block[:, i * state_count : (i + 1) * state_count]
-        for i, s in enumerate(symbols)
-    }
-    return Hmm(state_count=state_count, initial=init, matrices=mats, alphabet=symbols)
+    mats = {s: block[:, i * state_count : (i + 1) * state_count] for i, s in enumerate(symbols)}
+    return Hmm(initial=init, matrices=mats)

@@ -75,11 +75,14 @@ class ForwardTable:
     the read-only bool array ``live`` of shape (length, N): live[l-1, a] is
     true iff a derives some string of length l, which depends on the
     grammar alone; where it is false, F_l[a] is zero."""
-    length: int
     layers: np.ndarray
     live: np.ndarray
     grammar: CnfGrammar
     model: Hmm
+
+    @property
+    def length(self) -> int:
+        return len(self.layers)
 
     def layer(self, l: int) -> np.ndarray:
         if not 1 <= l <= self.length:
@@ -102,7 +105,7 @@ class LikelihoodResult:
 def _check_alphabets(g: CnfGrammar, model: Hmm) -> None:
     if set(g.alphabet) != set(model.alphabet):
         raise InferenceError(
-            f"alphabet mismatch: grammar {sorted(g.alphabet)} vs HMM {sorted(model.alphabet)}"
+            f"alphabet mismatch: grammar {list(g.symbols)} vs HMM {sorted(model.alphabet)}"
         )
 
 
@@ -164,7 +167,7 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
         live[l - 1] = row
     layers.setflags(write=False)
     live.setflags(write=False)
-    return ForwardTable(length=L, layers=layers, live=live, grammar=g, model=model)
+    return ForwardTable(layers=layers, live=live, grammar=g, model=model)
 
 
 def weighted_mass(g: CnfGrammar, model: Hmm, L: int) -> LikelihoodResult:

@@ -1,26 +1,32 @@
 """Brute-force reference computations over exhaustive string enumeration.
 
-Everything here enumerates Sigma^L directly (guarded by the shared
+Every walk here visits Sigma^L in lexicographic order (guarded by the
 enumeration limit) and serves as ground truth for the dynamic programs, so
-summation uses math.fsum in fixed lexicographic order.
+summation uses math.fsum in that fixed order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .grammar import CnfGrammar, _all_strings, derivation_count
+from .grammar import CnfGrammar, GrammarError, derivation_count
 from .hmm import Hmm, string_likelihood
 
 __all__ = [
     "OracleError",
     "ExactDistribution",
+    "enumerate_language",
+    "max_ambiguity",
     "brute_force_weighted_mass",
     "brute_force_likelihood",
     "exact_distribution",
     "tv_distance",
 ]
+
+# Max number of strings brute-force enumeration may visit.
+DEFAULT_ENUMERATION_GUARD = 10**7
 
 
 class OracleError(ValueError):
@@ -36,40 +42,51 @@ class ExactDistribution:
     member_likelihood: float  # membership-weighted mass f_A(L_G intersect Sigma^L)
 
 
+def _members(g: CnfGrammar, L: int):
+    """(w, derivation count) of each length-L member, in lexicographic order.
+    Counts come from this module's ``derivation_count``, which the traced
+    benchmark run wraps."""
+    if L < 1:
+        raise GrammarError("length must be >= 1")
+    if len(g.alphabet) ** L > DEFAULT_ENUMERATION_GUARD:
+        raise GrammarError(f"enumeration guard exceeded: |alphabet|^L = {len(g.alphabet) ** L}")
+    for letters in itertools.product(g.alphabet, repeat=L):
+        w = "".join(letters)
+        count = derivation_count(g, w)
+        if count:
+            yield w, count
+
+
+def enumerate_language(g: CnfGrammar, L: int) -> set[str]:
+    """All length-L strings of the language, by exhaustive membership testing."""
+    return {w for w, _ in _members(g, L)}
+
+
+def max_ambiguity(g: CnfGrammar, L: int) -> int:
+    """Max derivation count over all length-L strings (brute force)."""
+    return max((count for _, count in _members(g, L)), default=0)
+
+
 def brute_force_weighted_mass(g: CnfGrammar, model: Hmm, L: int) -> float:
     """Sum over all length-L strings of derivation count times HMM probability."""
-    return math.fsum(
-        derivation_count(g, w) * string_likelihood(model, w)
-        for w in _all_strings(g.alphabet, L)
-    )
+    return math.fsum(count * string_likelihood(model, w) for w, count in _members(g, L))
 
 
 def brute_force_likelihood(g: CnfGrammar, model: Hmm, L: int) -> float:
     """Membership-weighted mass: sum of HMM probabilities of language members."""
-    return math.fsum(
-        string_likelihood(model, w)
-        for w in _all_strings(g.alphabet, L)
-        if derivation_count(g, w) >= 1
-    )
+    return math.fsum(string_likelihood(model, w) for w, _ in _members(g, L))
 
 
 def exact_distribution(g: CnfGrammar, model: Hmm, L: int) -> ExactDistribution:
     """Full table of the constrained proposal distribution at length L."""
-    weights: dict[str, float] = {}
-    member_terms: list[float] = []
-    for w in _all_strings(g.alphabet, L):
-        f = derivation_count(g, w)
-        if f >= 1:
-            p = string_likelihood(model, w)
-            weights[w] = f * p
-            member_terms.append(p)
-    z = math.fsum(weights.values())
+    members = [(w, count, string_likelihood(model, w)) for w, count in _members(g, L)]
+    z = math.fsum(count * p for _, count, p in members)
     if z <= 0.0:
         raise OracleError("empty constrained support")
     return ExactDistribution(
-        probabilities={w: v / z for w, v in weights.items()},
+        probabilities={w: count * p / z for w, count, p in members},
         z=z,
-        member_likelihood=math.fsum(member_terms),
+        member_likelihood=math.fsum(p for *_, p in members),
     )
 
 

@@ -144,7 +144,6 @@ def _position_grammar(allowed: list[tuple[str, ...]]) -> CnfGrammar:
     lexical = [(n, "0"), (n + 1, "1")]
     lexical += [(n - 1, bit) for bit in allowed[n - 1]]
     return CnfGrammar(
-        nonterminal_count=n + 2,
         start=0,
         binary_rules=tuple(binary),
         lexical_rules=tuple(lexical),

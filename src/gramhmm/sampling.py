@@ -118,7 +118,7 @@ def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.count_nonzero(cum <= r[:, None], axis=1)
 
 
-def _tree_texts(records: list[tuple], names: tuple[str, ...], symbols: list[str]) -> list[str]:
+def _tree_texts(records: list[tuple], names: tuple[str, ...], symbols: Sequence[str]) -> list[str]:
     """Each draw's tree as JSON text, in draw order, from a batch's node
     records (draw, nonterminal, start, end, s, t, symbol), one array or
     scalar per field, with symbol -1 at an internal node.
@@ -179,12 +179,10 @@ class Sampler:
         self.table = table
         self.grammar = table.grammar
         self.model = table.model
-        self._layers_t = table.layers.transpose(0, 1, 3, 2)  # [l-1, a, t, s]
         self._columns_of: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-        self._symbols = sorted(self.grammar.alphabet)
-        self._codes = np.array([ord(s) for s in self._symbols], dtype=np.uint32)
+        self._codes = np.array([ord(s) for s in self.grammar.symbols], dtype=np.uint32)
         # _leaf[a] is (symbol indices a emits, their matrices stacked on axis 2)
-        stacked = np.stack([self.model.matrices[s] for s in self._symbols], axis=2)
+        stacked = np.stack([self.model.matrices[s] for s in self.grammar.symbols], axis=2)
         self._leaf = {a: (syms, stacked[:, :, syms])
                       for a, syms in enumerate(map(np.flatnonzero, self.grammar.emits.T))}
 
@@ -209,7 +207,7 @@ class Sampler:
         """
         m, b, c = self._columns(a, l)
         lo = self.table.layers[m - 1, b, s[:, None], :]
-        hi = self._layers_t[l - m - 1, c, t[:, None], :]
+        hi = self.table.layers[l - m - 1, c, :, t[:, None]]
         return lo, hi
 
     def _choose(self, a: int, l: int, s, t, u) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +280,7 @@ class Sampler:
         after the draw's working arrays are freed, so the two do not add up
         in peak memory."""
         strings, records = self._draw_batch(L, k, rng, trees)
-        texts = (_tree_texts(records, self.grammar.nonterminal_names, self._symbols)
+        texts = (_tree_texts(records, self.grammar.nonterminal_names, self.grammar.symbols)
                  if trees else [None] * k)
         return [SampleTrace(w, tree) for w, tree in zip(strings, texts)]
 

@@ -55,7 +55,6 @@ def random_grammar(rng: np.random.Generator, max_nonterminals=4, alphabet="abc",
         lexical += [(u, sigma[0]), (o, sigma[-1])]
         names += ["U", "O", "E", "X"]
     return CnfGrammar(
-        nonterminal_count=len(names),
         start=0,
         binary_rules=tuple(binary),
         lexical_rules=tuple(lexical),

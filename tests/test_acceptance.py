@@ -14,9 +14,7 @@ from scipy.stats import binomtest
 from gramhmm.approx import fpras_likelihood
 from gramhmm.grammar import (
     dyck_grammar,
-    enumerate_language,
     format_grammar,
-    max_ambiguity,
     parse_grammar,
     union,
     universal_grammar,
@@ -32,7 +30,9 @@ from gramhmm.inference import forward_table, ucfg_likelihood, weighted_mass
 from gramhmm.oracle import (
     brute_force_likelihood,
     brute_force_weighted_mass,
+    enumerate_language,
     exact_distribution,
+    max_ambiguity,
     tv_distance,
 )
 from gramhmm.reductions import (

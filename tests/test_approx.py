@@ -9,8 +9,8 @@ from gramhmm.approx import (
     fpras_likelihood,
     sample_size,
 )
-from gramhmm.grammar import derivation_count, parse_grammar, union, universal_grammar
-from gramhmm.hmm import uniform_hmm
+from gramhmm.grammar import derivation_count, dyck_grammar, parse_grammar, union, universal_grammar
+from gramhmm.hmm import random_hmm, uniform_hmm
 from gramhmm.inference import forward_table
 from gramhmm.oracle import exact_distribution
 from gramhmm.sampling import RngSeed, Sampler
@@ -29,9 +29,9 @@ class TestSampleSize:
         assert sample_size(1, 0.5) == 5
 
     def test_formula(self):
-        for bound, eps, fail in [(3, 0.2, 0.25), (1, 0.1, 0.05), (7, 0.3, 0.5)]:
-            expected = math.ceil(math.log(2 / fail) * bound**2 / (2 * eps**2))
-            assert sample_size(bound, eps, fail) == expected
+        for bound, eps in [(3, 0.2), (1, 0.1), (7, 0.3)]:
+            expected = math.ceil(math.log(8) * bound**2 / (2 * eps**2))
+            assert sample_size(bound, eps) == expected
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ApproxError):
@@ -42,6 +42,27 @@ class TestSampleSize:
     def test_rejects_bad_bound(self):
         with pytest.raises(ApproxError):
             sample_size(0, 0.1)
+
+
+class TestStreamPin:
+    """(samples, accepted) of seeded runs, recorded at gramhmm 0.7.0: a change
+    to the proposal or Bernoulli stream shows here."""
+
+    @pytest.mark.parametrize("name, L, epsilon, bound, seed, expected", [
+        ("union-uu", 8, 0.1, 2, 7, (416, 196)),
+        ("union-dyck-uu", 6, 0.1, 3, 11, (936, 468)),
+        ("ss", 6, 0.5, 42, 3, (7337, 156)),
+    ])
+    def test_samples_and_accepted(self, name, L, epsilon, bound, seed, expected):
+        u, parens = universal_grammar("ab"), universal_grammar("()")
+        g, model = {
+            "union-uu": lambda: (union(u, u), random_hmm(3, "ab", seed=5)),
+            "union-dyck-uu": lambda: (union(union(dyck_grammar(), parens), parens),
+                                      uniform_hmm("()")),
+            "ss": lambda: (parse_grammar("start S\nS -> S S\nS -> 'a'"), uniform_hmm("a")),
+        }[name]()
+        report = fpras_likelihood(g, model, L, epsilon=epsilon, bound=bound, seed=seed)
+        assert (report.samples, report.accepted) == expected
 
 
 class TestExactBernoulli:
@@ -110,6 +131,14 @@ class TestFpras:
     def test_rejects_bad_epsilon(self, dyck, paren_uniform):
         with pytest.raises(ApproxError):
             fpras_likelihood(dyck, paren_uniform, 4, epsilon=1.5, bound=1, seed=0)
+
+    def test_bound_exceeded(self, universal_ab):
+        # every string of union(u, u) has 2 derivations, so a bound of 1
+        # would void the epsilon guarantee
+        g = union(universal_ab, universal_ab)
+        with pytest.raises(ApproxError, match="^ambiguity bound 1 exceeded: "
+                                              "a length-3 proposal has 2 derivations$"):
+            fpras_likelihood(g, uniform_hmm("ab"), 3, epsilon=0.1, bound=1, seed=0)
 
     @pytest.mark.parametrize("epsilon", [0.1, 0.2])
     def test_batched_counts_match_per_string_loop(self, dyck, universal_ab, epsilon):

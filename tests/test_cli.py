@@ -246,6 +246,20 @@ class TestApprox:
                     "--length", 4, "--epsilon", 2.0, "--ambiguity-bound", 1, "--seed", 3)
         assert r.returncode == 3
 
+    def test_bound_exceeded(self, files):
+        r = run_cli("approx", "--grammar", files["double"], "--hmm", files["ab_hmm"],
+                    "--length", 3, "--epsilon", 0.1, "--ambiguity-bound", 1, "--seed", 3)
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == [
+            "ambiguity bound 1 exceeded: a length-3 proposal has 2 derivations"]
+
+    def test_failure_prob_is_not_an_option(self, files):
+        r = run_cli("approx", "--grammar", files["dyck"], "--hmm", files["paren_hmm"],
+                    "--length", 4, "--epsilon", 0.2, "--ambiguity-bound", 1, "--seed", 3,
+                    "--failure-prob", 0.1)
+        assert r.returncode == 2
+
 
 class TestOracle:
     def test_likelihood(self, files):
@@ -318,7 +332,7 @@ class TestReduce3Sat:
         assert r.returncode == 0
         g = parse_grammar(out.read_text())
         assert same_rules(g, parse_grammar(format_grammar(g)))
-        from gramhmm.grammar import enumerate_language
+        from gramhmm.oracle import enumerate_language
 
         assert enumerate_language(g, 3) == {"000"}
 

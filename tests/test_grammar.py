@@ -14,9 +14,7 @@ from gramhmm.grammar import (
     derivation_count,
     derivation_counts,
     dyck_grammar,
-    enumerate_language,
     format_grammar,
-    max_ambiguity,
     parse_grammar,
     union,
     universal_grammar,
@@ -24,35 +22,38 @@ from gramhmm.grammar import (
 
 from gramhmm.hmm import random_hmm, uniform_hmm
 from gramhmm.inference import forward_table
+from gramhmm.oracle import enumerate_language, max_ambiguity
 
 from conftest import count_trees_by_enumeration, enumerate_yields, random_grammar, same_rules
 
 
 @st.composite
-def cnf_grammars(draw):
-    """Random CNF grammar whose start symbol and every terminal occur in a rule."""
+def cnf_grammars(draw, names=st.text(max_size=4) | st.sampled_from(["start", "#A", "'A", "S T"]),
+                 symbols=st.characters() | st.sampled_from(" \t'#")):
+    """Constructor arguments of a random CNF grammar whose start symbol and
+    every terminal occur in a rule.  The names and symbols are arbitrary
+    text by default, so the arguments need not make a valid grammar."""
     n = draw(st.integers(1, 4))
-    names = draw(st.lists(st.from_regex(r"[A-Z][A-Za-z0-9_]{0,4}", fullmatch=True),
-                          min_size=n, max_size=n, unique=True))
+    nonterminal_names = draw(st.lists(names, min_size=n, max_size=n, unique=True))
     nonterminal = st.integers(0, n - 1)
     binary = draw(st.sets(st.tuples(nonterminal, nonterminal, nonterminal), max_size=8))
-    lexical = draw(st.sets(st.tuples(nonterminal, st.sampled_from("abc")), min_size=1, max_size=5))
+    lexical = draw(st.sets(st.tuples(nonterminal, symbols), min_size=1, max_size=5))
     used = sorted({r[0] for r in binary} | {r[0] for r in lexical})
     alphabet = draw(st.permutations(sorted({s for _, s in lexical})))
-    return CnfGrammar(
-        nonterminal_count=n,
+    return dict(
         start=draw(st.sampled_from(used)),
         binary_rules=tuple(binary),
         lexical_rules=tuple(lexical),
         alphabet=tuple(alphabet),
-        nonterminal_names=tuple(names),
+        nonterminal_names=tuple(nonterminal_names),
     )
 
 
 @st.composite
 def grammar_and_strings(draw):
     """A random grammar and equal-length strings over its alphabet, with repeats."""
-    g = draw(cnf_grammars())
+    g = CnfGrammar(**draw(cnf_grammars(st.from_regex(r"[A-Z][A-Za-z0-9_]{0,4}", fullmatch=True),
+                                       st.sampled_from("abc"))))
     L = draw(st.integers(1, 8))
     words = draw(st.lists(st.text(alphabet=g.alphabet, min_size=L, max_size=L),
                           min_size=1, max_size=20))
@@ -108,7 +109,12 @@ class TestParse:
 
     @settings(max_examples=200, deadline=None)
     @given(cnf_grammars())
-    def test_round_trip_property(self, g):
+    def test_round_trip_property(self, fields):
+        # a grammar the constructor accepts is written back as itself
+        try:
+            g = CnfGrammar(**fields)
+        except GrammarError:
+            return
         assert same_rules(parse_grammar(format_grammar(g)), g)
 
 
@@ -275,7 +281,6 @@ class TestUnion:
 class TestMonotonicity:
     def test_adding_rule_never_decreases_counts(self, ss_grammar):
         bigger = CnfGrammar(
-            nonterminal_count=2,
             start=0,
             binary_rules=((0, 0, 0), (0, 0, 1)),
             lexical_rules=((0, "a"), (1, "a")),
@@ -328,30 +333,42 @@ class TestMaxAmbiguity:
 class TestValidation:
     def test_no_rules(self):
         with pytest.raises(GrammarError):
-            CnfGrammar(1, 0, (), (), ("a",), ("S",))
+            CnfGrammar(0, (), (), ("a",), ("S",))
 
     def test_rule_out_of_range(self):
         with pytest.raises(GrammarError):
-            CnfGrammar(1, 0, ((0, 0, 1),), ((0, "a"),), ("a",), ("S",))
+            CnfGrammar(0, ((0, 0, 1),), ((0, "a"),), ("a",), ("S",))
 
     def test_undeclared_terminal(self):
         with pytest.raises(GrammarError):
-            CnfGrammar(1, 0, (), ((0, "z"),), ("a",), ("S",))
+            CnfGrammar(0, (), ((0, "z"),), ("a",), ("S",))
 
     def test_duplicate_symbol(self):
         with pytest.raises(GrammarError, match="^duplicate symbol in alphabet$"):
-            CnfGrammar(1, 0, (), ((0, "a"),), ("a", "a"), ("S",))
+            CnfGrammar(0, (), ((0, "a"),), ("a", "a"), ("S",))
 
     def test_duplicate_nonterminal_name(self):
         # would be written as "S -> S S" / "S -> 'a'", which reads back as a
         # different, one-nonterminal grammar
         with pytest.raises(GrammarError, match="^duplicate nonterminal name$"):
-            CnfGrammar(2, 0, ((0, 1, 1),), ((1, "a"),), ("a",), ("S", "S"))
+            CnfGrammar(0, ((0, 1, 1),), ((1, "a"),), ("a",), ("S", "S"))
 
     @pytest.mark.parametrize("symbol", ["ab", "", 1])
     def test_symbol_not_one_character(self, symbol):
         with pytest.raises(GrammarError, match="^alphabet symbols must be single characters$"):
-            CnfGrammar(1, 0, (), ((0, symbol),), (symbol,), ("S",))
+            CnfGrammar(0, (), ((0, symbol),), (symbol,), ("S",))
+
+    @pytest.mark.parametrize("name", ["", "S T", "S\tT", "start", "#A", "'A"])
+    def test_name_cannot_be_written(self, name):
+        # as the child of S -> S X each would write a file that parses to a
+        # different grammar or not at all; #A -> 'a' would be a comment
+        with pytest.raises(GrammarError, match="cannot be written to a grammar file$"):
+            CnfGrammar(0, ((0, 0, 1),), ((0, "a"), (1, "a")), ("a",), ("S", name))
+
+    @pytest.mark.parametrize("symbol", [" ", "\t", "\n"])
+    def test_whitespace_symbol(self, symbol):
+        with pytest.raises(GrammarError, match="^alphabet symbols may not be whitespace$"):
+            CnfGrammar(0, (), ((0, symbol),), (symbol,), ("S",))
 
 
 class TestRuleIndex:

@@ -69,8 +69,7 @@ class TestParse:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_initial_rejected(self, value):
         with pytest.raises(HmmError, match="initial vector has a non-finite entry"):
-            Hmm(state_count=1, initial=np.array([value]),
-                matrices={"a": np.array([[1.0]])}, alphabet=("a",))
+            Hmm(initial=np.array([value]), matrices={"a": np.array([[1.0]])})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_matrix_rejected(self, value):
@@ -117,11 +116,9 @@ class TestParse:
 
     def test_duplicate_symbol(self):
         doc = {"states": 1, "alphabet": ["a", "a"], "initial": [1], "matrices": {"a": [[0.5]]}}
-        with pytest.raises(HmmError, match="^duplicate symbol in alphabet$"):
-            parse_hmm(json.dumps(doc))
         # the one matrix would be summed twice and pass as row-stochastic
         with pytest.raises(HmmError, match="^duplicate symbol in alphabet$"):
-            Hmm(1, np.array([1.0]), {"a": np.array([[0.5]])}, ("a", "a"))
+            parse_hmm(json.dumps(doc))
 
     @pytest.mark.parametrize("symbol", ["ab", "", 1])
     def test_symbol_not_one_character(self, symbol):
@@ -129,7 +126,26 @@ class TestParse:
         with pytest.raises(HmmError, match="^alphabet must be a list of single-character strings$"):
             parse_hmm(json.dumps(doc))
         with pytest.raises(HmmError, match="^alphabet symbols must be single characters$"):
-            Hmm(1, np.array([1.0]), {symbol: np.array([[1.0]])}, (symbol,))
+            Hmm(np.array([1.0]), {symbol: np.array([[1.0]])})
+
+    @pytest.mark.parametrize("states, initial, message", [
+        (0, [1.0], "^state count must be positive$"),
+        (-1, [], "^state count must be positive$"),
+        (2, [1.0], "^initial vector must have length 2$"),
+    ])
+    def test_state_count(self, states, initial, message):
+        doc = {"states": states, "alphabet": ["a"], "initial": initial, "matrices": {"a": [[1]]}}
+        with pytest.raises(HmmError, match=message):
+            parse_hmm(json.dumps(doc))
+
+    def test_sizes_and_alphabet_come_from_the_data(self):
+        m = Hmm(np.array([0.5, 0.5]), {"b": np.full((2, 2), 0.25), "a": np.full((2, 2), 0.25)})
+        assert m.state_count == 2
+        assert m.alphabet == ("b", "a")
+        with pytest.raises(HmmError, match="^state count must be positive$"):
+            Hmm(np.array([]), {"a": np.ones((0, 0))})
+        with pytest.raises(HmmError, match="^initial vector must be one-dimensional$"):
+            Hmm(np.array([[1.0]]), {"a": np.array([[1.0]])})
 
     def test_missing_field(self):
         with pytest.raises(HmmError, match="matrices"):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramhmm.grammar import max_ambiguity, parse_grammar, union
+from gramhmm.grammar import parse_grammar, union
 from gramhmm.hmm import random_hmm, uniform_hmm
 from gramhmm.inference import (
     AttestationError,
@@ -13,7 +13,7 @@ from gramhmm.inference import (
     ucfg_likelihood,
     weighted_mass,
 )
-from gramhmm.oracle import brute_force_weighted_mass
+from gramhmm.oracle import brute_force_weighted_mass, max_ambiguity
 
 from conftest import random_grammar, random_instance
 
@@ -73,7 +73,7 @@ class TestForwardTable:
         g = parse_grammar("start S\nS -> S S\nS -> 'a'\nS -> 'b'\nT -> 'a'")
         m = random_hmm(3, "ab", seed=4)
         table = forward_table(g, m, 5)
-        assert table.layers.shape == (5, 2, 3, 3)
+        assert table.layers.shape == (5, 2, 3, 3) and table.length == 5
         assert table.layers.dtype == np.float64
         assert table.layers.flags.c_contiguous and not table.layers.flags.writeable
         for l in range(1, 6):

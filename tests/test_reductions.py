@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from gramhmm.grammar import derivation_count, enumerate_language, max_ambiguity
+from gramhmm.grammar import derivation_count
+from gramhmm.oracle import enumerate_language, max_ambiguity
 from gramhmm.hmm import uniform_hmm
 from gramhmm.oracle import brute_force_likelihood
 from gramhmm.reductions import (

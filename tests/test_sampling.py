@@ -128,9 +128,8 @@ class TestSample:
     def test_underflow_is_numerical_error(self):
         # every node of b^102 carries weight 0.001^102 < UNDERFLOW_FLOOR
         g = parse_grammar("start S\nS -> B S\nS -> 'b'\nB -> 'b'\nA -> 'a'")
-        m = Hmm(state_count=1, initial=np.array([1.0]),
-                matrices={"a": np.array([[0.999]]), "b": np.array([[0.001]])},
-                alphabet=("a", "b"))
+        m = Hmm(initial=np.array([1.0]),
+                matrices={"a": np.array([[0.999]]), "b": np.array([[0.001]])})
         with pytest.raises(SamplingNumericalError, match="numerical underflow at node") as e:
             sample_many(g, m, 102, 3, RngSeed(0))
         assert isinstance(e.value, NumericalError)
@@ -310,7 +309,6 @@ def grammar_and_hmm(draw):
     lexical = draw(st.sets(st.tuples(nonterminal, st.sampled_from(alphabet)), max_size=4))
     lexical.add((0, alphabet[0]))
     g = CnfGrammar(
-        nonterminal_count=n,
         start=0,
         binary_rules=tuple(binary),
         lexical_rules=tuple(lexical),
