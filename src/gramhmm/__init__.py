@@ -34,7 +34,6 @@ from .inference import (
     weighted_mass,
 )
 from .sampling import (
-    RngSeed,
     Sampler,
     SampleTrace,
     SamplingError,
@@ -69,4 +68,4 @@ from .reductions import (
     parse_dimacs,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

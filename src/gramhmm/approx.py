@@ -29,7 +29,7 @@ from .grammar import CnfGrammar, derivation_counts
 from .grammar import derivation_count  # noqa: F401
 from .hmm import Hmm
 from .inference import forward_table
-from .sampling import RngSeed, Sampler
+from .sampling import Sampler, seeded_generator
 
 __all__ = [
     "ApproxError",
@@ -51,7 +51,7 @@ class FprasReport:
     accepted: int
     epsilon: float
     bound_value: int
-    seed: RngSeed
+    seed: int
 
 
 def sample_size(bound: int, epsilon: float) -> int:
@@ -90,7 +90,7 @@ def fpras_likelihood(
     L: int,
     epsilon: float,
     bound: int,
-    seed: RngSeed | int,
+    seed: int,
 ) -> FprasReport:
     """Randomized estimate of the constrained likelihood for a polynomially
     ambiguous grammar.
@@ -101,8 +101,7 @@ def fpras_likelihood(
     exceeds ``bound`` raises ``ApproxError``.  A zero weighted mass
     short-circuits to estimate 0.
     """
-    if isinstance(seed, int):
-        seed = RngSeed(seed)
+    rng = seeded_generator(seed)
     try:
         bound_value = operator.index(bound)
     except TypeError:
@@ -116,7 +115,6 @@ def fpras_likelihood(
             estimate=0.0, z_weighted=0.0, samples=0, accepted=0,
             epsilon=epsilon, bound_value=bound_value, seed=seed,
         )
-    rng = seed.generator()
     accepted = 0
     for batch in Sampler(table).draw_batches(L, n_samples, rng):
         counts = derivation_counts(g, [trace.string for trace in batch])

@@ -67,7 +67,7 @@ def cmd_sample(args) -> dict:
     g = _load_grammar(args.grammar)
     model = _load_hmm(args.hmm)
     traces = sampling.sample_many(
-        g, model, args.length, args.count, sampling.RngSeed(args.seed), trees=args.emit_trees
+        g, model, args.length, args.count, args.seed, trees=args.emit_trees
     )
     doc = {
         "length": args.length,
@@ -89,7 +89,7 @@ def cmd_approx(args) -> dict:
         args.length,
         epsilon=args.epsilon,
         bound=args.ambiguity_bound,
-        seed=sampling.RngSeed(args.seed),
+        seed=args.seed,
     )
     return {
         "estimate": report.estimate,
@@ -98,7 +98,7 @@ def cmd_approx(args) -> dict:
         "accepted": report.accepted,
         "epsilon": report.epsilon,
         "bound_value": report.bound_value,
-        "seed": report.seed.seed,
+        "seed": report.seed,
     }
 
 

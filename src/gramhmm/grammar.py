@@ -52,15 +52,17 @@ class CnfGrammar:
 
     ``binary_rules`` holds (a, b, c) triples meaning a -> b c and
     ``lexical_rules`` holds (a, sigma) pairs meaning a -> sigma, with
-    nonterminals as indices into ``nonterminal_names``.  Rule tuples are
-    stored sorted so iteration order is deterministic.  Names and symbols
-    are checked to be ones ``format_grammar`` writes back as themselves.
+    nonterminals as indices into ``nonterminal_names``.  Rule tuples and
+    the alphabet are stored sorted, so iteration order is deterministic and
+    grammars that differ only in declared order compare equal.  Names and
+    symbols are checked to be ones ``format_grammar`` writes back as
+    themselves.
 
-    The rule index that every kernel reads is built here: ``symbols``, the
-    sorted alphabet, and three read-only arrays: ``pairs`` (P, 2), the
-    sorted distinct children pairs (b, c); ``parents`` (P, N) bool, true at
-    [p, a] iff a -> pairs[p] is a rule; and ``emits`` (|alphabet|, N) bool,
-    true at [i, a] iff a emits ``symbols[i]``.
+    The rule index that every kernel reads is built here, as three
+    read-only arrays: ``pairs`` (P, 2), the sorted distinct children pairs
+    (b, c); ``parents`` (P, N) bool, true at [p, a] iff a -> pairs[p] is a
+    rule; and ``emits`` (|alphabet|, N) bool, true at [i, a] iff a emits
+    ``alphabet[i]``.
     """
 
     start: int
@@ -106,6 +108,7 @@ class CnfGrammar:
                 raise GrammarError(f"lexical rule emits undeclared terminal {s!r}")
         object.__setattr__(self, "binary_rules", tuple(sorted(self.binary_rules)))
         object.__setattr__(self, "lexical_rules", tuple(sorted(self.lexical_rules)))
+        object.__setattr__(self, "alphabet", tuple(sorted(self.alphabet)))
 
         # the rule index, as plain attributes, not fields, so it is neither a
         # constructor parameter nor part of equality, hash or repr
@@ -114,11 +117,9 @@ class CnfGrammar:
         parents = np.zeros((len(pairs), n), dtype=bool)
         for a, b, c in self.binary_rules:
             parents[row[b, c], a] = True
-        symbols = tuple(sorted(self.alphabet))
-        object.__setattr__(self, "symbols", symbols)
-        emits = np.zeros((len(symbols), n), dtype=bool)
+        emits = np.zeros((len(self.alphabet), n), dtype=bool)
         for a, s in self.lexical_rules:
-            emits[symbols.index(s), a] = True
+            emits[self.alphabet.index(s), a] = True
         for name, index in (("pairs", np.array(pairs, dtype=np.intp).reshape(-1, 2)),
                             ("parents", parents), ("emits", emits)):
             index.setflags(write=False)
@@ -169,7 +170,7 @@ def parse_grammar(text: str) -> CnfGrammar:
 
     binary: list[tuple[int, int, int]] = []
     lexical: list[tuple[int, str]] = []
-    alphabet: list[str] = []
+    alphabet: set[str] = set()
     seen_lines: set[tuple[str, ...]] = set()
     for line_no, tokens in raw_rules:
         if len(tokens) < 3 or tokens[1] != "->":
@@ -187,10 +188,8 @@ def parse_grammar(text: str) -> CnfGrammar:
                     "unary right-hand side must be a quoted single-character terminal",
                     line_no, column=len(tokens[0]) + 4,
                 )
-            sym = tok[1]
-            if sym not in alphabet:
-                alphabet.append(sym)
-            lexical.append((lhs, sym))
+            alphabet.add(tok[1])
+            lexical.append((lhs, tok[1]))
         elif len(rhs) == 2:
             if any(t.startswith("'") for t in rhs):
                 raise GrammarSyntaxError("terminals may not appear in binary rules", line_no)
@@ -232,7 +231,7 @@ def derivation_count(g: CnfGrammar, w: str) -> int:
         raise GrammarError("string must be nonempty")
     L = len(w)
     # the rule index's rows as lookups: symbol -> emitters, pair -> parents
-    emitters = {s: np.flatnonzero(row).tolist() for s, row in zip(g.symbols, g.emits)}
+    emitters = {s: np.flatnonzero(row).tolist() for s, row in zip(g.alphabet, g.emits)}
     by_children = {(b, c): np.flatnonzero(row).tolist()
                    for (b, c), row in zip(g.pairs.tolist(), g.parents)}
     for ch in w:
@@ -287,7 +286,7 @@ def derivation_counts(g: CnfGrammar, strings: list[str]) -> list[int]:
     words, first, inverse = np.unique(np.array(strings, dtype=f"<U{L}"),
                                       return_index=True, return_inverse=True)
     codes = words.view(np.uint32).reshape(len(words), L)
-    symbols = np.array([ord(s) for s in g.symbols], dtype=np.uint32)
+    symbols = np.array([ord(s) for s in g.alphabet], dtype=np.uint32)
     foreign = ~np.isin(codes, symbols)
     if foreign.any():
         # report what a per-string loop would: the first bad symbol of the
@@ -363,10 +362,6 @@ def union(g1: CnfGrammar, g2: CnfGrammar) -> CnfGrammar:
             if a == g.start:
                 lexical.append((0, s))
 
-    alphabet = list(g1.alphabet)
-    for s in g2.alphabet:
-        if s not in alphabet:
-            alphabet.append(s)
     # binary start-rule copies stay distinct under the disjoint renaming, but
     # every lexical copy is (0, symbol), so the set merges a symbol that both
     # starts emit
@@ -374,7 +369,7 @@ def union(g1: CnfGrammar, g2: CnfGrammar) -> CnfGrammar:
         start=0,
         binary_rules=tuple(binary),
         lexical_rules=tuple(set(lexical)),
-        alphabet=tuple(alphabet),
+        alphabet=tuple(set(g1.alphabet) | set(g2.alphabet)),
         nonterminal_names=tuple(names),
     )
 

@@ -105,7 +105,7 @@ class LikelihoodResult:
 def _check_alphabets(g: CnfGrammar, model: Hmm) -> None:
     if set(g.alphabet) != set(model.alphabet):
         raise InferenceError(
-            f"alphabet mismatch: grammar {list(g.symbols)} vs HMM {sorted(model.alphabet)}"
+            f"alphabet mismatch: grammar {list(g.alphabet)} vs HMM {sorted(model.alphabet)}"
         )
 
 

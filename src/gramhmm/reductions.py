@@ -133,8 +133,6 @@ def _position_grammar(allowed: list[tuple[str, ...]]) -> CnfGrammar:
     makes the language empty.
     """
     n = len(allowed)
-    if n < 2:
-        raise ReductionError("position grammar needs length >= 2")
     names = [f"Q{i}" for i in range(1, n + 1)] + ["X0", "X1"]
     x = {"0": n, "1": n + 1}
     binary = []
@@ -154,8 +152,6 @@ def _position_grammar(allowed: list[tuple[str, ...]]) -> CnfGrammar:
 
 def clause_complement_grammar(clause: Clause, n: int) -> CnfGrammar:
     """Unambiguous grammar for the length-n assignments falsifying the clause."""
-    if n < 2:
-        raise ReductionError("clause grammar needs at least 2 variables")
     for lit in clause:
         if lit == 0 or abs(lit) > n:
             raise ReductionError(f"literal {lit} out of range")
@@ -199,8 +195,6 @@ def model_count_via_likelihood(formula: Cnf3Formula) -> int:
     InconsistentModelCountError.
     """
     n = formula.variable_count
-    if n < 2:
-        raise ReductionError("reduction needs at least 2 variables")
     k = len(formula.clauses)
     if k > INCLUSION_EXCLUSION_CLAUSE_LIMIT:
         raise ReductionError(

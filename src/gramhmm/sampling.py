@@ -52,7 +52,7 @@ from .inference import ForwardTable, NumericalError, forward_table
 __all__ = [
     "SamplingError",
     "SamplingNumericalError",
-    "RngSeed",
+    "seeded_generator",
     "SampleTrace",
     "Sampler",
     "sample_many",
@@ -75,19 +75,12 @@ class SamplingNumericalError(SamplingError, NumericalError):
     """A node's choice weights underflowed below UNDERFLOW_FLOOR or overflowed."""
 
 
-@dataclass(frozen=True)
-class RngSeed:
-    """A seed; equal seeds give identical sequences."""
-
-    seed: int
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise SamplingError(f"seed must be nonnegative, got {self.seed}")
-
-    def generator(self) -> np.random.Generator:
-        # the trailing 0 keeps every stream identical to gramhmm 0.2.0
-        return np.random.default_rng([self.seed, 0])
+def seeded_generator(seed: int) -> np.random.Generator:
+    """The generator of a nonnegative seed; equal seeds give identical sequences."""
+    if seed < 0:
+        raise SamplingError(f"seed must be nonnegative, got {seed}")
+    # the trailing 0 keeps every stream identical to gramhmm 0.2.0
+    return np.random.default_rng([seed, 0])
 
 
 @dataclass(frozen=True)
@@ -105,8 +98,6 @@ class SampleTrace:
 
 def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise inverse-CDF draw over unnormalized cumulative weights (k, C)."""
-    if cum.shape[1] == 0:
-        raise SamplingNumericalError("numerical underflow at node")
     total = cum[:, -1]
     # a NaN total comes from inf * 0 once a table layer has overflowed
     if not np.isfinite(total).all():
@@ -180,9 +171,9 @@ class Sampler:
         self.grammar = table.grammar
         self.model = table.model
         self._columns_of: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-        self._codes = np.array([ord(s) for s in self.grammar.symbols], dtype=np.uint32)
+        self._codes = np.array([ord(s) for s in self.grammar.alphabet], dtype=np.uint32)
         # _leaf[a] is (symbol indices a emits, their matrices stacked on axis 2)
-        stacked = np.stack([self.model.matrices[s] for s in self.grammar.symbols], axis=2)
+        stacked = np.stack([self.model.matrices[s] for s in self.grammar.alphabet], axis=2)
         self._leaf = {a: (syms, stacked[:, :, syms])
                       for a, syms in enumerate(map(np.flatnonzero, self.grammar.emits.T))}
 
@@ -214,8 +205,6 @@ class Sampler:
         """Draw each node's column of ``_factors``, then its middle state
         given that column, with the uniforms u[0] and u[1]."""
         columns = len(self._columns(a, l)[0])
-        if columns == 0:
-            raise SamplingNumericalError("numerical underflow at node")
         step = max(1, BLOCK_ELEMENTS // (columns * self.model.state_count))
         column = np.empty(len(s), dtype=np.intp)
         middle = np.empty(len(s), dtype=np.intp)
@@ -273,14 +262,15 @@ class Sampler:
             cuts = np.flatnonzero(np.diff(lengths)) + 1
             for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(lengths)]):
                 pending.setdefault(int(lengths[lo]), []).append(tuple(col[lo:hi] for col in child))
-        return codes.view(f"<U{L}")[:, 0].tolist(), records
+        # the "<U{L}" view drops trailing NULs, which a '\x00' symbol draws
+        return [w.ljust(L, "\x00") for w in codes.view(f"<U{L}")[:, 0].tolist()], records
 
     def _traces(self, L: int, k: int, rng: np.random.Generator, trees: bool) -> list[SampleTrace]:
         """One batch of ``_draw_batch`` as traces.  The tree texts are written
         after the draw's working arrays are freed, so the two do not add up
         in peak memory."""
         strings, records = self._draw_batch(L, k, rng, trees)
-        texts = (_tree_texts(records, self.grammar.nonterminal_names, self.grammar.symbols)
+        texts = (_tree_texts(records, self.grammar.nonterminal_names, self.grammar.alphabet)
                  if trees else [None] * k)
         return [SampleTrace(w, tree) for w, tree in zip(strings, texts)]
 
@@ -314,7 +304,7 @@ def sample_many(
     model: Hmm,
     L: int,
     count: int,
-    seed: RngSeed | int,
+    seed: int,
     trees: bool = False,
 ) -> list[SampleTrace]:
     """Independent draws sharing one forward table; deterministic under the seed.
@@ -323,10 +313,9 @@ def sample_many(
     strings are the same either way.  A caller that holds a forward table
     draws from it with ``Sampler(table).draw_many``.
     """
-    if isinstance(seed, int):
-        seed = RngSeed(seed)
+    rng = seeded_generator(seed)
     table = forward_table(g, model, L)
-    return list(Sampler(table).draw_many(L, count, rng=seed.generator(), trees=trees))
+    return list(Sampler(table).draw_many(L, count, rng=rng, trees=trees))
 
 
 def trees_json(traces: Sequence[SampleTrace]) -> str:

@@ -40,7 +40,7 @@ from gramhmm.reductions import (
     formula_to_cfg,
     model_count_via_likelihood,
 )
-from gramhmm.sampling import RngSeed, sample_many
+from gramhmm.sampling import sample_many
 
 from conftest import random_instance
 from test_reductions import random_formula
@@ -146,7 +146,7 @@ def test_c05_sampler_distribution():
     worst = 0.0
     for i, (g, m, L) in enumerate(_tv_instances()):
         dist = exact_distribution(g, m, L)
-        freq = Counter(t.string for t in sample_many(g, m, L, n, RngSeed(900 + i)))
+        freq = Counter(t.string for t in sample_many(g, m, L, n, 900 + i))
         empirical = {w: c / n for w, c in freq.items()}
         worst = max(worst, tv_distance(empirical, dist))
     elapsed = time.perf_counter() - started
@@ -175,7 +175,7 @@ def test_c06_fpras_guarantee():
             total = 0
             for run in range(40):
                 rep = fpras_likelihood(g, m, L, epsilon=eps, bound=bound,
-                                       seed=RngSeed(10_000 + 1000 * idx + run))
+                                       seed=10_000 + 1000 * idx + run)
                 accepted += rep.accepted
                 total += rep.samples
                 if abs(rep.estimate - truth) <= eps * truth:

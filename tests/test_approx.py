@@ -11,14 +11,14 @@ from gramhmm.approx import (
 )
 from gramhmm.grammar import derivation_count, dyck_grammar, parse_grammar, union, universal_grammar
 from gramhmm.hmm import random_hmm, uniform_hmm
-from gramhmm.inference import forward_table
+from gramhmm.inference import forward_table, weighted_mass
 from gramhmm.oracle import exact_distribution
-from gramhmm.sampling import RngSeed, Sampler
+from gramhmm.sampling import Sampler, seeded_generator
 
 
 def per_string_accepted(g, model, L, epsilon, bound, seed):
     """Acceptances of the FPRAS with each proposal counted on its own."""
-    rng = RngSeed(seed).generator()
+    rng = seeded_generator(seed)
     draws = Sampler(forward_table(g, model, L)).draw_many(L, sample_size(bound, epsilon), rng)
     return sum(exact_bernoulli(derivation_count(g, t.string), rng) for t in draws)
 
@@ -124,8 +124,8 @@ class TestFpras:
     def test_deterministic_under_seed(self, universal_ab):
         g = union(universal_ab, universal_ab)
         m = uniform_hmm("ab")
-        a = fpras_likelihood(g, m, 3, epsilon=0.2, bound=2, seed=RngSeed(9))
-        b = fpras_likelihood(g, m, 3, epsilon=0.2, bound=2, seed=RngSeed(9))
+        a = fpras_likelihood(g, m, 3, epsilon=0.2, bound=2, seed=9)
+        b = fpras_likelihood(g, m, 3, epsilon=0.2, bound=2, seed=9)
         assert a == b
 
     def test_rejects_bad_epsilon(self, dyck, paren_uniform):
@@ -139,6 +139,13 @@ class TestFpras:
         with pytest.raises(ApproxError, match="^ambiguity bound 1 exceeded: "
                                               "a length-3 proposal has 2 derivations$"):
             fpras_likelihood(g, uniform_hmm("ab"), 3, epsilon=0.1, bound=1, seed=0)
+
+    def test_trailing_nul_symbols(self):
+        # the proposals "aa\x00" and "aaa" each hold a quarter of the mass
+        g = parse_grammar("start S\nS -> A S\nS -> '\x00'\nS -> 'a'\nA -> 'a'")
+        m = uniform_hmm("a\x00")
+        report = fpras_likelihood(g, m, 3, epsilon=0.3, bound=1, seed=0)
+        assert report.estimate == weighted_mass(g, m, 3).value == 0.25
 
     @pytest.mark.parametrize("epsilon", [0.1, 0.2])
     def test_batched_counts_match_per_string_loop(self, dyck, universal_ab, epsilon):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -312,6 +313,15 @@ class TestReduce3Sat:
         assert doc["model_count"] == 2**25 - 2**22 == 29360128
         assert "brute_force_model_count" not in doc
 
+    def test_count_one_variable(self, tmp_path):
+        p = tmp_path / "one-variable.cnf"
+        p.write_text("p cnf 1 1\n1 -1 1 0\n")
+        r = run_cli("reduce3sat", "--cnf", p, "--count")
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout)
+        assert doc["variables"] == 1
+        assert doc["model_count"] == doc["brute_force_model_count"] == 2
+
     def test_malformed(self, files, tmp_path):
         p = tmp_path / "bad.cnf"
         p.write_text("p cnf 2 1\n1 2 0\n")
@@ -354,10 +364,17 @@ class TestDeterminism:
             ("approx", "--grammar", files["double"], "--hmm", files["ab_hmm"],
              "--length", 3, "--epsilon", 0.2, "--ambiguity-bound", 2, "--seed", 5),
         ]
-        for cmd in commands:
+        # stdout sha256 of each command as written by gramhmm 0.8.0
+        pinned = [
+            "98672541de7bbb20938d68f6a5f164a40a7309dfbfa804d0e70f1aefb253884a",
+            "c1788055ef3d81fbaa5be505226532f7d08eb8da355d821e35311b424e3a097f",
+            "84f434feb2d817bf434f5b4ef14de624f978044203f6948caa3bff810be7fb37",
+        ]
+        for cmd, digest in zip(commands, pinned):
             first, second = run_cli(*cmd), run_cli(*cmd)
             assert first.returncode == second.returncode == 0, first.stderr
             assert first.stdout == second.stdout
+            assert hashlib.sha256(first.stdout.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("command", [
@@ -396,7 +413,7 @@ def test_table_too_large_is_validation_error(files, command, length):
     (InconsistentModelCountError("inconsistent model count"), 4),
     (SamplingError("empty constrained support"), 3),
     (AttestationError("ucfg likelihood requires the caller to attest"), 3),
-    (ReductionError("reduction needs at least 2 variables"), 3),
+    (ReductionError("formula needs at least one variable"), 3),
     (HmmError("initial vector has a non-finite entry"), 3),
     (CliFailure("cannot read grammar file: missing"), 3),
     # the type decides, not the message text

@@ -392,9 +392,14 @@ class TestRuleIndex:
         binary = sorted((a, b, c) for (b, c), row in zip(pairs, g.parents)
                         for a in np.flatnonzero(row).tolist())
         assert tuple(binary) == g.binary_rules
-        symbols = sorted(g.alphabet)
-        lexical = sorted((a, symbols[i]) for i, a in zip(*np.nonzero(g.emits)))
+        lexical = sorted((a, g.alphabet[i]) for i, a in zip(*np.nonzero(g.emits)))
         assert tuple(lexical) == g.lexical_rules
+
+    def test_alphabet_is_stored_sorted(self):
+        g = parse_grammar("start S\nS -> S S\nS -> 'b'\nS -> 'a'\nS -> 'c'")
+        assert g.alphabet == ("a", "b", "c")
+        assert g == CnfGrammar(g.start, g.binary_rules, g.lexical_rules, ("c", "b", "a"),
+                               g.nonterminal_names)
 
     def test_union_start_copies_share_pairs(self):
         u = universal_grammar("ab")

@@ -76,9 +76,15 @@ class TestClauseGrammar:
         g = clause_complement_grammar((1, -1, 2), 3)
         assert enumerate_language(g, 3) == set()
 
-    def test_requires_two_variables(self):
-        with pytest.raises(ReductionError):
-            clause_complement_grammar((1, 1, 1), 1)
+    @pytest.mark.parametrize("clause, language", [
+        ((1, 1, 1), {"0"}),
+        ((-1, -1, -1), {"1"}),
+        ((1, -1, 1), set()),
+    ])
+    def test_one_variable(self, clause, language):
+        g = clause_complement_grammar(clause, 1)
+        assert enumerate_language(g, 1) == language
+        assert max_ambiguity(g, 1) == len(language)
 
 
 class TestFormulaToCfg:
@@ -132,6 +138,14 @@ class TestModelCount:
         f = Cnf3Formula(2, ((1, 1, 1), (-1, -1, -1)))
         assert brute_force_model_count(f) == 0
         assert model_count_via_likelihood(f) == 0
+
+    @pytest.mark.parametrize("clauses", [
+        *((clause,) for clause in itertools.product((1, -1), repeat=3)),
+        ((1, 1, 1), (-1, -1, -1)),
+    ])
+    def test_one_variable(self, clauses):
+        f = Cnf3Formula(1, clauses)
+        assert model_count_via_likelihood(f) == brute_force_model_count(f)
 
     def test_single_clause_ten_vars(self):
         f = Cnf3Formula(10, ((1, 2, 3),))

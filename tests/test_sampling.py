@@ -13,12 +13,12 @@ from gramhmm.inference import NumericalError, forward_table
 from gramhmm.oracle import exact_distribution, tv_distance
 from gramhmm.sampling import (
     CHUNK,
-    RngSeed,
     Sampler,
     SamplingError,
     SamplingNumericalError,
     _pick,
     sample_many,
+    seeded_generator,
     trees_json,
 )
 
@@ -81,16 +81,16 @@ def check_tree(g: CnfGrammar, model: Hmm, trace) -> None:
 
 class TestSample:
     def test_singleton_support(self, dyck, paren_uniform):
-        traces = sample_many(dyck, paren_uniform, 2, 20, RngSeed(0))
+        traces = sample_many(dyck, paren_uniform, 2, 20, 0)
         assert [t.string for t in traces] == ["()"] * 20
 
     def test_empty_support(self, dyck, paren_uniform):
         with pytest.raises(SamplingError, match="empty constrained support"):
-            sample_many(dyck, paren_uniform, 3, 1, RngSeed(0))
+            sample_many(dyck, paren_uniform, 3, 1, 0)
 
     def test_ambiguous_tree_varies(self, ss_grammar):
         m = uniform_hmm("a")
-        traces = sample_many(ss_grammar, m, 3, 4000, RngSeed(5), trees=True)
+        traces = sample_many(ss_grammar, m, 3, 4000, 5, trees=True)
         assert all(t.string == "aaa" for t in traces)
         # two derivations of aaa, each drawn with probability 1/2
         shapes = Counter(len(json.loads(t.tree)["children"][0].get("children", []))
@@ -100,7 +100,7 @@ class TestSample:
             assert count == pytest.approx(2000, abs=200)
 
     def test_trace_consistency(self, dyck, paren_uniform):
-        for trace in sample_many(dyck, paren_uniform, 6, 50, RngSeed(3), trees=True):
+        for trace in sample_many(dyck, paren_uniform, 6, 50, 3, trees=True):
             assert len(trace.string) == 6
             assert derivation_count(dyck, trace.string) >= 1
             check_tree(dyck, paren_uniform, trace)
@@ -108,7 +108,7 @@ class TestSample:
     def test_local_probabilities_sum_to_one(self, dyck, paren_uniform):
         table = forward_table(dyck, paren_uniform, 6)
         sampler = Sampler(table)
-        trace = sampler.draw(6, RngSeed(9).generator())
+        trace = sampler.draw(6, seeded_generator(9))
 
         for node in nodes(trace.tree):
             (start, end), (s, t) = node["span"], node["states"]
@@ -131,7 +131,7 @@ class TestSample:
         m = Hmm(initial=np.array([1.0]),
                 matrices={"a": np.array([[0.999]]), "b": np.array([[0.001]])})
         with pytest.raises(SamplingNumericalError, match="numerical underflow at node") as e:
-            sample_many(g, m, 102, 3, RngSeed(0))
+            sample_many(g, m, 102, 3, 0)
         assert isinstance(e.value, NumericalError)
 
     def test_overflow_is_numerical_error(self):
@@ -139,7 +139,7 @@ class TestSample:
         g = parse_grammar("start S\nS -> S S\nS -> 'a'\nS -> 'b'")
         with (np.errstate(over="ignore", invalid="ignore"),
               pytest.raises(SamplingNumericalError, match="numerical overflow at node")):
-            sample_many(g, uniform_hmm("ab"), 540, 2, RngSeed(0))
+            sample_many(g, uniform_hmm("ab"), 540, 2, 0)
 
     def test_nan_total_is_overflow(self):
         # inf * 0 in a node's weights gives a NaN total, whose cause is overflow
@@ -149,8 +149,8 @@ class TestSample:
 
     def test_draw_is_batch_of_one(self, dyck, paren_uniform):
         table = forward_table(dyck, paren_uniform, 8)
-        one = Sampler(table).draw(8, RngSeed(4).generator())
-        (batch,) = Sampler(table).draw_many(8, 1, RngSeed(4).generator(), trees=True)
+        one = Sampler(table).draw(8, seeded_generator(4))
+        (batch,) = Sampler(table).draw_many(8, 1, seeded_generator(4), trees=True)
         assert one == batch
         assert spell(one.tree) == one.string
 
@@ -163,9 +163,18 @@ class TestSample:
         assert hash(a) == hash(b)
         assert repr(a) and repr(a.tree)
 
+    def test_trailing_nul_symbols_are_kept(self):
+        # "aa\x00" is drawn as often as "aaa"; it must keep its last symbol
+        g = parse_grammar("start S\nS -> A S\nS -> '\x00'\nS -> 'a'\nA -> 'a'")
+        traces = sample_many(g, uniform_hmm("a\x00"), 3, 8, 0)
+        assert {t.string for t in traces} == {"aa\x00", "aaa"}
+        for trace in traces:
+            assert len(trace.string) == 3
+            assert derivation_count(g, trace.string) > 0
+
     def test_negative_seed(self, dyck, paren_uniform):
         with pytest.raises(SamplingError, match="^seed must be nonnegative, got -1$"):
-            RngSeed(-1)
+            seeded_generator(-1)
         with pytest.raises(SamplingError, match="^seed must be nonnegative, got -1$"):
             sample_many(dyck, paren_uniform, 4, 1, -1)
 
@@ -173,8 +182,8 @@ class TestSample:
 class TestSampleMany:
     def test_trees_do_not_change_strings(self, dyck):
         m = random_hmm(3, "()", seed=2)
-        plain = sample_many(dyck, m, 10, 300, RngSeed(6))
-        with_trees = sample_many(dyck, m, 10, 300, RngSeed(6), trees=True)
+        plain = sample_many(dyck, m, 10, 300, 6)
+        with_trees = sample_many(dyck, m, 10, 300, 6, trees=True)
         assert [t.string for t in plain] == [t.string for t in with_trees]
         assert all(t.tree is None for t in plain)
         for t in with_trees:
@@ -185,7 +194,7 @@ class TestSampleMany:
     def test_trees_json_across_batches_in_any_order(self, dyck):
         m = random_hmm(2, "()", seed=4)
         # the first CHUNK draws are one batch, the last 5 another
-        traces = sample_many(dyck, m, 6, CHUNK + 5, RngSeed(2), trees=True)
+        traces = sample_many(dyck, m, 6, CHUNK + 5, 2, trees=True)
         picked = traces[::-3] + traces[:4]
         assert_same_text(trees_json(picked), json.dumps([json.loads(t.tree) for t in picked]))
         for t in picked:
@@ -193,28 +202,28 @@ class TestSampleMany:
 
     def test_several_batches(self, dyck, paren_uniform):
         count = 2 * CHUNK + 7
-        a = [t.string for t in sample_many(dyck, paren_uniform, 6, count, RngSeed(12))]
-        b = [t.string for t in sample_many(dyck, paren_uniform, 6, count, RngSeed(12))]
+        a = [t.string for t in sample_many(dyck, paren_uniform, 6, count, 12)]
+        b = [t.string for t in sample_many(dyck, paren_uniform, 6, count, 12)]
         assert len(a) == count and a == b
         # a later batch is not a replay of the first
         assert a[:CHUNK] != a[CHUNK:2 * CHUNK]
 
     def test_deterministic(self, dyck, paren_uniform):
-        a = [t.string for t in sample_many(dyck, paren_uniform, 4, 10, RngSeed(42))]
-        b = [t.string for t in sample_many(dyck, paren_uniform, 4, 10, RngSeed(42))]
+        a = [t.string for t in sample_many(dyck, paren_uniform, 4, 10, 42)]
+        b = [t.string for t in sample_many(dyck, paren_uniform, 4, 10, 42)]
         assert a == b
 
     def test_empty(self, dyck, paren_uniform):
-        assert sample_many(dyck, paren_uniform, 4, 0, RngSeed(0)) == []
+        assert sample_many(dyck, paren_uniform, 4, 0, 0) == []
 
     def test_negative_count(self, dyck, paren_uniform):
         with pytest.raises(SamplingError, match="^count must be nonnegative$"):
-            sample_many(dyck, paren_uniform, 4, -1, RngSeed(0))
+            sample_many(dyck, paren_uniform, 4, -1, 0)
         sampler = Sampler(forward_table(dyck, paren_uniform, 4))
         with pytest.raises(SamplingError, match="^count must be nonnegative$"):
-            sampler.draw_many(4, -3, RngSeed(0).generator())
+            sampler.draw_many(4, -3, seeded_generator(0))
         with pytest.raises(SamplingError, match="^count must be nonnegative$"):
-            sampler.draw_batches(4, -1, RngSeed(0).generator())
+            sampler.draw_batches(4, -1, seeded_generator(0))
 
 
 class TestStreamPin:
@@ -223,7 +232,7 @@ class TestStreamPin:
 
     def test_dyck(self, dyck):
         strings = [t.string for t in sample_many(dyck, random_hmm(2, "()", seed=3), 16, 20,
-                                                 RngSeed(0))]
+                                                 0)]
         assert strings == [
             "(()()()())(()())", "(())(()()(())())", "()()(()()((())))", "(()()(())()())()",
             "((()))(()()()())", "()()()(()()()())", "(())()()(())()()", "(((())()()())())",
@@ -235,7 +244,7 @@ class TestStreamPin:
     def test_union(self, dyck):
         g = union(dyck, universal_grammar("()"))
         strings = [t.string for t in sample_many(g, random_hmm(2, "()", seed=3), 10, 20,
-                                                 RngSeed(0))]
+                                                 0)]
         assert strings == [
             "(()())()((", "((((((((((", "((()(((())", "(()()(((((", ")((()))()(",
             ")())()()((", ")()(()((()", ")))()((()(", ")((()(()()", ")()()((()(",
@@ -252,16 +261,16 @@ class TestStreamPin:
         """sha256 of the tree text, recorded at gramhmm 0.6.0; the state pairs
         in it are pinned nowhere else."""
         if case == "dyck":
-            traces = sample_many(dyck, random_hmm(2, "()", seed=3), 16, 20, RngSeed(0), trees=True)
+            traces = sample_many(dyck, random_hmm(2, "()", seed=3), 16, 20, 0, trees=True)
         else:
             g = parse_grammar("start S\nS -> S S\nS -> 'a'\nS -> 'b'")
-            traces = sample_many(g, random_hmm(3, "ab", seed=5), 12, 1025, RngSeed(1), trees=True)
+            traces = sample_many(g, random_hmm(3, "ab", seed=5), 12, 1025, 1, trees=True)
         assert hashlib.sha256(trees_json(traces).encode()).hexdigest() == digest
 
 
 class TestDistribution:
     def test_dyck_even_split(self, dyck, paren_uniform):
-        traces = sample_many(dyck, paren_uniform, 4, 20000, RngSeed(1))
+        traces = sample_many(dyck, paren_uniform, 4, 20000, 1)
         freq = Counter(t.string for t in traces)
         assert set(freq) == {"(())", "()()"}
         assert freq["(())"] / 20000 == pytest.approx(0.5, abs=0.02)
@@ -278,14 +287,14 @@ class TestDistribution:
             except Exception:
                 continue
         n = 30000
-        freq = Counter(t.string for t in sample_many(g, m, L, n, RngSeed(seed)))
+        freq = Counter(t.string for t in sample_many(g, m, L, n, seed))
         empirical = {w: c / n for w, c in freq.items()}
         assert tv_distance(empirical, dist) <= 0.03
 
     def test_tree_marginals(self, ss_grammar):
         # per-tree mass is f_A(w) / Z; with four a's there are 5 tree shapes
         m = uniform_hmm("a")
-        traces = sample_many(ss_grammar, m, 4, 25000, RngSeed(8), trees=True)
+        traces = sample_many(ss_grammar, m, 4, 25000, 8, trees=True)
 
         def shape(node):
             if "terminal" in node:
@@ -326,8 +335,8 @@ class TestProperties:
     @given(grammar_and_hmm(), st.integers(0, 2**32 - 1), st.integers(1, 40))
     def test_draws_are_members_and_deterministic(self, instance, seed, count):
         g, model, L, table = instance
-        first = list(Sampler(table).draw_many(L, count, RngSeed(seed).generator()))
-        again = list(Sampler(table).draw_many(L, count, RngSeed(seed).generator()))
+        first = list(Sampler(table).draw_many(L, count, seeded_generator(seed)))
+        again = list(Sampler(table).draw_many(L, count, seeded_generator(seed)))
         assert [t.string for t in first] == [t.string for t in again]
         for trace in first:
             assert len(trace.string) == L
@@ -345,7 +354,7 @@ class TestProperties:
             if lengths:
                 break
         L = lengths[pick % len(lengths)]
-        traces = list(Sampler(table).draw_many(L, count, RngSeed(seed).generator(), trees=True))
+        traces = list(Sampler(table).draw_many(L, count, seeded_generator(seed), trees=True))
         assert_same_text(trees_json(traces), json.dumps([json.loads(t.tree) for t in traces]))
         for trace in traces:
             check_tree(g, model, trace)
