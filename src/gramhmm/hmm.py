@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -135,10 +136,11 @@ def _numbers(value, depth: int, what: str) -> np.ndarray:
     error = HmmError(f"{what} must be {shape} of numbers")
     items = [value]
     for _ in range(depth):
-        if not all(isinstance(x, list) for x in items):
+        if not set(map(type, items)) <= {list}:
             raise error
-        items = [y for x in items for y in x]
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items):
+        items = list(chain.from_iterable(items))
+    # by exact type, so bool (a subclass of int) is rejected
+    if not set(map(type, items)) <= {int, float}:
         raise error
     try:
         return np.array(value, dtype=float)

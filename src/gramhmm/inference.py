@@ -7,23 +7,40 @@ symbol and the initial distribution gives the weighted mass
 Z = sum_w f_G(w) * f_A(w), which is the exact constrained likelihood when
 the grammar is unambiguous.
 
-Layer l is built from the shorter layers by a loop over split points
-m = 1..l-1, then over the distinct children pairs (b, c) of
-``CnfGrammar.pairs``: each product F_m[b] @ F_{l-m}[c] is formed once and
-added into F_l[a] for every rule a -> b c, so each F_l[a] gets its addends
-in the order of a loop over splits, then rules.  Only live products are
-formed: those where b derives some string of length m and c some string of
-length l - m, as recorded in ``ForwardTable.live``
-(``grammar.live_products``).  Every other product is an exact zero matrix,
-and adding +0.0 to a nonnegative entry changes nothing, so the layers are
-bit-identical to the full loop's while their entries are finite.  The one
-difference is after overflow: a dead product against an overflowed layer is
-0 * inf = NaN in the full loop, and is never formed here, so such entries
-stay inf.  All layers live in one read-only, C-contiguous float64 array of
-shape (L, N, n, n), indexed [l-1, a, s, t], which the likelihood, the
-sampler and the FPRAS read in place.  A table carries the grammar and HMM it was built from, so it is
-passed alone: ``table.contract(l)`` and ``sampling.Sampler(table)`` read it,
-and there is no check that a table matches some other grammar or HMM.
+Layer l is built from the shorter layers.  Only live products
+F_m[b] @ F_{l-m}[c] are formed: those of a distinct children pair (b, c) of
+``CnfGrammar.pairs`` where b derives some string of length m and c some
+string of length l - m, as recorded in ``ForwardTable.live``
+(``grammar.live_products``).  Every other product is an exact zero matrix.
+There are two paths, chosen by the HMM's state count n:
+
+- Below FOLD_STATES states, a loop over splits m = 1..l-1, then pairs, forms
+  each live product once and adds it into F_l[a] for every rule a -> b c.
+  Each F_l[a] gets its addends in the order of a loop over splits, then
+  rules, and adding +0.0 to a nonnegative entry changes nothing, so these
+  layers are bit-identical to the full loop's while their entries are
+  finite.  The one difference is after overflow: a dead product against an
+  overflowed layer is 0 * inf = NaN in the full loop, and is never formed
+  here, so such entries stay inf.
+- From FOLD_STATES states on, the layer goes pair by pair, in pair order.
+  A pair whose live splits are two or more and evenly spaced (every split,
+  or every other one) has its split sum formed as one stacked product,
+  ``np.matmul`` over two strided views of the table, summed over the splits
+  and added once into each parent; a pair with one live split, or unevenly
+  spaced ones, adds its products one by one in ascending split order.  The
+  sums run in a fixed order, so a table is bit-reproducible, but they are
+  not the loop's order: the layers match the full loop's to a relative
+  error of about 1e-15, not bit for bit.  The stacked products of one pair
+  are formed in chunks of at most max(1, FOLD_ENTRIES // n**2) splits, so
+  their temporary holds at most FOLD_ENTRIES float64 entries (512 KB) up to
+  n = 256, and one n x n product beyond.
+
+All layers live in one read-only, C-contiguous float64 array of shape
+(L, N, n, n), indexed [l-1, a, s, t], which the likelihood, the sampler and
+the FPRAS read in place.  A table carries the grammar and HMM it was built
+from, so it is passed alone: ``table.contract(l)`` and
+``sampling.Sampler(table)`` read it, and there is no check that a table
+matches some other grammar or HMM.
 """
 
 from __future__ import annotations
@@ -50,6 +67,14 @@ __all__ = [
 ]
 
 AMBIGUITY_SLACK = 1e-9
+# HMMs with at least this many states get the folded layer.  Below it the
+# per-product loop stays, bit-identical to the full loop: folded, a 4-state
+# table's time grows slower than quadratically in L (acceptance c08's t128/t64
+# read 2.65-2.95 against its 3.0 floor), because the fold's fixed cost per
+# layer dominates its small products
+FOLD_STATES = 8
+# largest entry count of the folded products' temporary: 512 KB of float64
+FOLD_ENTRIES = 2**16
 
 
 class NumericalError(ValueError):
@@ -113,16 +138,18 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     """Build all layers 1..L bottom-up.
 
     Base case: F_1[a] = sum of A_sigma over lexical rules a -> sigma.
-    Combine:   for each split m, then each distinct children pair (b, c)
-    whose product is live (b derives length m and c length l - m), form
-    F_m[b] @ F_{l-m}[c] once and add it into F_l[a] for each rule a -> b c.
-    Each F_l[a] accumulates in fixed order (ascending m, then rule index),
-    so results are bit-reproducible.  Skipping the dead products, which are
-    exact zeros, leaves every finite entry bit-identical to the full loop;
-    an entry the full loop would make NaN by 0 * inf after overflow stays
-    inf.  Row l of ``live`` is set for the parents of layer l's live
-    products as they are formed.  Cost is O(live pair products of the
-    layer * n'^3) per layer, at most O(l * |pairs| * n'^3).
+    Combine:   each live product F_m[b] @ F_{l-m}[c] of a children pair
+    (b, c), where b derives length m and c length l - m, is added into
+    F_l[a] for each rule a -> b c.  Below FOLD_STATES states the products
+    go in order of ascending m, then rule index, and every finite entry is
+    bit-identical to the full loop's; an entry the full loop would make NaN
+    by 0 * inf after overflow stays inf.  From FOLD_STATES states on, each
+    pair's evenly spaced live splits are summed by one stacked product
+    (``_fold_layer``), so the layers agree with the loop's to rounding
+    only; a rebuild is still bit-identical.  Row l of ``live`` is set for
+    the parents of layer l's live products as they are formed.  Cost is
+    O(live pair products of the layer * n^3) per layer, at most
+    O(l * |pairs| * n^3).
     """
     _check_alphabets(g, model)
     if L < 1:
@@ -150,24 +177,66 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     # views[l-1][a] is F_l[a]; the loop looks up several per product, and a
     # list lookup costs less than indexing an ndarray
     views = [list(layer) for layer in layers]
+    if np_ >= FOLD_STATES:
+        # the stacked products of one chunk of splits land here
+        stack = np.empty((min(max(1, FOLD_ENTRIES // (np_ * np_)), L), np_, np_))
     for l in range(2, L + 1):
         # row marks the parents of live products; a list item is cheaper to
         # set than an ndarray item
         cur, row = views[l - 1], [False] * n
         # i = m - 1 for split m; the live pairs come in ascending split order
         split, pair = live_products(live, l, B, C)
-        last = -1
-        for i, (b, c, parents) in zip(split.tolist(), map(fan.__getitem__, pair.tolist())):
-            if i != last:
-                lo, hi, last = views[i], views[l - i - 2], i
-            product = lo[b] @ hi[c]
-            for a in parents:
-                cur[a] += product
-                row[a] = True
+        if np_ >= FOLD_STATES:
+            _fold_layer(layers, views, l, split, pair, fan, stack, row)
+        else:
+            last = -1
+            for i, (b, c, parents) in zip(split.tolist(), map(fan.__getitem__, pair.tolist())):
+                if i != last:
+                    lo, hi, last = views[i], views[l - i - 2], i
+                product = lo[b] @ hi[c]
+                for a in parents:
+                    cur[a] += product
+                    row[a] = True
         live[l - 1] = row
     layers.setflags(write=False)
     live.setflags(write=False)
     return ForwardTable(layers=layers, live=live, grammar=g, model=model)
+
+
+def _fold_layer(layers, views, l, split, pair, fan, stack, row) -> None:
+    """Add layer l's live products into F_l, one children pair at a time.
+
+    A pair whose live splits i (= m - 1) are two or more and evenly spaced
+    by d has its split sum formed as stacked products over two strided views
+    of ``layers``, F_m[b] for ascending m against F_{l-m}[c], in chunks of
+    at most ``len(stack)`` splits, and the sum is added once into each
+    parent.  Any other pair adds its products one by one, in ascending split
+    order.
+    """
+    cur, splits_of = views[l - 1], [[] for _ in fan]
+    for i, p in zip(split.tolist(), pair.tolist()):
+        splits_of[p].append(i)
+    chunk = len(stack)
+    for (b, c, parents), splits in zip(fan, splits_of):
+        if not splits:
+            continue
+        i, j, k = splits[0], splits[-1], len(splits)
+        d = splits[1] - i if k > 1 else 0
+        if k > 1 and splits == list(range(i, j + 1, d)):
+            left, right = layers[i:j + 1:d, b], layers[l - 2 - i::-d, c][:k]
+            parts = (np.add.reduce(np.matmul(left[at:at + chunk], right[at:at + chunk],
+                                             out=stack[:min(chunk, k - at)]), axis=0)
+                     for at in range(0, k, chunk))
+            total = next(parts)
+            for part in parts:
+                total += part
+            products = [total]
+        else:
+            products = [views[i][b] @ views[l - i - 2][c] for i in splits]
+        for product in products:
+            for a in parents:
+                cur[a] += product
+                row[a] = True
 
 
 def weighted_mass(g: CnfGrammar, model: Hmm, L: int) -> LikelihoodResult:

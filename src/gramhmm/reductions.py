@@ -60,11 +60,17 @@ class Cnf3Formula:
         if not self.clauses:
             raise ReductionError("formula needs at least one clause")
         for clause in self.clauses:
-            if len(clause) != 3:
-                raise ReductionError(f"clause {clause} does not have exactly 3 literals")
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.variable_count:
-                    raise ReductionError(f"literal {lit} out of range")
+            _check_clause(clause, self.variable_count)
+
+
+def _check_clause(clause: Clause, n: int) -> None:
+    """Raise ReductionError unless the clause has exactly 3 literals, each a
+    nonzero variable index of absolute value at most n."""
+    if len(clause) != 3:
+        raise ReductionError(f"clause {clause} does not have exactly 3 literals")
+    for lit in clause:
+        if lit == 0 or abs(lit) > n:
+            raise ReductionError(f"literal {lit} out of range")
 
 
 def parse_dimacs(text: str) -> Cnf3Formula:
@@ -152,9 +158,7 @@ def _position_grammar(allowed: list[tuple[str, ...]]) -> CnfGrammar:
 
 def clause_complement_grammar(clause: Clause, n: int) -> CnfGrammar:
     """Unambiguous grammar for the length-n assignments falsifying the clause."""
-    for lit in clause:
-        if lit == 0 or abs(lit) > n:
-            raise ReductionError(f"literal {lit} out of range")
+    _check_clause(clause, n)
     return _position_grammar(_falsifying_bits(clause, n))
 
 

@@ -28,6 +28,17 @@ def ss_grammar():
     return parse_grammar("start S\nS -> S S\nS -> 'a'")
 
 
+@pytest.fixture
+def c08():
+    # acceptance c08's grammar: 3 nonterminals, 14 binary rules, 9 children pairs
+    return parse_grammar("start S\n" + "\n".join([
+        "S -> S S", "S -> A B", "S -> B A", "S -> A S", "S -> S B",
+        "A -> A A", "A -> S B", "B -> B A", "B -> A S", "B -> S S",
+        "A -> B B", "S -> B S", "B -> S A", "A -> S S",
+        "S -> 'a'", "S -> 'b'", "A -> 'a'", "B -> 'b'", "A -> 'b'", "B -> 'a'",
+    ]))
+
+
 def random_grammar(rng: np.random.Generator, max_nonterminals=4, alphabet="abc",
                    sparse=False) -> CnfGrammar:
     """Small random CNF grammar guaranteed to have at least one rule.

@@ -94,6 +94,8 @@ class TestParse:
         ("initial", {}, "initial vector must be an array of numbers"),
         ("initial", ["1"], "initial vector must be an array of numbers"),
         ("matrices", [], "matrices must be an object"),
+        ("initial", [True], "initial vector must be an array of numbers"),
+        ("initial", [None], "initial vector must be an array of numbers"),
     ])
     def test_malformed_field_type(self, field, value, message):
         doc = json.loads(UNIFORM_AB)
@@ -101,7 +103,9 @@ class TestParse:
         with pytest.raises(HmmError, match=message):
             parse_hmm(json.dumps(doc))
 
-    @pytest.mark.parametrize("matrix", [[0.5], [[0.5], 0.5], [[True]], [[0.5], [0.5, 0.5]]])
+    @pytest.mark.parametrize("matrix", [
+        [0.5], [[0.5], 0.5], [[True]], [[0.5], [0.5, 0.5]], [["x"]], [[None]], [[[0.5]]],
+    ])
     def test_malformed_matrix(self, matrix):
         doc = json.loads(UNIFORM_AB)
         doc["matrices"]["a"] = matrix

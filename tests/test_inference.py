@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramhmm.grammar import parse_grammar, union
+from gramhmm.grammar import live_products, parse_grammar, union
 from gramhmm.hmm import random_hmm, uniform_hmm
 from gramhmm.inference import (
+    FOLD_STATES,
     AttestationError,
     InferenceError,
     forward_table,
@@ -31,6 +32,27 @@ def full_loop_layers(g, model, L):
             for a, b, c in g.binary_rules:
                 cur[a] += lo[b] @ hi[c]
     return layers
+
+
+def assert_close_to_full_loop(table, rel=1e-12):
+    """Layers within ``rel`` of the full loop's (zeros exactly zero), and
+    ``live`` marking the nonzero blocks (random_hmm's entries are positive)."""
+    ref = full_loop_layers(table.grammar, table.model, table.length)
+    assert np.all(np.abs(table.layers - ref) <= rel * ref)
+    assert np.array_equal(table.live, (table.layers > 0).any(axis=(2, 3)))
+
+
+def split_steps(table):
+    """Spacing of each children pair's live splits over layers 2..L: 0 for
+    one split, d for evenly spaced ones, None otherwise."""
+    B, C = table.grammar.pairs.T
+    steps = set()
+    for l in range(2, table.length + 1):
+        split, pair = live_products(table.live, l, B, C)
+        for p in np.unique(pair):
+            gaps = set(np.diff(split[pair == p]).tolist())
+            steps.add(gaps.pop() if len(gaps) == 1 else None if gaps else 0)
+    return steps
 
 
 class TestForwardTable:
@@ -120,6 +142,65 @@ class TestForwardTable:
         assert not np.isnan(table.layers).any()
         assert np.isinf(table.layers[450:, g.start]).all()
         assert np.isfinite(table.layers[:450]).all()
+
+
+class TestFoldedTable:
+    """From FOLD_STATES states on, each children pair's evenly spaced live
+    splits are summed by one stacked product, so the layers differ from the
+    loop's in the last bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["dense", "sparse", "union"]),
+           st.integers(FOLD_STATES, 12), st.integers(1, 10))
+    def test_matches_full_loop(self, seed, kind, states, L):
+        rng = np.random.default_rng(seed)
+        if kind == "union":
+            g = union(random_grammar(rng), random_grammar(rng, sparse=True))
+        else:
+            g = random_grammar(rng, sparse=kind == "sparse")
+        model = random_hmm(states, g.alphabet, int(rng.integers(0, 2**31)))
+        assert_close_to_full_loop(forward_table(g, model, L))
+        # brute force walks |alphabet|^L strings, at most 3^6 here
+        short = min(L, 6)
+        exact = brute_force_weighted_mass(g, model, short)
+        assert weighted_mass(g, model, short).value == pytest.approx(exact, rel=1e-9)
+
+    def test_contiguous_splits_in_chunks(self, c08):
+        # every split of every pair is live; at n=64 a chunk holds 16 splits
+        table = forward_table(c08, random_hmm(64, "ab", seed=5), 40)
+        assert split_steps(table) == {0, 1}
+        assert_close_to_full_loop(table)
+
+    def test_every_other_split(self, dyck):
+        table = forward_table(dyck, random_hmm(8, "()", seed=6), 30)
+        assert 2 in split_steps(table)
+        assert_close_to_full_loop(table)
+
+    def test_one_live_split_per_pair(self, universal_ab):
+        g = union(universal_ab, universal_ab)
+        table = forward_table(g, random_hmm(8, "ab", seed=7), 30)
+        assert split_steps(table) == {0}
+        assert_close_to_full_loop(table)
+
+    def test_unevenly_spaced_splits(self):
+        # A derives lengths 1, 2 and 4 only, so pair (A, C) has live splits
+        # 1, 2, 4 from l = 5 on
+        g = parse_grammar("start S\nS -> A C\nA -> P P\nA -> Q Q\nQ -> P P\nC -> C C\n"
+                          "A -> 'a'\nP -> 'a'\nC -> 'a'\nC -> 'b'")
+        table = forward_table(g, random_hmm(8, "ab", seed=10), 12)
+        assert None in split_steps(table)
+        assert_close_to_full_loop(table)
+
+    def test_rebuild_is_bitwise_equal(self, c08):
+        model = random_hmm(16, "ab", seed=8)
+        assert np.array_equal(forward_table(c08, model, 30).layers,
+                              forward_table(c08, model, 30).layers)
+
+    def test_loop_below_fold_states(self, c08):
+        assert FOLD_STATES == 8
+        model = random_hmm(7, "ab", seed=9)
+        assert np.array_equal(forward_table(c08, model, 20).layers,
+                              full_loop_layers(c08, model, 20))
 
 
 class TestWeightedMass:

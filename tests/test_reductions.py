@@ -86,6 +86,11 @@ class TestClauseGrammar:
         assert enumerate_language(g, 1) == language
         assert max_ambiguity(g, 1) == len(language)
 
+    @pytest.mark.parametrize("clause, n", [((), 0), ((), 2), ((1, 2), 2)])
+    def test_rejects_clause_without_three_literals(self, clause, n):
+        with pytest.raises(ReductionError, match=r"does not have exactly 3 literals"):
+            clause_complement_grammar(clause, n)
+
 
 class TestFormulaToCfg:
     def test_single_clause(self):
