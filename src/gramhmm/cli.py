@@ -3,6 +3,11 @@
 Human-readable diagnostics (timings, progress) go to stderr so stdout stays
 machine-readable and bit-reproducible for seeded commands.  Exit codes:
 0 ok, 2 usage error (from argparse), 3 validation error, 4 numerical/consistency error.
+
+``main`` builds only the invoked subcommand's parser when the arguments start
+with a known command: the other four parsers would cost more than parsing
+itself.  Help, a missing or unknown subcommand and a missing option print
+the same text as with every parser built, and the errors exit 2.
 """
 
 from __future__ import annotations
@@ -150,52 +155,53 @@ def cmd_reduce3sat(args) -> dict:
     return doc
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED = {"required": True}
+_INT = {"type": int, "required": True}
+_FLAG = {"action": "store_true"}
+# subcommand -> (help, handler, (option, add_argument keywords) pairs)
+COMMANDS = {
+    "likelihood": ("exact or weighted-mass likelihood", cmd_likelihood, (
+        ("--grammar", _REQUIRED), ("--hmm", _REQUIRED), ("--length", _INT),
+        ("--mode", {"choices": ["weighted", "ucfg", "upto"], "required": True}),
+        ("--attest-unambiguous", _FLAG))),
+    "sample": ("draw constrained samples", cmd_sample, (
+        ("--grammar", _REQUIRED), ("--hmm", _REQUIRED), ("--length", _INT),
+        ("--count", _INT), ("--seed", _INT), ("--emit-trees", _FLAG))),
+    "approx": ("FPRAS estimate for ambiguous grammars", cmd_approx, (
+        ("--grammar", _REQUIRED), ("--hmm", _REQUIRED), ("--length", _INT),
+        ("--epsilon", {"type": float, "required": True}), ("--ambiguity-bound", _INT),
+        ("--seed", _INT))),
+    "oracle": ("brute-force reference values", cmd_oracle, (
+        ("--grammar", _REQUIRED), ("--hmm", {}), ("--length", _INT),
+        ("--what", {"choices": ["mass", "likelihood", "distribution", "maxambiguity"],
+                    "required": True}))),
+    "reduce3sat": ("3-CNF to union grammar, optionally count models", cmd_reduce3sat, (
+        ("--cnf", _REQUIRED), ("--out", {}), ("--count", _FLAG))),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    Built for one command, it parses that command's arguments and prints
+    the same usage, help and errors as the full parser, but it cannot name
+    the other commands in its help or in an invalid-choice error, so it
+    serves only argument lists that start with ``command``.
+    """
     parser = argparse.ArgumentParser(
         prog="gramhmm",
         description="Grammar-constrained HMM likelihoods, sampling and FPRAS approximation",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("likelihood", help="exact or weighted-mass likelihood")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--hmm", required=True)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--mode", choices=["weighted", "ucfg", "upto"], required=True)
-    p.add_argument("--attest-unambiguous", action="store_true")
-    p.set_defaults(func=cmd_likelihood)
-
-    p = sub.add_parser("sample", help="draw constrained samples")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--hmm", required=True)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--emit-trees", action="store_true")
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("approx", help="FPRAS estimate for ambiguous grammars")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--hmm", required=True)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--ambiguity-bound", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=cmd_approx)
-
-    p = sub.add_parser("oracle", help="brute-force reference values")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--hmm")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--what", choices=["mass", "likelihood", "distribution", "maxambiguity"],
-                   required=True)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("reduce3sat", help="3-CNF to union grammar, optionally count models")
-    p.add_argument("--cnf", required=True)
-    p.add_argument("--out")
-    p.add_argument("--count", action="store_true")
-    p.set_defaults(func=cmd_reduce3sat)
+    # with one command built, the metavar keeps the usage line naming all
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if command else None)
+    for name in [command] if command else COMMANDS:
+        help_text, func, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for option, keywords in options:
+            p.add_argument(option, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -221,8 +227,12 @@ def _nonfinite(doc, path: str) -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # an argument list that starts with a command needs no other command's
+    # parser; anything else (help, no command, an unknown one) gets them all
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     started = time.perf_counter()
     try:
         body = args.func(args)

@@ -14,14 +14,18 @@ string of length l - m, as recorded in ``ForwardTable.live``
 (``grammar.live_products``).  Every other product is an exact zero matrix.
 There are two paths, chosen by the HMM's state count n:
 
-- Below FOLD_STATES states, a loop over splits m = 1..l-1, then pairs, forms
-  each live product once and adds it into F_l[a] for every rule a -> b c.
-  Each F_l[a] gets its addends in the order of a loop over splits, then
-  rules, and adding +0.0 to a nonnegative entry changes nothing, so these
-  layers are bit-identical to the full loop's while their entries are
-  finite.  The one difference is after overflow: a dead product against an
-  overflowed layer is 0 * inf = NaN in the full loop, and is never formed
-  here, so such entries stay inf.
+- Below FOLD_STATES states, all live products of a layer are formed
+  together, one per (split m, rule a -> b c): the factors are gathered into
+  two stacks, multiplied by one batched ``np.matmul``, and added into their
+  parents by one ``np.add.at``, in chunks of at most
+  max(1, FOLD_ENTRIES // n**2) products.  The products are ordered by split,
+  then rule, and ``np.add.at`` adds repeated indices one after another in
+  index order, so each F_l[a] gets its addends in the order of a loop over
+  splits, then rules.  Adding +0.0 to a nonnegative entry changes nothing,
+  so these layers are bit-identical to the full loop's while their entries
+  are finite.  The one difference is after overflow: a dead product against
+  an overflowed layer is 0 * inf = NaN in the full loop, and is never
+  formed here, so such entries stay inf.
 - From FOLD_STATES states on, the layer goes pair by pair, in pair order.
   A pair whose live splits are two or more and evenly spaced (every split,
   or every other one) has its split sum formed as one stacked product,
@@ -67,13 +71,14 @@ __all__ = [
 ]
 
 AMBIGUITY_SLACK = 1e-9
-# HMMs with at least this many states get the folded layer.  Below it the
-# per-product loop stays, bit-identical to the full loop: folded, a 4-state
-# table's time grows slower than quadratically in L (acceptance c08's t128/t64
-# read 2.65-2.95 against its 3.0 floor), because the fold's fixed cost per
-# layer dominates its small products
+# HMMs with at least this many states get the folded layer, whose strided
+# views read the table in place.  Below it each layer's live products are
+# batched per rule, from gathered copies of both factors: at n >= 8 those
+# copies cost more memory than the fold's views, while at small n the fold's
+# fixed cost per pair and layer outweighs its small products
 FOLD_STATES = 8
-# largest entry count of the folded products' temporary: 512 KB of float64
+# largest entry count of one chunk's products, folded or batched: 512 KB of
+# float64
 FOLD_ENTRIES = 2**16
 
 
@@ -140,16 +145,17 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     Base case: F_1[a] = sum of A_sigma over lexical rules a -> sigma.
     Combine:   each live product F_m[b] @ F_{l-m}[c] of a children pair
     (b, c), where b derives length m and c length l - m, is added into
-    F_l[a] for each rule a -> b c.  Below FOLD_STATES states the products
-    go in order of ascending m, then rule index, and every finite entry is
-    bit-identical to the full loop's; an entry the full loop would make NaN
-    by 0 * inf after overflow stays inf.  From FOLD_STATES states on, each
-    pair's evenly spaced live splits are summed by one stacked product
-    (``_fold_layer``), so the layers agree with the loop's to rounding
-    only; a rebuild is still bit-identical.  Row l of ``live`` is set for
-    the parents of layer l's live products as they are formed.  Cost is
-    O(live pair products of the layer * n^3) per layer, at most
-    O(l * |pairs| * n^3).
+    F_l[a] for each rule a -> b c.  Below FOLD_STATES states each layer's
+    live products are formed per rule by one batched product and added by
+    one ordered scatter (``_batch_layers``), in order of ascending m, then
+    rule index, and every finite entry is bit-identical to the full loop's;
+    an entry the full loop would make NaN by 0 * inf after overflow stays
+    inf.  From FOLD_STATES states on, each pair's evenly spaced live splits
+    are summed by one stacked product (``_fold_layers``), so the layers
+    agree with the loop's to rounding only; a rebuild is still
+    bit-identical.  Row l of ``live`` is set for the parents of layer l's
+    live products.  Cost is O(live products of the layer * n^3) per layer,
+    at most O(l * |rules| * n^3).
     """
     _check_alphabets(g, model)
     if L < 1:
@@ -170,73 +176,86 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     for a, s in g.lexical_rules:
         layers[0, a] += model.matrices[s]
         live[0, a] = True
-    B, C = g.pairs.T
-    # fan[p] is (b, c, parents of pair p), as Python ints for the loop
-    fan = [(b, c, np.flatnonzero(parents).tolist())
-           for (b, c), parents in zip(g.pairs.tolist(), g.parents)]
-    # views[l-1][a] is F_l[a]; the loop looks up several per product, and a
-    # list lookup costs less than indexing an ndarray
-    views = [list(layer) for layer in layers]
     if np_ >= FOLD_STATES:
-        # the stacked products of one chunk of splits land here
-        stack = np.empty((min(max(1, FOLD_ENTRIES // (np_ * np_)), L), np_, np_))
-    for l in range(2, L + 1):
-        # row marks the parents of live products; a list item is cheaper to
-        # set than an ndarray item
-        cur, row = views[l - 1], [False] * n
-        # i = m - 1 for split m; the live pairs come in ascending split order
-        split, pair = live_products(live, l, B, C)
-        if np_ >= FOLD_STATES:
-            _fold_layer(layers, views, l, split, pair, fan, stack, row)
-        else:
-            last = -1
-            for i, (b, c, parents) in zip(split.tolist(), map(fan.__getitem__, pair.tolist())):
-                if i != last:
-                    lo, hi, last = views[i], views[l - i - 2], i
-                product = lo[b] @ hi[c]
-                for a in parents:
-                    cur[a] += product
-                    row[a] = True
-        live[l - 1] = row
+        _fold_layers(g, layers, live)
+    else:
+        _batch_layers(g, layers, live)
     layers.setflags(write=False)
     live.setflags(write=False)
     return ForwardTable(layers=layers, live=live, grammar=g, model=model)
 
 
-def _fold_layer(layers, views, l, split, pair, fan, stack, row) -> None:
-    """Add layer l's live products into F_l, one children pair at a time.
+def _batch_layers(g: CnfGrammar, layers: np.ndarray, live: np.ndarray) -> None:
+    """Fill layers 2..L and their ``live`` rows, each layer's live products
+    formed by batched ``np.matmul`` and added by ``np.add.at`` in chunks.
 
-    A pair whose live splits i (= m - 1) are two or more and evenly spaced
-    by d has its split sum formed as stacked products over two strided views
-    of ``layers``, F_m[b] for ascending m against F_{l-m}[c], in chunks of
-    at most ``len(stack)`` splits, and the sum is added once into each
-    parent.  Any other pair adds its products one by one, in ascending split
-    order.
+    Rule r is a -> b c with (b, c, a) = (rule_b[r], rule_c[r], rule_parent[r]),
+    in (pair, parent) order, so the live (split, rule) products of a layer,
+    ordered by split and then rule, reach each F_l[a] in the loop's
+    (split, pair) order.
     """
-    cur, splits_of = views[l - 1], [[] for _ in fan]
-    for i, p in zip(split.tolist(), pair.tolist()):
-        splits_of[p].append(i)
+    rule_pair, rule_parent = np.nonzero(g.parents)
+    rule_b, rule_c = g.pairs[rule_pair].T
+    chunk = max(1, FOLD_ENTRIES // layers.shape[-1] ** 2)
+    for l in range(2, len(layers) + 1):
+        # i = m - 1 for split m
+        split, rule = live_products(live, l, rule_b, rule_c)
+        for at in range(0, len(rule), chunk):
+            i, r = split[at:at + chunk], rule[at:at + chunk]
+            product = np.matmul(layers[i, rule_b[r]], layers[l - 2 - i, rule_c[r]])
+            np.add.at(layers[l - 1], rule_parent[r], product)
+        live[l - 1, rule_parent[rule]] = True
+
+
+def _fold_layers(g: CnfGrammar, layers: np.ndarray, live: np.ndarray) -> None:
+    """Fill layers 2..L and their ``live`` rows, one children pair at a time.
+
+    Per layer, a pair whose live splits i (= m - 1) are two or more and
+    evenly spaced by d has its split sum formed as stacked products over two
+    strided views of ``layers``, F_m[b] for ascending m against F_{l-m}[c],
+    in chunks of at most max(1, FOLD_ENTRIES // n**2) splits, and the sum is
+    added once into each parent.  Any other pair adds its products one by
+    one, in ascending split order.
+    """
+    L, n, np_ = layers.shape[:3]
+    B, C = g.pairs.T
+    # fan[p] is (b, c, parents of pair p), as Python ints
+    fan = [(b, c, np.flatnonzero(parents).tolist())
+           for (b, c), parents in zip(g.pairs.tolist(), g.parents)]
+    # views[l-1][a] is F_l[a]; a list lookup costs less than indexing an ndarray
+    views = [list(layer) for layer in layers]
+    # the stacked products of one chunk of splits land here
+    stack = np.empty((min(max(1, FOLD_ENTRIES // (np_ * np_)), L), np_, np_))
     chunk = len(stack)
-    for (b, c, parents), splits in zip(fan, splits_of):
-        if not splits:
-            continue
-        i, j, k = splits[0], splits[-1], len(splits)
-        d = splits[1] - i if k > 1 else 0
-        if k > 1 and splits == list(range(i, j + 1, d)):
-            left, right = layers[i:j + 1:d, b], layers[l - 2 - i::-d, c][:k]
-            parts = (np.add.reduce(np.matmul(left[at:at + chunk], right[at:at + chunk],
-                                             out=stack[:min(chunk, k - at)]), axis=0)
-                     for at in range(0, k, chunk))
-            total = next(parts)
-            for part in parts:
-                total += part
-            products = [total]
-        else:
-            products = [views[i][b] @ views[l - i - 2][c] for i in splits]
-        for product in products:
-            for a in parents:
-                cur[a] += product
-                row[a] = True
+    for l in range(2, L + 1):
+        # row marks the parents of live products; a list item is cheaper to
+        # set than an ndarray item
+        cur, row, splits_of = views[l - 1], [False] * n, [[] for _ in fan]
+        # i = m - 1 for split m; the live pairs come in ascending split order
+        split, pair = live_products(live, l, B, C)
+        for i, p in zip(split.tolist(), pair.tolist()):
+            splits_of[p].append(i)
+        for (b, c, parents), splits in zip(fan, splits_of):
+            if not splits:
+                continue
+            i, j, k = splits[0], splits[-1], len(splits)
+            d = splits[1] - i if k > 1 else 0
+            if k > 1 and splits == list(range(i, j + 1, d)):
+                left, right = layers[i:j + 1:d, b], layers[l - 2 - i::-d, c][:k]
+                parts = (np.add.reduce(np.matmul(left[at:at + chunk], right[at:at + chunk],
+                                                 out=stack[:min(chunk, k - at)]), axis=0)
+                         for at in range(0, k, chunk))
+                total = next(parts)
+                for part in parts:
+                    total += part
+                products = [total]
+            else:
+                products = [views[i][b] @ views[l - i - 2][c] for i in splits]
+            for product in products:
+                for a in parents:
+                    cur[a] += product
+                    row[a] = True
+        live[l - 1] = row
 
 
 def weighted_mass(g: CnfGrammar, model: Hmm, L: int) -> LikelihoodResult:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gramhmm.cli import CliFailure, _failure_code
+from gramhmm.cli import COMMANDS, CliFailure, _failure_code, build_parser, main
 from gramhmm.grammar import dyck_grammar, format_grammar, parse_grammar, union, universal_grammar
 from gramhmm.hmm import HmmError, format_hmm, uniform_hmm
 from gramhmm.inference import AttestationError, AttestationViolatedError
@@ -421,3 +421,44 @@ def test_table_too_large_is_validation_error(files, command, length):
 ])
 def test_failure_code_by_type(error, code):
     assert _failure_code(error) == code
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["likelihood", "--grammar", "g", "--hmm", "h", "--length", "3", "--mode", "ucfg",
+         "--attest-unambiguous"],
+        ["oracle", "--grammar", "g", "--length", "2", "--what", "maxambiguity"],
+        ["reduce3sat", "--cnf", "f.cnf", "--count"],
+    ])
+    def test_one_command_parses_as_all(self, argv):
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["likelihood", "--mode", "weighted"],
+        ["likelihood", "--grammar", "g", "--hmm", "h", "--length", "x", "--mode", "ucfg"],
+        ["sample", "--grammar", "g", "--hmm", "h", "--length", "3", "--count", "1",
+         "--seed", "0", "--extra"],
+        ["approx", "-h"],
+        ["reduce3sat"],
+    ])
+    def test_one_command_prints_as_all(self, argv, capsys):
+        # usage errors and help print the same text and exit code
+        seen = []
+        for parser in (build_parser(argv[0]), build_parser()):
+            with pytest.raises(SystemExit) as exit_:
+                parser.parse_args(argv)
+            seen.append((exit_.value.code, capsys.readouterr()))
+        assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("argv, text", [
+        ([], "required: command"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["--help"], "3-CNF to union grammar"),
+    ])
+    def test_usage_names_every_command(self, argv, text, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        out = capsys.readouterr()
+        assert exit_.value.code == (0 if argv == ["--help"] else 2)
+        assert "{" + ",".join(COMMANDS) + "}" in out.out + out.err
+        assert text in out.out + out.err

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from gramhmm.grammar import live_products, parse_grammar, union
 from gramhmm.hmm import random_hmm, uniform_hmm
 from gramhmm.inference import (
+    FOLD_ENTRIES,
     FOLD_STATES,
     AttestationError,
     InferenceError,
@@ -112,10 +116,31 @@ class TestForwardTable:
         # positive entry exactly when a derives some string of length l
         rng = np.random.default_rng(seed)
         g = random_grammar(rng, sparse=True)
-        model = random_hmm(int(rng.integers(1, 4)), g.alphabet, int(rng.integers(0, 2**31)))
+        model = random_hmm(int(rng.integers(1, FOLD_STATES)), g.alphabet,
+                           int(rng.integers(0, 2**31)))
         table = forward_table(g, model, L)
         assert np.array_equal(table.layers, full_loop_layers(g, model, L))
         assert np.array_equal(table.live, (table.layers > 0).any(axis=(2, 3)))
+
+    def test_products_across_chunks_match_full_loop(self, c08):
+        # at n=7 a chunk holds FOLD_ENTRIES // 49 = 1337 products, and c08's
+        # layers l = 97..110 have 14 * (l - 1) live ones, so they span a
+        # chunk boundary and still add in the loop's order
+        model = random_hmm(7, "ab", seed=11)
+        table = forward_table(c08, model, 110)
+        rule_b, rule_c = c08.pairs[np.nonzero(c08.parents)[0]].T
+        assert len(live_products(table.live, 110, rule_b, rule_c)[0]) > FOLD_ENTRIES // 49
+        assert np.isfinite(table.layers).all()
+        assert np.array_equal(table.layers, full_loop_layers(c08, model, 110))
+        assert np.array_equal(table.live, (table.layers > 0).any(axis=(2, 3)))
+
+    def test_long_one_state_dyck(self, dyck, paren_uniform):
+        # C_1000 / 2^2000, the share of balanced strings among all of length
+        # 2000; the pinned float is the per-product loop's
+        value = ucfg_likelihood(dyck, paren_uniform, 2000, unambiguity_attested=True).value
+        assert value == 1.782118995589849e-05
+        assert value == pytest.approx(
+            float(Fraction(math.comb(2000, 1000), 1001 * 2**2000)), rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(1, 6))
