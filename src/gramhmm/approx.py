@@ -10,10 +10,12 @@ that the estimate is within relative error epsilon with probability at
 least 3/4, the paper's fixed confidence.  The exact derivation counts of a
 batch come from one call of ``grammar.derivation_counts``, which counts
 each distinct string once; a count above the bound voids that guarantee
-and raises ``ApproxError`` before the batch's Bernoulli draws, which then
-run per proposal in draw order.  The Bernoulli draw is carried out over
-big integers, never via a floating-point reciprocal, since derivation
-counts can exceed 2^53.
+and raises ``ApproxError`` before the batch's Bernoulli draws.  Those draws
+are one walk per batch over pooled uint32 words, which reads the same random
+stream, and gives the same outcomes, as one ``exact_bernoulli`` call per
+proposal in draw order.  The Bernoulli draw is carried out over big
+integers, never via a floating-point reciprocal, since derivation counts
+can exceed 2^53.
 """
 
 from __future__ import annotations
@@ -70,18 +72,47 @@ def exact_bernoulli(count: int, rng: np.random.Generator) -> bool:
 
     Draws uniform bit blocks of width count.bit_length() until one lands in
     [0, count), then tests it against 0; no floating point is involved.
+    This is the one-count case of ``_bernoulli_walk``.
     """
-    if count < 1:
+    return _bernoulli_walk([count], rng)[0]
+
+
+def _bernoulli_walk(counts: list[int], rng: np.random.Generator) -> list[bool]:
+    """One exact Bernoulli(1/count) outcome per count, in order.
+
+    For a count c of b bits, an attempt reads nbytes = ceil(b/8) random
+    bytes as a big-endian integer, shifts it right by 8*nbytes - b, retries
+    while the value is >= c and accepts on 0; a count of 1 draws nothing.
+    ``rng.bytes(nbytes)`` is the little-endian bytes of ceil(nbytes/4) =
+    ceil(b/32) uint32 words of ``rng.integers``, cut to nbytes, so attempts
+    read those words from a pool drawn in one call.  A pool holds at most one
+    attempt's words for each count still waiting, which every one of them
+    needs anyway, so the walk draws the same words and leaves ``rng`` in
+    the same state as one ``rng.bytes`` call per attempt.
+    """
+    if min(counts, default=1) < 1:
         raise ApproxError("count must be >= 1")
-    if count == 1:
-        return True
-    bits = count.bit_length()
-    nbytes = (bits + 7) // 8
-    shift = 8 * nbytes - bits
-    while True:
-        x = int.from_bytes(rng.bytes(nbytes), "big") >> shift
-        if x < count:
-            return x == 0
+    words = [0 if c == 1 else (c.bit_length() + 31) // 32 for c in counts]
+    outcomes = []
+    pool, pos = b"", 0
+    for i, count in enumerate(counts):
+        if count == 1:
+            outcomes.append(True)
+            continue
+        bits = count.bit_length()
+        nbytes = (bits + 7) // 8
+        step, shift = 4 * words[i], 8 * nbytes - bits
+        while True:
+            if pos + step > len(pool):
+                fresh = rng.integers(0, 2**32, size=sum(words[i:]) - (len(pool) - pos) // 4,
+                                     dtype=np.uint32)
+                pool, pos = pool[pos:] + fresh.astype("<u4").tobytes(), 0
+            x = int.from_bytes(pool[pos:pos + nbytes], "big") >> shift
+            pos += step
+            if x < count:
+                outcomes.append(x == 0)
+                break
+    return outcomes
 
 
 def fpras_likelihood(
@@ -121,9 +152,7 @@ def fpras_likelihood(
         if max(counts) > bound_value:
             raise ApproxError(f"ambiguity bound {bound_value} exceeded: a length-{L} "
                               f"proposal has {max(counts)} derivations")
-        for count in counts:
-            if exact_bernoulli(count, rng):
-                accepted += 1
+        accepted += sum(_bernoulli_walk(counts, rng))
     return FprasReport(
         estimate=z * accepted / n_samples,
         z_weighted=z,

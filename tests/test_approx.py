@@ -1,10 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gramhmm.approx import (
     ApproxError,
+    _bernoulli_walk,
     exact_bernoulli,
     fpras_likelihood,
     sample_size,
@@ -16,11 +20,37 @@ from gramhmm.oracle import exact_distribution
 from gramhmm.sampling import Sampler, seeded_generator
 
 
+def reference_bernoulli(count, rng):
+    """gramhmm 0.11.0's exact_bernoulli: one rng.bytes call per attempt."""
+    if count < 1:
+        raise ApproxError("count must be >= 1")
+    if count == 1:
+        return True
+    bits = count.bit_length()
+    nbytes = (bits + 7) // 8
+    shift = 8 * nbytes - bits
+    while True:
+        x = int.from_bytes(rng.bytes(nbytes), "big") >> shift
+        if x < count:
+            return x == 0
+
+
 def per_string_accepted(g, model, L, epsilon, bound, seed):
     """Acceptances of the FPRAS with each proposal counted on its own."""
     rng = seeded_generator(seed)
     draws = Sampler(forward_table(g, model, L)).draw_many(L, sample_size(bound, epsilon), rng)
-    return sum(exact_bernoulli(derivation_count(g, t.string), rng) for t in draws)
+    return sum(reference_bernoulli(derivation_count(g, t.string), rng) for t in draws)
+
+
+# a count of a chosen bit width, so one list mixes 1- to 9-byte attempts
+sized_count = st.integers(1, 72).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2**bits))
+count_lists = st.lists(
+    st.one_of(
+        st.tuples(sized_count, st.integers(1, 8)).map(lambda run: [run[0]] * run[1]),
+        st.integers(1, 40).map(lambda k: [1] * k),
+    ),
+    min_size=1, max_size=300,
+).map(lambda runs: list(itertools.chain.from_iterable(runs))[:1100])
 
 
 class TestSampleSize:
@@ -63,6 +93,29 @@ class TestStreamPin:
         }[name]()
         report = fpras_likelihood(g, model, L, epsilon=epsilon, bound=bound, seed=seed)
         assert (report.samples, report.accepted) == expected
+
+
+class TestBernoulliStream:
+    """The pooled walk against 0.11.0's per-proposal loop, from equal seeds."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(counts=count_lists, seed=st.integers(0, 2**32))
+    @example(counts=[2] * 1100, seed=7)
+    @example(counts=[3, 2**64 + 1, 1, 1, 2**32, 255, 2**32 - 1, 2**64] * 137, seed=1)
+    def test_same_outcomes_and_generator_state(self, counts, seed):
+        loop_rng, walk_rng = seeded_generator(seed), seeded_generator(seed)
+        expected = [reference_bernoulli(c, loop_rng) for c in counts]
+        outcomes = _bernoulli_walk(counts, walk_rng)
+        assert outcomes == expected
+        assert sum(outcomes) == sum(expected)
+        assert walk_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @pytest.mark.parametrize("counts", [[0], [-3], [2, 0, 1]])
+    def test_count_below_one_rejected(self, counts):
+        with pytest.raises(ApproxError, match="^count must be >= 1$"):
+            _bernoulli_walk(counts, seeded_generator(0))
+        with pytest.raises(ApproxError, match="^count must be >= 1$"):
+            exact_bernoulli(min(counts), seeded_generator(0))
 
 
 class TestExactBernoulli:
