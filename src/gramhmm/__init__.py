@@ -54,6 +54,7 @@ from .oracle import (
     brute_force_weighted_mass,
     enumerate_language,
     exact_distribution,
+    exact_weighted_mass,
     max_ambiguity,
     tv_distance,
 )
@@ -68,4 +69,4 @@ from .reductions import (
     parse_dimacs,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

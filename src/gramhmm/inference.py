@@ -15,9 +15,11 @@ string of length l - m, as recorded in ``ForwardTable.live``
 There are two paths, chosen by the HMM's state count n:
 
 - Below FOLD_STATES states, all live products of a layer are formed
-  together, one per (split m, rule a -> b c): the factors are gathered into
-  two stacks, multiplied by one batched ``np.matmul``, and added into their
-  parents by one ``np.add.at``, in chunks of at most
+  together, one per (split m, rule a -> b c), found as the nonzero entries
+  of two rule-level liveness rows (does b derive length m, does c derive
+  l - m): the factors are gathered into two stacks, multiplied by one
+  batched ``np.matmul``, and added by one ``np.add.at`` on the flattened
+  layer, at the flat entries of each product's parent, in chunks of at most
   max(1, FOLD_ENTRIES // n**2) products.  The products are ordered by split,
   then rule, and ``np.add.at`` adds repeated indices one after another in
   index order, so each F_l[a] gets its addends in the order of a loop over
@@ -73,9 +75,10 @@ __all__ = [
 AMBIGUITY_SLACK = 1e-9
 # HMMs with at least this many states get the folded layer, whose strided
 # views read the table in place.  Below it each layer's live products are
-# batched per rule, from gathered copies of both factors: at n >= 8 those
-# copies cost more memory than the fold's views, while at small n the fold's
-# fixed cost per pair and layer outweighs its small products
+# batched per rule, from gathered copies of both factors, and scattered entry
+# by entry: at n >= 8 those copies cost more memory than the fold's views and
+# the scatter's cost per entry outgrows the fold's one add per pair, while at
+# small n the fold's fixed cost per pair and layer outweighs its small products
 FOLD_STATES = 8
 # largest entry count of one chunk's products, folded or batched: 512 KB of
 # float64
@@ -147,8 +150,9 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     (b, c), where b derives length m and c length l - m, is added into
     F_l[a] for each rule a -> b c.  Below FOLD_STATES states each layer's
     live products are formed per rule by one batched product and added by
-    one ordered scatter (``_batch_layers``), in order of ascending m, then
-    rule index, and every finite entry is bit-identical to the full loop's;
+    one flat, ordered scatter per chunk (``_batch_layers``), in order of
+    ascending m, then rule index, and every finite entry is bit-identical to
+    the full loop's;
     an entry the full loop would make NaN by 0 * inf after overflow stays
     inf.  From FOLD_STATES states on, each pair's evenly spaced live splits
     are summed by one stacked product (``_fold_layers``), so the layers
@@ -187,24 +191,50 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
 
 def _batch_layers(g: CnfGrammar, layers: np.ndarray, live: np.ndarray) -> None:
     """Fill layers 2..L and their ``live`` rows, each layer's live products
-    formed by batched ``np.matmul`` and added by ``np.add.at`` in chunks.
+    formed by batched ``np.matmul`` and added by one flat ``np.add.at`` per
+    chunk.
 
     Rule r is a -> b c with (b, c, a) = (rule_b[r], rule_c[r], rule_parent[r]),
     in (pair, parent) order, so the live (split, rule) products of a layer,
     ordered by split and then rule, reach each F_l[a] in the loop's
-    (split, pair) order.
+    (split, pair) order.  ``left[l-1, r]`` and ``right[l-1, r]`` tell whether
+    b and c derive length l, so layer l's live products are the nonzero
+    entries of left[:l-1] & right[l-2::-1], the rows of splits m and l - m.
+    Each chunk adds its products into the flattened layer at ``target[r]``,
+    the n*n flat entries of F_l[a]; the add is in place, so a parent whose
+    products run across a chunk boundary gets them in order.
     """
+    L, _, n = layers.shape[:3]
     rule_pair, rule_parent = np.nonzero(g.parents)
-    rule_b, rule_c = g.pairs[rule_pair].T
-    chunk = max(1, FOLD_ENTRIES // layers.shape[-1] ** 2)
-    for l in range(2, len(layers) + 1):
+    children = g.pairs[rule_pair].T
+    rule_b, rule_c = children
+    target = rule_parent[:, None] * (n * n) + np.arange(n * n)
+    # sides[l-1] stacks the rows left[l-1] and right[l-1]
+    sides = np.zeros((L, 2, len(rule_parent)), dtype=bool)
+    left, right = sides[:, 0], sides[:, 1]
+    live[0].take(children, out=sides[0])
+    flat = layers.reshape(L, -1)
+    chunk = max(1, FOLD_ENTRIES // (n * n))
+    # a short table pays these calls on every layer, so they are the cheaper
+    # method forms: ``.nonzero()`` over ``np.nonzero``, ``take`` over fancy
+    # indexing
+    for l in range(2, L + 1):
         # i = m - 1 for split m
-        split, rule = live_products(live, l, rule_b, rule_c)
-        for at in range(0, len(rule), chunk):
-            i, r = split[at:at + chunk], rule[at:at + chunk]
+        split, rule = (left[:l - 1] & right[l - 2::-1]).nonzero()
+        if not len(rule):
+            # the layer, its live row and its rule rows stay zero
+            continue
+        if len(rule) <= chunk:
+            parts = [(split, rule)]
+        else:
+            parts = ((split[at:at + chunk], rule[at:at + chunk])
+                     for at in range(0, len(rule), chunk))
+        for i, r in parts:
             product = np.matmul(layers[i, rule_b[r]], layers[l - 2 - i, rule_c[r]])
-            np.add.at(layers[l - 1], rule_parent[r], product)
-        live[l - 1, rule_parent[rule]] = True
+            np.add.at(flat[l - 1], target.take(r, axis=0).ravel(), product.ravel())
+        row = live[l - 1]
+        row[rule_parent[rule]] = True
+        row.take(children, out=sides[l - 1])
 
 
 def _fold_layers(g: CnfGrammar, layers: np.ndarray, live: np.ndarray) -> None:

@@ -1,8 +1,10 @@
-"""Brute-force reference computations over exhaustive string enumeration.
+"""Reference computations: brute force over exhaustive string enumeration,
+and the forward-table recurrence in exact integer arithmetic.
 
 Every walk here visits Sigma^L in lexicographic order (guarded by the
 enumeration limit) and serves as ground truth for the dynamic programs, so
-summation uses math.fsum in that fixed order.
+summation uses math.fsum in that fixed order.  ``exact_weighted_mass``
+reaches lengths past the walk's limit with no rounding at all.
 """
 
 from __future__ import annotations
@@ -10,9 +12,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .grammar import CnfGrammar, GrammarError, derivation_count
 from .hmm import Hmm, string_likelihood
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "OracleError",
@@ -20,6 +28,7 @@ __all__ = [
     "enumerate_language",
     "max_ambiguity",
     "brute_force_weighted_mass",
+    "exact_weighted_mass",
     "brute_force_likelihood",
     "exact_distribution",
     "tv_distance",
@@ -70,6 +79,44 @@ def max_ambiguity(g: CnfGrammar, L: int) -> int:
 def brute_force_weighted_mass(g: CnfGrammar, model: Hmm, L: int) -> float:
     """Sum over all length-L strings of derivation count times HMM probability."""
     return math.fsum(count * string_likelihood(model, w) for w, count in _members(g, L))
+
+
+def exact_weighted_mass(g: CnfGrammar, model: Hmm, L: int) -> Fraction:
+    """The weighted mass Z = sum_w f_G(w) * f_A(w) over length-L strings,
+    exactly, by the forward table's recurrence over Python ints.
+
+    Every float64 is an integer times a power of two, so scaling all symbol
+    matrices by one shared 2^E makes them integer matrices A'; each term of
+    F_l is a product of l of them, so F_l = F'_l / 2^(l E) exactly, where F'_l
+    is the table of A'.  The top layer is contracted with the initial
+    distribution as Fractions.  Time grows with the digits of F'_l, so keep L
+    short.
+    """
+    # imported here, not at the top: fractions loads decimal, a few ms on
+    # every CLI start, and the CLI never calls this
+    from fractions import Fraction
+
+    if L < 1:
+        raise GrammarError("length must be >= 1")
+    # each entry is an integer over a power of two, and 2^E is the largest of
+    # those powers, so 2^E times any entry is an integer
+    E = max(x.as_integer_ratio()[1].bit_length() - 1
+            for m in model.matrices.values() for x in m.ravel().tolist())
+    scaled = {s: np.array([[int(Fraction(x) * 2**E) for x in row] for row in m.tolist()],
+                          dtype=object)
+              for s, m in model.matrices.items()}
+    n = model.state_count
+    # layers[l-1, a] is F'_l[a], in Python ints
+    layers = np.zeros((L, g.nonterminal_count, n, n), dtype=object)
+    for a, s in g.lexical_rules:
+        layers[0, a] += scaled[s]
+    for l in range(2, L + 1):
+        for m in range(1, l):
+            for a, b, c in g.binary_rules:
+                layers[l - 1, a] += layers[m - 1, b] @ layers[l - m - 1, c]
+    top = layers[L - 1, g.start].tolist()
+    total = sum(Fraction(p) * sum(row) for p, row in zip(model.initial.tolist(), top))
+    return total / (1 << (L * E))
 
 
 def brute_force_likelihood(g: CnfGrammar, model: Hmm, L: int) -> float:

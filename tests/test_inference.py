@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gramhmm import inference
 from gramhmm.grammar import live_products, parse_grammar, union
 from gramhmm.hmm import random_hmm, uniform_hmm
 from gramhmm.inference import (
@@ -110,16 +111,32 @@ class TestForwardTable:
         assert np.array_equal(table.live, (table.layers > 0).any(axis=(2, 3)))
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
-    def test_live_products_match_full_loop(self, seed, L):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.booleans())
+    def test_live_products_match_full_loop(self, seed, L, sparse):
         # random_hmm's entries are strictly positive, so F_l[a] has a
-        # positive entry exactly when a derives some string of length l
+        # positive entry exactly when a derives some string of length l; a
+        # dense grammar's nonterminals derive most lengths, so one parent
+        # gets many products per layer, which must add in the loop's order
         rng = np.random.default_rng(seed)
-        g = random_grammar(rng, sparse=True)
+        g = random_grammar(rng, sparse=sparse)
         model = random_hmm(int(rng.integers(1, FOLD_STATES)), g.alphabet,
                            int(rng.integers(0, 2**31)))
         table = forward_table(g, model, L)
         assert np.array_equal(table.layers, full_loop_layers(g, model, L))
+        assert np.array_equal(table.live, (table.layers > 0).any(axis=(2, 3)))
+
+    @pytest.mark.parametrize("states", range(1, FOLD_STATES))
+    def test_chunk_boundaries_match_full_loop(self, c08, states, monkeypatch):
+        # chunks of 100 // n**2 = 100, 25, 11, 6, 4, 2 and 2 products at
+        # n = 1..7, against c08's 14 * (l - 1): from layer 9 on every layer
+        # spans several chunks, so each parent's products are cut between
+        # chunks and must still add in the loop's order
+        monkeypatch.setattr(inference, "FOLD_ENTRIES", 100)
+        model = random_hmm(states, "ab", seed=20 + states)
+        table = forward_table(c08, model, 30)
+        rule_b, rule_c = c08.pairs[np.nonzero(c08.parents)[0]].T
+        assert len(live_products(table.live, 9, rule_b, rule_c)[0]) > 100 // states**2
+        assert np.array_equal(table.layers, full_loop_layers(c08, model, 30))
         assert np.array_equal(table.live, (table.layers > 0).any(axis=(2, 3)))
 
     def test_products_across_chunks_match_full_loop(self, c08):

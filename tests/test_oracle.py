@@ -1,15 +1,19 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from gramhmm.grammar import parse_grammar, union, universal_grammar
+from gramhmm.grammar import GrammarError, parse_grammar, union, universal_grammar
 from gramhmm.hmm import random_hmm, uniform_hmm
-from gramhmm.inference import weighted_mass
+from gramhmm.inference import forward_table, weighted_mass
 from gramhmm.oracle import (
     ExactDistribution,
     OracleError,
     brute_force_likelihood,
     brute_force_weighted_mass,
     exact_distribution,
+    exact_weighted_mass,
     tv_distance,
 )
 
@@ -34,6 +38,38 @@ class TestWeightedMass:
         bf = brute_force_weighted_mass(g, m, L)
         dp = weighted_mass(g, m, L).value
         assert dp == pytest.approx(bf, rel=1e-9, abs=1e-12)
+
+
+class TestExactWeightedMass:
+    def test_dyck_is_catalan(self, dyck, paren_uniform):
+        # C_k balanced strings of length 2k, each of probability 2^-2k
+        for k in (1, 2, 10):
+            assert exact_weighted_mass(dyck, paren_uniform, 2 * k) == Fraction(
+                math.comb(2 * k, k), (k + 1) * 2 ** (2 * k))
+
+    def test_empty_support(self, dyck, paren_uniform):
+        assert exact_weighted_mass(dyck, paren_uniform, 3) == 0
+        with pytest.raises(GrammarError):
+            exact_weighted_mass(dyck, paren_uniform, 0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(1300 + seed)
+        g, m = random_instance(rng)
+        L = int(rng.integers(1, 6))
+        exact = exact_weighted_mass(g, m, L)
+        assert isinstance(exact, Fraction)
+        assert float(exact) == pytest.approx(brute_force_weighted_mass(g, m, L), rel=1e-12,
+                                             abs=1e-300)
+
+    @pytest.mark.parametrize("states", [2, 3, 4])
+    def test_float_table_error_on_c08(self, c08, states):
+        # past brute force's reach: 2^32 strings at L=32
+        m = random_hmm(states, "ab", seed=states)
+        table = forward_table(c08, m, 32)
+        for L in (8, 16, 32):
+            exact = exact_weighted_mass(c08, m, L)
+            assert abs(Fraction(table.contract(L)) - exact) <= Fraction(1, 10**13) * exact
 
 
 class TestLikelihood:
