@@ -4,15 +4,15 @@ Human-readable diagnostics (timings, progress) go to stderr so stdout stays
 machine-readable and bit-reproducible for seeded commands.  Exit codes:
 0 ok, 2 usage error (from argparse), 3 validation error, 4 numerical/consistency error.
 
-``main`` builds only the invoked subcommand's parser when the arguments start
-with a known command: the other four parsers would cost more than parsing
-itself.  Help, a missing or unknown subcommand and a missing option print
-the same text as with every parser built, and the errors exit 2.
+``main`` can be called repeatedly in one process: the first call builds the
+parser and later calls reuse it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -96,15 +96,7 @@ def cmd_approx(args) -> dict:
         bound=args.ambiguity_bound,
         seed=args.seed,
     )
-    return {
-        "estimate": report.estimate,
-        "z_weighted": report.z_weighted,
-        "samples": report.samples,
-        "accepted": report.accepted,
-        "epsilon": report.epsilon,
-        "bound_value": report.bound_value,
-        "seed": report.seed,
-    }
+    return dataclasses.asdict(report)
 
 
 def cmd_oracle(args) -> dict:
@@ -180,24 +172,15 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone.
-
-    Built for one command, it parses that command's arguments and prints
-    the same usage, help and errors as the full parser, but it cannot name
-    the other commands in its help or in an invalid-choice error, so it
-    serves only argument lists that start with ``command``.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="gramhmm",
         description="Grammar-constrained HMM likelihoods, sampling and FPRAS approximation",
     )
-    # with one command built, the metavar keeps the usage line naming all
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(COMMANDS) + "}" if command else None)
-    for name in [command] if command else COMMANDS:
-        help_text, func, options = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for option, keywords in options:
             p.add_argument(option, **keywords)
@@ -227,12 +210,7 @@ def _nonfinite(doc, path: str) -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # an argument list that starts with a command needs no other command's
-    # parser; anything else (help, no command, an unknown one) gets them all
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         body = args.func(args)
