@@ -69,4 +69,4 @@ from .reductions import (
     parse_dimacs,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

@@ -178,10 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gramhmm",
         description="Grammar-constrained HMM likelihoods, sampling and FPRAS approximation",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, options) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for option, keywords in options:
             p.add_argument(option, **keywords)
         p.set_defaults(func=func)

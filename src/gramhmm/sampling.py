@@ -10,9 +10,10 @@ needs.  ``sample_many`` builds its own table; ``Sampler(table)`` draws
 from a table the caller already holds, at any length it covers.
 
 Draws are made in batches of ``CHUNK``.  A batch keeps a frontier of pending
-nodes (nonterminal, span length, state pair, position, draw) and expands it
-from length L down to 1, one group of nodes sharing a (nonterminal, length)
-at a time.  For each node only its own choice weights
+nodes (state pair, position, draw) filed under their (span length,
+nonterminal) and expands it from length L down to 1, one group of nodes
+sharing a (length, nonterminal) at a time, in ascending nonterminal order.
+For each node only its own choice weights
 F_m[b][s,:] * F_{l-m}[c][:,t] are formed, over the live (split, rule)
 columns of its (nonterminal, length) only, in the table's fixed order
 (ascending split, then rule index, then middle state), and the whole group
@@ -22,8 +23,7 @@ l - m (``ForwardTable.live``); a dead column's weights are exact zeros,
 which never win a draw and leave the cumulative sums of the others
 unchanged, so dropping them changes no draw.  A nonterminal a's rules come
 from the grammar's rule index: its children pairs ``pairs[parents[:, a]]``
-and its symbols ``emits[:, a]``.  The live columns are the only thing cached
-per (nonterminal, length), on first use.
+and its symbols ``emits[:, a]``.
 
 Derivation trees are recorded only when the caller asks for them; the
 strings-only path keeps no per-node records.  A batch drawn with trees keeps
@@ -170,7 +170,6 @@ class Sampler:
         self.table = table
         self.grammar = table.grammar
         self.model = table.model
-        self._columns_of: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
         self._codes = np.array([ord(s) for s in self.grammar.alphabet], dtype=np.uint32)
         # _leaf[a] is (symbol indices a emits, their matrices stacked on axis 2)
         stacked = np.stack([self.model.matrices[s] for s in self.grammar.alphabet], axis=2)
@@ -181,87 +180,75 @@ class Sampler:
         """The live (split, rule) columns of nodes (a, l) as arrays (m, b, c),
         one entry per column, ordered by ascending split m, then rule
         a -> b c in index order, which is the order of a's children pairs."""
-        columns = self._columns_of.get((a, l))
-        if columns is None:
-            B, C = self.grammar.pairs[self.grammar.parents[:, a]].T
-            split, rule = live_products(self.table.live, l, B, C)
-            columns = self._columns_of[a, l] = (split + 1, B[rule], C[rule])
-        return columns
+        B, C = self.grammar.pairs[self.grammar.parents[:, a]].T
+        split, rule = live_products(self.table.live, l, B, C)
+        return split + 1, B[rule], C[rule]
 
-    def _factors(self, a: int, l: int, s: np.ndarray, t: np.ndarray):
-        """Left and right factors of the choices of nodes (a, l, s[i], t[i]).
+    def _choose(self, a: int, l: int, s, t, u) -> tuple[np.ndarray, ...]:
+        """Draw each node (a, l, s[i], t[i])'s column of ``_columns``, then
+        its middle state given that column, with the uniforms u[0] and u[1].
 
-        Both have shape (k, columns, n), with the columns of ``_columns``:
-        column j stands for split m and rule a -> b c, and the weight of
-        middle state u is lo[i, j, u] * hi[i, j, u] = F_m[b][s,u] *
-        F_{l-m}[c][u,t].  A node's weights sum to F_l[a][s,t].
+        Column j stands for split m and rule a -> b c; the weight of middle
+        state v is lo[i, j, v] * hi[i, j, v] = F_m[b][s,v] * F_{l-m}[c][v,t],
+        and a node's weights sum to F_l[a][s,t].  Returns the chosen columns'
+        (m, b, c) and the middle states, one entry per node.
         """
         m, b, c = self._columns(a, l)
-        lo = self.table.layers[m - 1, b, s[:, None], :]
-        hi = self.table.layers[l - m - 1, c, :, t[:, None]]
-        return lo, hi
-
-    def _choose(self, a: int, l: int, s, t, u) -> tuple[np.ndarray, np.ndarray]:
-        """Draw each node's column of ``_factors``, then its middle state
-        given that column, with the uniforms u[0] and u[1]."""
-        columns = len(self._columns(a, l)[0])
-        step = max(1, BLOCK_ELEMENTS // (columns * self.model.state_count))
+        step = max(1, BLOCK_ELEMENTS // (len(m) * self.model.state_count))
         column = np.empty(len(s), dtype=np.intp)
         middle = np.empty(len(s), dtype=np.intp)
         for i in range(0, len(s), step):
             block = slice(i, i + step)
-            lo, hi = self._factors(a, l, s[block], t[block])
-            j = _pick(np.cumsum(np.einsum("kju,kju->kj", lo, hi), axis=1), u[0, block])
+            lo = self.table.layers[m - 1, b, s[block, None], :]
+            hi = self.table.layers[l - m - 1, c, :, t[block, None]]
+            j = _pick(np.cumsum(np.einsum("kjv,kjv->kj", lo, hi), axis=1), u[0, block])
             rows = np.arange(len(j))
             middle[block] = _pick(np.cumsum(lo[rows, j] * hi[rows, j], axis=1), u[1, block])
             column[block] = j
-        return column, middle
+        return m[column], b[column], c[column], middle
 
     def _draw_batch(self, L: int, k: int, rng: np.random.Generator, trees: bool):
         """k draws of length L: their strings and, with trees, their node
         records for ``_tree_texts`` (None without trees)."""
-        g, n = self.grammar, self.model.state_count
+        g, n, N = self.grammar, self.model.state_count, self.grammar.nonterminal_count
         cum = np.cumsum(self.model.initial[:, None] * self.table.layer(L)[g.start])
         if cum[-1] <= 0.0:
             raise SamplingError("empty constrained support")
         s0, t0 = np.divmod(_pick(np.broadcast_to(cum, (k, cum.size)), rng.random(k)), n)
         codes = np.zeros((k, L), dtype=np.uint32)
         records = [] if trees else None
-        # pending[l] lists row blocks (a, s, t, pos, draw)
-        pending: dict[int, list[tuple[np.ndarray, ...]]] = {
-            L: [(np.full(k, g.start), s0, t0, np.zeros(k, dtype=np.intp), np.arange(k))]
+        # pending[l][a] lists row blocks (s, t, pos, draw)
+        pending: dict[int, dict[int, list[tuple[np.ndarray, ...]]]] = {
+            L: {g.start: [(s0, t0, np.zeros(k, dtype=np.intp), np.arange(k))]}
         }
         for l in range(L, 0, -1):
-            blocks = pending.pop(l, None)
-            if not blocks:
-                continue
-            rows = [np.concatenate(col) for col in zip(*blocks)]
+            groups = pending.pop(l, {})
             children = []
-            for a in np.flatnonzero(np.bincount(rows[0])).tolist():
-                sel = np.flatnonzero(rows[0] == a)
-                _, s, t, pos, d = (col[sel] for col in rows)
+            for a in sorted(groups):
+                s, t, pos, d = (np.concatenate(col) for col in zip(*groups[a]))
                 if l == 1:
                     syms, w = self._leaf[a]
-                    j = _pick(np.cumsum(w[s, t], axis=1), rng.random(len(sel)))
+                    j = _pick(np.cumsum(w[s, t], axis=1), rng.random(len(s)))
                     codes[d, pos] = self._codes[syms[j]]
                     if trees:
                         records.append((d, a, pos, pos + 1, s, t, syms[j]))
                     continue
-                column, mid = self._choose(a, l, s, t, rng.random((2, len(sel))))
-                m, b, c = (x[column] for x in self._columns(a, l))
+                m, b, c, mid = self._choose(a, l, s, t, rng.random((2, len(s))))
                 if trees:
                     records.append((d, a, pos, pos + l, s, t, -1))
-                children += [(m, b, s, mid, pos, d), (l - m, c, mid, t, pos + m, d)]
+                # a child is filed under the key (span length) * N + nonterminal
+                children += [(m * N + b, s, mid, pos, d), ((l - m) * N + c, mid, t, pos + m, d)]
             if not children:
                 continue
-            # file this step's children under their span lengths
-            lengths, *child = (np.concatenate(col) for col in zip(*children))
-            order = np.argsort(lengths, kind="stable")
-            lengths = lengths[order]
-            child = [col[order] for col in child]
-            cuts = np.flatnonzero(np.diff(lengths)) + 1
-            for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(lengths)]):
-                pending.setdefault(int(lengths[lo]), []).append(tuple(col[lo:hi] for col in child))
+            # file this step's children under their keys with one stable sort
+            key, *child = (np.concatenate(col) for col in zip(*children))
+            order = np.argsort(key, kind="stable")
+            key, child = key[order], [col[order] for col in child]
+            cuts = (np.flatnonzero(np.diff(key)) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, len(key)]):
+                l_child, a_child = divmod(int(key[lo]), N)
+                blocks = pending.setdefault(l_child, {}).setdefault(a_child, [])
+                blocks.append(tuple(col[lo:hi] for col in child))
         # the "<U{L}" view drops trailing NULs, which a '\x00' symbol draws
         return [w.ljust(L, "\x00") for w in codes.view(f"<U{L}")[:, 0].tolist()], records
 

@@ -481,6 +481,20 @@ class TestParser:
         assert main(argv) == 0
         assert capsys.readouterr().out == run_cli(*argv).stdout
 
+    @pytest.mark.parametrize("options", [
+        ["--length", "4", "--attest"],
+        ["--len", "4", "--attest-unambiguous"],
+    ])
+    def test_abbreviated_option_is_usage_error(self, files, options, capsys):
+        # the same call with every option spelled in full exits 0 in
+        # test_valid_call_after_usage_error
+        argv = ["likelihood", "--grammar", str(files["dyck"]), "--hmm", str(files["paren_hmm"]),
+                "--mode", "ucfg", *options]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("argv, text", [
         ([], "required: command"),
         (["bogus"], "invalid choice: 'bogus'"),

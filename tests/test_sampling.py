@@ -120,8 +120,9 @@ class TestSample:
                 m, b, c = sampler._columns(a, l)
                 # one column per live (split, rule) pair, and no other
                 assert table.live[m - 1, b].all() and table.live[l - m - 1, c].all()
-                lo, hi = sampler._factors(a, l, np.array([s]), np.array([t]))
-                assert lo.shape == hi.shape == (1, len(m), paren_uniform.state_count)
+                lo = table.layers[m - 1, b, s, :]
+                hi = table.layers[l - m - 1, c, :, t]
+                assert lo.shape == hi.shape == (len(m), paren_uniform.state_count)
                 weights = lo * hi
             assert weights.sum() == pytest.approx(table.layer(l)[a][s, t], rel=1e-9)
 
@@ -256,12 +257,17 @@ class TestStreamPin:
         ("dyck", "511b6656d059c625ec7c0426a1f0c95f3c9f8aa9b10105887e02d4752363651c"),
         # 1025 draws: two batches
         ("ss-ab", "be12e5137ce53bbff903c2f0375b011ed1a33d8fc2d0d44e5fed67e8de62de41"),
+        # 8 states, so the table is built pair by pair; 1100 draws: two
+        # batches, with several nonterminals at most lengths of every step
+        ("c08", "befa4ca8c5c873994678ee93ba07e15901391179436887e28c5a4f8b00b1487b"),
     ])
-    def test_tree_bytes(self, dyck, case, digest):
-        """sha256 of the tree text, recorded at gramhmm 0.6.0; the state pairs
-        in it are pinned nowhere else."""
+    def test_tree_bytes(self, dyck, c08, case, digest):
+        """sha256 of the tree text, recorded at gramhmm 0.6.0 (c08 at 0.14.0);
+        the state pairs in it are pinned nowhere else."""
         if case == "dyck":
             traces = sample_many(dyck, random_hmm(2, "()", seed=3), 16, 20, 0, trees=True)
+        elif case == "c08":
+            traces = sample_many(c08, random_hmm(8, "ab", seed=4), 12, 1100, 2, trees=True)
         else:
             g = parse_grammar("start S\nS -> S S\nS -> 'a'\nS -> 'b'")
             traces = sample_many(g, random_hmm(3, "ab", seed=5), 12, 1025, 1, trees=True)
