@@ -35,7 +35,6 @@ from .inference import (
 )
 from .sampling import (
     Sampler,
-    SampleTrace,
     SamplingError,
     SamplingNumericalError,
     sample_many,
@@ -69,4 +68,4 @@ from .reductions import (
     parse_dimacs,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"

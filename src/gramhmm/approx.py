@@ -147,8 +147,8 @@ def fpras_likelihood(
             epsilon=epsilon, bound_value=bound_value, seed=seed,
         )
     accepted = 0
-    for batch in Sampler(table).draw_batches(L, n_samples, rng):
-        counts = derivation_counts(g, [trace.string for trace in batch])
+    for strings, _ in Sampler(table).draw_batches(L, n_samples, rng):
+        counts = derivation_counts(g, strings)
         if max(counts) > bound_value:
             raise ApproxError(f"ambiguity bound {bound_value} exceeded: a length-{L} "
                               f"proposal has {max(counts)} derivations")

@@ -71,17 +71,12 @@ def cmd_likelihood(args) -> dict:
 def cmd_sample(args) -> dict:
     g = _load_grammar(args.grammar)
     model = _load_hmm(args.hmm)
-    traces = sampling.sample_many(
+    strings, texts = sampling.sample_many(
         g, model, args.length, args.count, args.seed, trees=args.emit_trees
     )
-    doc = {
-        "length": args.length,
-        "count": args.count,
-        "seed": args.seed,
-        "strings": [t.string for t in traces],
-    }
+    doc = {"length": args.length, "count": args.count, "seed": args.seed, "strings": strings}
     if args.emit_trees:
-        doc["trees"] = JsonText(sampling.trees_json(traces))
+        doc["trees"] = JsonText(sampling.trees_json(texts))
     return doc
 
 

@@ -7,7 +7,9 @@ of the two child table entries, then a terminal at each leaf.  For an
 unambiguous grammar the string marginal is the constrained distribution;
 for an ambiguous one it is exactly the proposal the rejection estimator
 needs.  ``sample_many`` builds its own table; ``Sampler(table)`` draws
-from a table the caller already holds, at any length it covers.
+from a table the caller already holds, at any length it covers.  A batch of
+draws is its strings and, when asked for, its trees' JSON texts; no object
+is made per draw.
 
 Draws are made in batches of ``CHUNK``.  A batch keeps a frontier of pending
 nodes (state pair, position, draw) filed under their (span length,
@@ -18,10 +20,12 @@ F_m[b][s,:] * F_{l-m}[c][:,t] are formed, over the live (split, rule)
 columns of its (nonterminal, length) only, in the table's fixed order
 (ascending split, then rule index, then middle state), and the whole group
 is drawn with one vectorized inverse-CDF step, so memory stays flat in the
-number of draws.  A column is live when b derives length m and c length
-l - m (``ForwardTable.live``); a dead column's weights are exact zeros,
-which never win a draw and leave the cumulative sums of the others
-unchanged, so dropping them changes no draw.  A nonterminal a's rules come
+number of draws.  Both factors are read as whole contiguous rows: F_m[b][s,:]
+from the table's layers, F_{l-m}[c][:,t] from a transposed copy of them.  A
+column is live when b derives length m and c length l - m
+(``ForwardTable.live``); a dead column's weights are exact zeros, which
+never win a draw and leave the cumulative sums of the others unchanged, so
+dropping them changes no draw.  A nonterminal a's rules come
 from the grammar's rule index: its children pairs ``pairs[parents[:, a]]``
 and its symbols ``emits[:, a]``.
 
@@ -30,18 +34,15 @@ strings-only path keeps no per-node records.  A batch drawn with trees keeps
 its nodes as int arrays (draw, nonterminal, start, end, state pair, symbol);
 a node is fixed by its draw and span, so no node ids or child links are
 kept.  Every draw's tree is written from them as JSON text in one preorder
-pass, with no recursion and so no depth limit; that text is
-``SampleTrace.tree``.  A seeded stream is deterministic in the seed
-and the arguments, whether or not trees are requested; it differs from the
-per-draw recursion of gramhmm 0.1.0.
+pass, with no recursion and so no depth limit.  A seeded stream is
+deterministic in the seed and the arguments, whether or not trees are
+requested; it differs from the per-draw recursion of gramhmm 0.1.0.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -53,7 +54,6 @@ __all__ = [
     "SamplingError",
     "SamplingNumericalError",
     "seeded_generator",
-    "SampleTrace",
     "Sampler",
     "sample_many",
     "trees_json",
@@ -83,30 +83,18 @@ def seeded_generator(seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, 0])
 
 
-@dataclass(frozen=True)
-class SampleTrace:
-    """One draw: its string and, if drawn with trees, its derivation tree as
-    JSON text (None for a draw made without trees).
-
-    The tree text is one JSON object per node with the keys nonterminal,
-    span [start, end), states [s, t], then terminal (a leaf) or children
-    (two nodes whose spans split their parent's).
-    """
-    string: str
-    tree: str | None = None
-
-
 def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise inverse-CDF draw over unnormalized cumulative weights (k, C)."""
     total = cum[:, -1]
-    # a NaN total comes from inf * 0 once a table layer has overflowed
-    if not np.isfinite(total).all():
-        raise SamplingNumericalError("numerical overflow at node")
-    if not (total >= UNDERFLOW_FLOOR).all():
+    # a NaN total fails both tests; it comes from inf * 0 once a table layer
+    # has overflowed, so overflow is named first
+    if not (total.min() >= UNDERFLOW_FLOOR and total.max() < np.inf):
+        if not np.isfinite(total).all():
+            raise SamplingNumericalError("numerical overflow at node")
         raise SamplingNumericalError("numerical underflow at node")
     # r < total keeps the pick on a choice of positive weight
     r = np.minimum(u * total, np.nextafter(total, 0.0))
-    return np.count_nonzero(cum <= r[:, None], axis=1)
+    return (cum <= r[:, None]).sum(axis=1)
 
 
 def _tree_texts(records: list[tuple], names: tuple[str, ...], symbols: Sequence[str]) -> list[str]:
@@ -164,23 +152,34 @@ def _tree_texts(records: list[tuple], names: tuple[str, ...], symbols: Sequence[
 
 
 class Sampler:
-    """Reusable batched sampler over one forward table."""
+    """Reusable batched sampler over one forward table.
+
+    Keeps the table's layers as rows F_l[a][s, :] and a transposed copy as
+    rows F_l[a][:, t], so each factor of a choice weight is read as one
+    contiguous row.  The copy costs one more table of memory per sampler.
+    """
 
     def __init__(self, table: ForwardTable):
         self.table = table
-        self.grammar = table.grammar
+        self.grammar = g = table.grammar
         self.model = table.model
-        self._codes = np.array([ord(s) for s in self.grammar.alphabet], dtype=np.uint32)
+        n = self.model.state_count
+        # row ((l-1)*N + a)*n + s of _rows is F_l[a][s, :]; of _cols, F_l[a][:, s]
+        self._rows = table.layers.reshape(-1, n)
+        self._cols = np.ascontiguousarray(table.layers.swapaxes(2, 3)).reshape(-1, n)
+        self._codes = np.array([ord(s) for s in g.alphabet], dtype=np.uint32)
+        # _children[a] is (B, C), the children pairs of a's rules in index order
+        self._children = [g.pairs[g.parents[:, a]].T for a in range(g.nonterminal_count)]
         # _leaf[a] is (symbol indices a emits, their matrices stacked on axis 2)
-        stacked = np.stack([self.model.matrices[s] for s in self.grammar.alphabet], axis=2)
+        stacked = np.stack([self.model.matrices[s] for s in g.alphabet], axis=2)
         self._leaf = {a: (syms, stacked[:, :, syms])
-                      for a, syms in enumerate(map(np.flatnonzero, self.grammar.emits.T))}
+                      for a, syms in enumerate(map(np.flatnonzero, g.emits.T))}
 
     def _columns(self, a: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live (split, rule) columns of nodes (a, l) as arrays (m, b, c),
         one entry per column, ordered by ascending split m, then rule
         a -> b c in index order, which is the order of a's children pairs."""
-        B, C = self.grammar.pairs[self.grammar.parents[:, a]].T
+        B, C = self._children[a]
         split, rule = live_products(self.table.live, l, B, C)
         return split + 1, B[rule], C[rule]
 
@@ -190,22 +189,27 @@ class Sampler:
 
         Column j stands for split m and rule a -> b c; the weight of middle
         state v is lo[i, j, v] * hi[i, j, v] = F_m[b][s,v] * F_{l-m}[c][v,t],
-        and a node's weights sum to F_l[a][s,t].  Returns the chosen columns'
-        (m, b, c) and the middle states, one entry per node.
+        and a node's weights sum to F_l[a][s,t].  Returns, one entry per
+        node, the children's keys m*N + b and (l-m)*N + c, the split m and
+        the middle state.
         """
         m, b, c = self._columns(a, l)
-        step = max(1, BLOCK_ELEMENTS // (len(m) * self.model.state_count))
-        column = np.empty(len(s), dtype=np.intp)
-        middle = np.empty(len(s), dtype=np.intp)
+        n, N = self.model.state_count, self.grammar.nonterminal_count
+        left, right = m * N + b, (l - m) * N + c
+        # the first rows of F_m[b] in _rows and of F_{l-m}[c] in _cols
+        lo0, hi0 = (left - N) * n, (right - N) * n
+        step = max(1, BLOCK_ELEMENTS // (len(m) * n))
+        column, middle = np.empty((2, len(s)), dtype=np.intp)
         for i in range(0, len(s), step):
             block = slice(i, i + step)
-            lo = self.table.layers[m - 1, b, s[block, None], :]
-            hi = self.table.layers[l - m - 1, c, :, t[block, None]]
+            sb, tb = s[block], t[block]
+            lo = self._rows.take(lo0 + sb[:, None], axis=0)
+            hi = self._cols.take(hi0 + tb[:, None], axis=0)
             j = _pick(np.cumsum(np.einsum("kjv,kjv->kj", lo, hi), axis=1), u[0, block])
-            rows = np.arange(len(j))
-            middle[block] = _pick(np.cumsum(lo[rows, j] * hi[rows, j], axis=1), u[1, block])
+            weights = self._rows.take(lo0[j] + sb, axis=0) * self._cols.take(hi0[j] + tb, axis=0)
+            middle[block] = _pick(np.cumsum(weights, axis=1), u[1, block])
             column[block] = j
-        return m[column], b[column], c[column], middle
+        return left[column], right[column], m[column], middle
 
     def _draw_batch(self, L: int, k: int, rng: np.random.Generator, trees: bool):
         """k draws of length L: their strings and, with trees, their node
@@ -233,11 +237,11 @@ class Sampler:
                     if trees:
                         records.append((d, a, pos, pos + 1, s, t, syms[j]))
                     continue
-                m, b, c, mid = self._choose(a, l, s, t, rng.random((2, len(s))))
+                left, right, m, mid = self._choose(a, l, s, t, rng.random((2, len(s))))
                 if trees:
                     records.append((d, a, pos, pos + l, s, t, -1))
                 # a child is filed under the key (span length) * N + nonterminal
-                children += [(m * N + b, s, mid, pos, d), ((l - m) * N + c, mid, t, pos + m, d)]
+                children += [(left, s, mid, pos, d), (right, mid, t, pos + m, d)]
             if not children:
                 continue
             # file this step's children under their keys with one stable sort
@@ -252,62 +256,53 @@ class Sampler:
         # the "<U{L}" view drops trailing NULs, which a '\x00' symbol draws
         return [w.ljust(L, "\x00") for w in codes.view(f"<U{L}")[:, 0].tolist()], records
 
-    def _traces(self, L: int, k: int, rng: np.random.Generator, trees: bool) -> list[SampleTrace]:
-        """One batch of ``_draw_batch`` as traces.  The tree texts are written
-        after the draw's working arrays are freed, so the two do not add up
-        in peak memory."""
-        strings, records = self._draw_batch(L, k, rng, trees)
-        texts = (_tree_texts(records, self.grammar.nonterminal_names, self.grammar.alphabet)
-                 if trees else [None] * k)
-        return [SampleTrace(w, tree) for w, tree in zip(strings, texts)]
+    def draw_batches(self, L: int, count: int, rng: np.random.Generator, trees: bool = False
+                     ) -> Iterator[tuple[list[str], list[str] | None]]:
+        """``count`` independent draws of length L as (strings, tree texts)
+        batches of at most CHUNK, the texts None without ``trees``.
 
-    def draw_batches(self, L: int, count: int, rng: np.random.Generator,
-                     trees: bool = False) -> Iterator[list[SampleTrace]]:
-        """``count`` independent draws of length L, as lists of at most CHUNK.
-
-        A batch is drawn only when the previous one has been consumed, so at
-        most CHUNK draws are held at a time.  Trees are written only when
-        ``trees`` is true; the strings do not depend on it.
+        The arguments are checked at the call.  A batch is drawn only when
+        the previous one has been consumed, and its tree texts are written
+        after the draw's working arrays are freed.  The strings do not
+        depend on ``trees``.
         """
         if count < 0:
             raise SamplingError("count must be nonnegative")
         if L < 1 or L > self.table.length:
             raise SamplingError(f"length {L} outside table range [1, {self.table.length}]")
-        return (self._traces(L, min(CHUNK, count - first), rng, trees)
-                for first in range(0, count, CHUNK))
 
-    def draw_many(self, L: int, count: int, rng: np.random.Generator,
-                  trees: bool = False) -> Iterator[SampleTrace]:
-        """The draws of ``draw_batches``, one at a time."""
-        return chain.from_iterable(self.draw_batches(L, count, rng, trees))
+        def batches():
+            for first in range(0, count, CHUNK):
+                strings, records = self._draw_batch(L, min(CHUNK, count - first), rng, trees)
+                yield strings, (_tree_texts(records, self.grammar.nonterminal_names,
+                                            self.grammar.alphabet) if trees else None)
 
-    def draw(self, L: int, rng: np.random.Generator) -> SampleTrace:
-        """One draw with its derivation tree: a batch of one."""
-        return next(self.draw_many(L, 1, rng, trees=True))
+        return batches()
+
+    def draw(self, L: int, rng: np.random.Generator) -> tuple[str, str]:
+        """One draw and its tree's JSON text: a batch of one."""
+        (string,), (tree,) = next(self.draw_batches(L, 1, rng, trees=True))
+        return string, tree
 
 
-def sample_many(
-    g: CnfGrammar,
-    model: Hmm,
-    L: int,
-    count: int,
-    seed: int,
-    trees: bool = False,
-) -> list[SampleTrace]:
+def sample_many(g: CnfGrammar, model: Hmm, L: int, count: int, seed: int,
+                trees: bool = False) -> tuple[list[str], list[str] | None]:
     """Independent draws sharing one forward table; deterministic under the seed.
 
-    Each trace carries its derivation tree only when ``trees`` is true; the
-    strings are the same either way.  A caller that holds a forward table
-    draws from it with ``Sampler(table).draw_many``.
+    Returns the strings and, only when ``trees`` is true, their derivation
+    trees as JSON texts in the same order (else None); the strings are the
+    same either way.  A caller that holds a forward table draws from it with
+    ``Sampler(table).draw_batches``.
     """
     rng = seeded_generator(seed)
-    table = forward_table(g, model, L)
-    return list(Sampler(table).draw_many(L, count, rng=rng, trees=trees))
+    batches = list(Sampler(forward_table(g, model, L)).draw_batches(L, count, rng, trees))
+    strings = [w for batch, _ in batches for w in batch]
+    return strings, [text for _, texts in batches for text in texts] if trees else None
 
 
-def trees_json(traces: Sequence[SampleTrace]) -> str:
-    """The derivation trees of traces drawn with trees, as the text of one
-    JSON array of their ``tree`` texts."""
-    if any(trace.tree is None for trace in traces):
-        raise SamplingError("trace was drawn without its tree")
-    return "[" + ", ".join(trace.tree for trace in traces) + "]"
+def trees_json(texts: Sequence[str] | None) -> str:
+    """The tree texts of draws made with trees, as the text of one JSON
+    array; None, the texts of draws made without trees, raises."""
+    if texts is None:
+        raise SamplingError("sample was drawn without its tree")
+    return "[" + ", ".join(texts) + "]"

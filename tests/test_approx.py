@@ -38,8 +38,9 @@ def reference_bernoulli(count, rng):
 def per_string_accepted(g, model, L, epsilon, bound, seed):
     """Acceptances of the FPRAS with each proposal counted on its own."""
     rng = seeded_generator(seed)
-    draws = Sampler(forward_table(g, model, L)).draw_many(L, sample_size(bound, epsilon), rng)
-    return sum(reference_bernoulli(derivation_count(g, t.string), rng) for t in draws)
+    batches = Sampler(forward_table(g, model, L)).draw_batches(L, sample_size(bound, epsilon), rng)
+    return sum(reference_bernoulli(derivation_count(g, w), rng)
+               for strings, _ in batches for w in strings)
 
 
 # a count of a chosen bit width, so one list mixes 1- to 9-byte attempts

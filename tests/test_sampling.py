@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramhmm.grammar import CnfGrammar, derivation_count, parse_grammar, union, universal_grammar
+from gramhmm.grammar import (
+    CnfGrammar, derivation_count, live_products, parse_grammar, union, universal_grammar,
+)
 from gramhmm.hmm import Hmm, random_hmm, uniform_hmm
 from gramhmm.inference import NumericalError, forward_table
 from gramhmm.oracle import exact_distribution, tv_distance
 from gramhmm.sampling import (
+    BLOCK_ELEMENTS,
     CHUNK,
+    UNDERFLOW_FLOOR,
     Sampler,
     SamplingError,
     SamplingNumericalError,
@@ -23,6 +27,38 @@ from gramhmm.sampling import (
 )
 
 from conftest import random_grammar, random_instance
+
+
+def reference_pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """gramhmm 0.15.0's ``_pick``, kept to check the sampler against."""
+    total = cum[:, -1]
+    if not np.isfinite(total).all():
+        raise SamplingNumericalError("numerical overflow at node")
+    if not (total >= UNDERFLOW_FLOOR).all():
+        raise SamplingNumericalError("numerical underflow at node")
+    r = np.minimum(u * total, np.nextafter(total, 0.0))
+    return np.count_nonzero(cum <= r[:, None], axis=1)
+
+
+def reference_choose(table, a: int, l: int, s, t, u) -> tuple[np.ndarray, ...]:
+    """gramhmm 0.15.0's ``Sampler._choose``: the chosen columns' (m, b, c)
+    and middle states, from 4-D fancy indexing of the layers."""
+    g = table.grammar
+    B, C = g.pairs[g.parents[:, a]].T
+    split, rule = live_products(table.live, l, B, C)
+    m, b, c = split + 1, B[rule], C[rule]
+    step = max(1, BLOCK_ELEMENTS // (len(m) * table.model.state_count))
+    column = np.empty(len(s), dtype=np.intp)
+    middle = np.empty(len(s), dtype=np.intp)
+    for i in range(0, len(s), step):
+        block = slice(i, i + step)
+        lo = table.layers[m - 1, b, s[block, None], :]
+        hi = table.layers[l - m - 1, c, :, t[block, None]]
+        j = reference_pick(np.cumsum(np.einsum("kjv,kjv->kj", lo, hi), axis=1), u[0, block])
+        rows = np.arange(len(j))
+        middle[block] = reference_pick(np.cumsum(lo[rows, j] * hi[rows, j], axis=1), u[1, block])
+        column[block] = j
+    return m[column], b[column], c[column], middle
 
 
 def assert_same_text(actual: str, expected: str) -> None:
@@ -49,10 +85,9 @@ def spell(text: str) -> str:
     return "".join(node["terminal"] for node in nodes(text) if "terminal" in node)
 
 
-def check_tree(g: CnfGrammar, model: Hmm, trace) -> None:
-    """Assert that ``trace.tree`` is a derivation of ``trace.string`` under g
+def check_tree(g: CnfGrammar, model: Hmm, w: str, text: str) -> None:
+    """Assert that the tree JSON ``text`` is a derivation of ``w`` under g
     whose root state and leaf operator entries all have positive weight."""
-    text, w = trace.tree, trace.string
     assert json.dumps(json.loads(text)) == text
     names = g.nonterminal_names
     root = json.loads(text)
@@ -81,8 +116,8 @@ def check_tree(g: CnfGrammar, model: Hmm, trace) -> None:
 
 class TestSample:
     def test_singleton_support(self, dyck, paren_uniform):
-        traces = sample_many(dyck, paren_uniform, 2, 20, 0)
-        assert [t.string for t in traces] == ["()"] * 20
+        strings, texts = sample_many(dyck, paren_uniform, 2, 20, 0)
+        assert strings == ["()"] * 20 and texts is None
 
     def test_empty_support(self, dyck, paren_uniform):
         with pytest.raises(SamplingError, match="empty constrained support"):
@@ -90,27 +125,27 @@ class TestSample:
 
     def test_ambiguous_tree_varies(self, ss_grammar):
         m = uniform_hmm("a")
-        traces = sample_many(ss_grammar, m, 3, 4000, 5, trees=True)
-        assert all(t.string == "aaa" for t in traces)
+        strings, texts = sample_many(ss_grammar, m, 3, 4000, 5, trees=True)
+        assert strings == ["aaa"] * 4000
         # two derivations of aaa, each drawn with probability 1/2
-        shapes = Counter(len(json.loads(t.tree)["children"][0].get("children", []))
-                         for t in traces)
+        shapes = Counter(len(json.loads(text)["children"][0].get("children", []))
+                         for text in texts)
         assert set(shapes) == {0, 2}
         for count in shapes.values():
             assert count == pytest.approx(2000, abs=200)
 
     def test_trace_consistency(self, dyck, paren_uniform):
-        for trace in sample_many(dyck, paren_uniform, 6, 50, 3, trees=True):
-            assert len(trace.string) == 6
-            assert derivation_count(dyck, trace.string) >= 1
-            check_tree(dyck, paren_uniform, trace)
+        for w, text in zip(*sample_many(dyck, paren_uniform, 6, 50, 3, trees=True)):
+            assert len(w) == 6
+            assert derivation_count(dyck, w) >= 1
+            check_tree(dyck, paren_uniform, w, text)
 
     def test_local_probabilities_sum_to_one(self, dyck, paren_uniform):
         table = forward_table(dyck, paren_uniform, 6)
         sampler = Sampler(table)
-        trace = sampler.draw(6, seeded_generator(9))
+        _, tree = sampler.draw(6, seeded_generator(9))
 
-        for node in nodes(trace.tree):
+        for node in nodes(tree):
             (start, end), (s, t) = node["span"], node["states"]
             l = end - start
             a = dyck.nonterminal_names.index(node["nonterminal"])
@@ -148,30 +183,43 @@ class TestSample:
         with pytest.raises(SamplingNumericalError, match="numerical overflow at node"):
             _pick(cum, np.array([0.3, 0.3]))
 
+    @pytest.mark.parametrize("cum, message", [
+        ([[0.5, 1.0], [1.0, np.inf]], "^numerical overflow at node$"),
+        # overflow is named first when both occur
+        ([[0.0, 1e-301], [1.0, np.inf]], "^numerical overflow at node$"),
+        ([[0.5, 1.0], [0.0, 1e-301]], "^numerical underflow at node$"),
+        ([[0.0, 0.0], [0.5, 1.0]], "^numerical underflow at node$"),
+    ])
+    def test_bad_totals_raise_their_error(self, cum, message):
+        with pytest.raises(SamplingNumericalError, match=message):
+            _pick(np.array(cum), np.array([0.3, 0.3]))
+        with pytest.raises(SamplingNumericalError, match=message):
+            reference_pick(np.array(cum), np.array([0.3, 0.3]))
+
     def test_draw_is_batch_of_one(self, dyck, paren_uniform):
         table = forward_table(dyck, paren_uniform, 8)
-        one = Sampler(table).draw(8, seeded_generator(4))
-        (batch,) = Sampler(table).draw_many(8, 1, seeded_generator(4), trees=True)
-        assert one == batch
-        assert spell(one.tree) == one.string
+        string, tree = Sampler(table).draw(8, seeded_generator(4))
+        strings, texts = next(Sampler(table).draw_batches(8, 1, seeded_generator(4), trees=True))
+        assert [string] == strings and [tree] == texts
+        assert spell(tree) == string
 
-    def test_deep_traces_compare_hash_and_print(self):
+    def test_deep_draws_are_equal(self):
         # universal_grammar is right-linear, so this tree is 1100 nodes deep
         g, m = universal_grammar("ab"), uniform_hmm("ab")
-        (a,) = sample_many(g, m, 1100, 1, 0, trees=True)
-        (b,) = sample_many(g, m, 1100, 1, 0, trees=True)
+        a = sample_many(g, m, 1100, 1, 0, trees=True)
+        b = sample_many(g, m, 1100, 1, 0, trees=True)
         assert a == b
-        assert hash(a) == hash(b)
-        assert repr(a) and repr(a.tree)
+        ((string,), (tree,)) = a
+        assert len(string) == tree.count('"terminal"') == 1100
 
     def test_trailing_nul_symbols_are_kept(self):
         # "aa\x00" is drawn as often as "aaa"; it must keep its last symbol
         g = parse_grammar("start S\nS -> A S\nS -> '\x00'\nS -> 'a'\nA -> 'a'")
-        traces = sample_many(g, uniform_hmm("a\x00"), 3, 8, 0)
-        assert {t.string for t in traces} == {"aa\x00", "aaa"}
-        for trace in traces:
-            assert len(trace.string) == 3
-            assert derivation_count(g, trace.string) > 0
+        strings, _ = sample_many(g, uniform_hmm("a\x00"), 3, 8, 0)
+        assert set(strings) == {"aa\x00", "aaa"}
+        for w in strings:
+            assert len(w) == 3
+            assert derivation_count(g, w) > 0
 
     def test_negative_seed(self, dyck, paren_uniform):
         with pytest.raises(SamplingError, match="^seed must be nonnegative, got -1$"):
@@ -183,48 +231,67 @@ class TestSample:
 class TestSampleMany:
     def test_trees_do_not_change_strings(self, dyck):
         m = random_hmm(3, "()", seed=2)
-        plain = sample_many(dyck, m, 10, 300, 6)
-        with_trees = sample_many(dyck, m, 10, 300, 6, trees=True)
-        assert [t.string for t in plain] == [t.string for t in with_trees]
-        assert all(t.tree is None for t in plain)
-        for t in with_trees:
-            check_tree(dyck, m, t)
+        plain, none = sample_many(dyck, m, 10, 300, 6)
+        strings, texts = sample_many(dyck, m, 10, 300, 6, trees=True)
+        assert plain == strings
+        assert none is None
+        for w, text in zip(strings, texts):
+            check_tree(dyck, m, w, text)
         with pytest.raises(SamplingError, match="without its tree"):
-            trees_json(plain)
+            trees_json(none)
 
     def test_trees_json_across_batches_in_any_order(self, dyck):
         m = random_hmm(2, "()", seed=4)
         # the first CHUNK draws are one batch, the last 5 another
-        traces = sample_many(dyck, m, 6, CHUNK + 5, 2, trees=True)
-        picked = traces[::-3] + traces[:4]
-        assert_same_text(trees_json(picked), json.dumps([json.loads(t.tree) for t in picked]))
-        for t in picked:
-            check_tree(dyck, m, t)
+        draws = list(zip(*sample_many(dyck, m, 6, CHUNK + 5, 2, trees=True)))
+        picked = draws[::-3] + draws[:4]
+        texts = [text for _, text in picked]
+        assert_same_text(trees_json(texts), json.dumps([json.loads(text) for text in texts]))
+        for w, text in picked:
+            check_tree(dyck, m, w, text)
 
     def test_several_batches(self, dyck, paren_uniform):
         count = 2 * CHUNK + 7
-        a = [t.string for t in sample_many(dyck, paren_uniform, 6, count, 12)]
-        b = [t.string for t in sample_many(dyck, paren_uniform, 6, count, 12)]
+        a, _ = sample_many(dyck, paren_uniform, 6, count, 12)
+        b, _ = sample_many(dyck, paren_uniform, 6, count, 12)
         assert len(a) == count and a == b
         # a later batch is not a replay of the first
         assert a[:CHUNK] != a[CHUNK:2 * CHUNK]
 
     def test_deterministic(self, dyck, paren_uniform):
-        a = [t.string for t in sample_many(dyck, paren_uniform, 4, 10, 42)]
-        b = [t.string for t in sample_many(dyck, paren_uniform, 4, 10, 42)]
+        a = sample_many(dyck, paren_uniform, 4, 10, 42)
+        b = sample_many(dyck, paren_uniform, 4, 10, 42)
         assert a == b
 
     def test_empty(self, dyck, paren_uniform):
-        assert sample_many(dyck, paren_uniform, 4, 0, 0) == []
+        assert sample_many(dyck, paren_uniform, 4, 0, 0) == ([], None)
+        assert sample_many(dyck, paren_uniform, 4, 0, 0, trees=True) == ([], [])
 
     def test_negative_count(self, dyck, paren_uniform):
         with pytest.raises(SamplingError, match="^count must be nonnegative$"):
             sample_many(dyck, paren_uniform, 4, -1, 0)
         sampler = Sampler(forward_table(dyck, paren_uniform, 4))
-        with pytest.raises(SamplingError, match="^count must be nonnegative$"):
-            sampler.draw_many(4, -3, seeded_generator(0))
+        # raised at the call, before the first batch is asked for
         with pytest.raises(SamplingError, match="^count must be nonnegative$"):
             sampler.draw_batches(4, -1, seeded_generator(0))
+
+    @pytest.mark.parametrize("L", [0, 5])
+    def test_length_outside_table(self, dyck, paren_uniform, L):
+        sampler = Sampler(forward_table(dyck, paren_uniform, 4))
+        with pytest.raises(SamplingError, match=rf"^length {L} outside table range \[1, 4\]$"):
+            sampler.draw_batches(L, 1, seeded_generator(0))
+
+    def test_batches_are_drawn_lazily(self, dyck, paren_uniform):
+        # the FPRAS draws its Bernoulli words from the same generator
+        # between batches, so a batch is drawn only when it is asked for
+        sampler = Sampler(forward_table(dyck, paren_uniform, 4))
+        rng, one = seeded_generator(0), seeded_generator(0)
+        batches = sampler.draw_batches(4, CHUNK + 1, rng)
+        assert rng.bit_generator.state == one.bit_generator.state
+        strings, _ = next(batches)
+        next(sampler.draw_batches(4, CHUNK, one))
+        assert len(strings) == CHUNK
+        assert rng.bit_generator.state == one.bit_generator.state
 
 
 class TestStreamPin:
@@ -232,8 +299,7 @@ class TestStreamPin:
     rule) column, dead or live; dropping dead columns must not move them."""
 
     def test_dyck(self, dyck):
-        strings = [t.string for t in sample_many(dyck, random_hmm(2, "()", seed=3), 16, 20,
-                                                 0)]
+        strings, _ = sample_many(dyck, random_hmm(2, "()", seed=3), 16, 20, 0)
         assert strings == [
             "(()()()())(()())", "(())(()()(())())", "()()(()()((())))", "(()()(())()())()",
             "((()))(()()()())", "()()()(()()()())", "(())()()(())()()", "(((())()()())())",
@@ -244,8 +310,7 @@ class TestStreamPin:
 
     def test_union(self, dyck):
         g = union(dyck, universal_grammar("()"))
-        strings = [t.string for t in sample_many(g, random_hmm(2, "()", seed=3), 10, 20,
-                                                 0)]
+        strings, _ = sample_many(g, random_hmm(2, "()", seed=3), 10, 20, 0)
         assert strings == [
             "(()())()((", "((((((((((", "((()(((())", "(()()(((((", ")((()))()(",
             ")())()()((", ")()(()((()", ")))()((()(", ")((()(()()", ")()()((()(",
@@ -265,19 +330,19 @@ class TestStreamPin:
         """sha256 of the tree text, recorded at gramhmm 0.6.0 (c08 at 0.14.0);
         the state pairs in it are pinned nowhere else."""
         if case == "dyck":
-            traces = sample_many(dyck, random_hmm(2, "()", seed=3), 16, 20, 0, trees=True)
+            _, texts = sample_many(dyck, random_hmm(2, "()", seed=3), 16, 20, 0, trees=True)
         elif case == "c08":
-            traces = sample_many(c08, random_hmm(8, "ab", seed=4), 12, 1100, 2, trees=True)
+            _, texts = sample_many(c08, random_hmm(8, "ab", seed=4), 12, 1100, 2, trees=True)
         else:
             g = parse_grammar("start S\nS -> S S\nS -> 'a'\nS -> 'b'")
-            traces = sample_many(g, random_hmm(3, "ab", seed=5), 12, 1025, 1, trees=True)
-        assert hashlib.sha256(trees_json(traces).encode()).hexdigest() == digest
+            _, texts = sample_many(g, random_hmm(3, "ab", seed=5), 12, 1025, 1, trees=True)
+        assert hashlib.sha256(trees_json(texts).encode()).hexdigest() == digest
 
 
 class TestDistribution:
     def test_dyck_even_split(self, dyck, paren_uniform):
-        traces = sample_many(dyck, paren_uniform, 4, 20000, 1)
-        freq = Counter(t.string for t in traces)
+        strings, _ = sample_many(dyck, paren_uniform, 4, 20000, 1)
+        freq = Counter(strings)
         assert set(freq) == {"(())", "()()"}
         assert freq["(())"] / 20000 == pytest.approx(0.5, abs=0.02)
 
@@ -293,14 +358,14 @@ class TestDistribution:
             except Exception:
                 continue
         n = 30000
-        freq = Counter(t.string for t in sample_many(g, m, L, n, seed))
+        freq = Counter(sample_many(g, m, L, n, seed)[0])
         empirical = {w: c / n for w, c in freq.items()}
         assert tv_distance(empirical, dist) <= 0.03
 
     def test_tree_marginals(self, ss_grammar):
         # per-tree mass is f_A(w) / Z; with four a's there are 5 tree shapes
         m = uniform_hmm("a")
-        traces = sample_many(ss_grammar, m, 4, 25000, 8, trees=True)
+        _, texts = sample_many(ss_grammar, m, 4, 25000, 8, trees=True)
 
         def shape(node):
             if "terminal" in node:
@@ -308,7 +373,7 @@ class TestDistribution:
             l, r = node["children"]
             return f"({shape(l)}{shape(r)})"
 
-        freq = Counter(shape(json.loads(t.tree)) for t in traces)
+        freq = Counter(shape(json.loads(text)) for text in texts)
         assert len(freq) == 5
         for count in freq.values():
             assert count / 25000 == pytest.approx(0.2, abs=0.02)
@@ -341,12 +406,41 @@ class TestProperties:
     @given(grammar_and_hmm(), st.integers(0, 2**32 - 1), st.integers(1, 40))
     def test_draws_are_members_and_deterministic(self, instance, seed, count):
         g, model, L, table = instance
-        first = list(Sampler(table).draw_many(L, count, seeded_generator(seed)))
-        again = list(Sampler(table).draw_many(L, count, seeded_generator(seed)))
-        assert [t.string for t in first] == [t.string for t in again]
-        for trace in first:
-            assert len(trace.string) == L
-            assert derivation_count(g, trace.string) >= 1
+        first = list(Sampler(table).draw_batches(L, count, seeded_generator(seed)))
+        again = list(Sampler(table).draw_batches(L, count, seeded_generator(seed)))
+        assert first == again
+        ((strings, texts),) = first
+        assert texts is None
+        for w in strings:
+            assert len(w) == L
+            assert derivation_count(g, w) >= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 8, 9]), st.booleans(),
+           st.booleans())
+    def test_choose_matches_reference(self, seed, n, sparse, many):
+        """Both table paths (below and from 8 states); with ``many``, a group
+        of more nodes than one block holds."""
+        rng = np.random.default_rng(seed)
+        while True:
+            g = random_grammar(rng, sparse=sparse)
+            table = forward_table(g, random_hmm(n, g.alphabet, int(rng.integers(0, 2**31))), 8)
+            sampler = Sampler(table)
+            groups = [(a, l) for l in range(2, 9) for a in range(g.nonterminal_count)
+                      if len(sampler._columns(a, l)[0]) and table.layers[l - 1, a].any()]
+            if groups:
+                break
+        a, l = groups[int(rng.integers(len(groups)))]
+        columns = len(sampler._columns(a, l)[0])
+        k = int(rng.integers(1, 40)) + (BLOCK_ELEMENTS // (columns * n) if many else 0)
+        s, t = np.nonzero(table.layers[l - 1, a])
+        nodes = rng.integers(len(s), size=k)
+        s, t, u = s[nodes], t[nodes], rng.random((2, k))
+        left, right, m, middle = sampler._choose(a, l, s, t, u)
+        m0, b0, c0, middle0 = reference_choose(table, a, l, s, t, u)
+        N = g.nonterminal_count
+        assert np.array_equal(m, m0) and np.array_equal(middle, middle0)
+        assert np.array_equal(left, m0 * N + b0) and np.array_equal(right, (l - m0) * N + c0)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 7), st.integers(1, 40), st.booleans())
@@ -360,7 +454,8 @@ class TestProperties:
             if lengths:
                 break
         L = lengths[pick % len(lengths)]
-        traces = list(Sampler(table).draw_many(L, count, seeded_generator(seed), trees=True))
-        assert_same_text(trees_json(traces), json.dumps([json.loads(t.tree) for t in traces]))
-        for trace in traces:
-            check_tree(g, model, trace)
+        ((strings, texts),) = Sampler(table).draw_batches(L, count, seeded_generator(seed),
+                                                           trees=True)
+        assert_same_text(trees_json(texts), json.dumps([json.loads(text) for text in texts]))
+        for w, text in zip(strings, texts):
+            check_tree(g, model, w, text)
