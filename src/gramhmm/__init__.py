@@ -4,7 +4,6 @@ from .grammar import (
     CnfGrammar,
     GrammarError,
     GrammarSyntaxError,
-    derivation_count,
     dyck_grammar,
     format_grammar,
     parse_grammar,
@@ -51,6 +50,7 @@ from .oracle import (
     OracleError,
     brute_force_likelihood,
     brute_force_weighted_mass,
+    derivation_count,
     enumerate_language,
     exact_distribution,
     exact_weighted_mass,
@@ -68,4 +68,4 @@ from .reductions import (
     parse_dimacs,
 )
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"

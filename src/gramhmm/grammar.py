@@ -1,12 +1,12 @@
 """Chomsky-form grammars: parsing, the rule index, derivation counting,
-live products, unions.
+unions.
 
 Nonterminals are interned to 0-based integer indices in order of first
 appearance in the rule list.  The number of derivation trees of a length-L
 string can grow like the Catalan numbers, so every count returned is exact:
-``derivation_count`` counts with Python's arbitrary-precision integers, and
-the batched ``derivation_counts`` uses a float64 chart only while it provably
-holds integers exactly, falling back to ``derivation_count`` otherwise.
+``derivation_counts`` fills one CYK chart, in float64 while it provably
+holds integers exactly, and otherwise fills the same chart again over
+Python's arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ __all__ = [
     "CnfGrammar",
     "parse_grammar",
     "format_grammar",
-    "derivation_count",
     "derivation_counts",
-    "live_products",
     "union",
     "dyck_grammar",
     "universal_grammar",
@@ -219,62 +217,20 @@ def format_grammar(g: CnfGrammar) -> str:
     return "\n".join(lines) + "\n"
 
 
-def derivation_count(g: CnfGrammar, w: str) -> int:
-    """Number of derivation trees of w from the start symbol; 0 iff w is not in the language.
-
-    Exact, over Python integers, by the standard CYK chart over substrings:
-    a span's count for nonterminal a is the sum, over splits and binary
-    rules a -> b c, of the products of the two child span counts.  The
-    oracles' reference count, and the fallback of ``derivation_counts``.
-    """
-    if len(w) < 1:
-        raise GrammarError("string must be nonempty")
-    L = len(w)
-    # the rule index's rows as lookups: symbol -> emitters, pair -> parents
-    emitters = {s: np.flatnonzero(row).tolist() for s, row in zip(g.alphabet, g.emits)}
-    by_children = {(b, c): np.flatnonzero(row).tolist()
-                   for (b, c), row in zip(g.pairs.tolist(), g.parents)}
-    for ch in w:
-        if ch not in emitters:
-            raise GrammarError(f"symbol {ch!r} not in grammar alphabet")
-    # chart[(i, j)] maps nonterminal -> count for substring w[i:j]
-    chart: dict[tuple[int, int], dict[int, int]] = {}
-    for i, ch in enumerate(w):
-        chart[(i, i + 1)] = dict.fromkeys(emitters[ch], 1)
-    for span in range(2, L + 1):
-        for i in range(L - span + 1):
-            j = i + span
-            cell = {}
-            for m in range(i + 1, j):
-                left = chart[(i, m)]
-                right = chart[(m, j)]
-                if not left or not right:
-                    continue
-                for b, cb in left.items():
-                    for c, cc in right.items():
-                        parents = by_children.get((b, c))
-                        if parents:
-                            prod = cb * cc
-                            for a in parents:
-                                cell[a] = cell.get(a, 0) + prod
-            chart[(i, j)] = cell
-    return chart[(0, L)].get(g.start, 0)
-
-
 def derivation_counts(g: CnfGrammar, strings: list[str]) -> list[int]:
-    """``[derivation_count(g, w) for w in strings]`` for equal-length strings.
+    """Each equal-length string's number of derivation trees from the start
+    symbol, as a Python int; 0 iff the string is not in the language.
 
-    Each distinct string is counted once.  The chart is filled one span
+    Each distinct string is counted once.  The CYK chart is filled one span
     width at a time, vectorized over (start position, string): for every
     split, the left and right child columns of each children pair of
     ``CnfGrammar.pairs`` are multiplied, and the products are scatter-added
-    into the pairs' parents.  The chart is float64 and exact while every
-    entry is below 2^53: the entries are sums of products of nonnegative
-    integers and rounding is monotone, so a computed entry is at least any
-    rounded partial term, and a chart whose computed maximum stays below
-    2^53 has made no rounding at all.  When that guard trips, the batch's
-    distinct strings are counted with the big-integer ``derivation_count``
-    instead.
+    into the pairs' parents.  The chart is first filled in float64, which is
+    exact while every entry is below 2^53: the entries are sums of products
+    of nonnegative integers and rounding is monotone, so a computed entry is
+    at least any rounded partial term, and a chart whose computed maximum
+    stays below 2^53 has made no rounding at all.  When that guard trips, the
+    same chart is filled again in object arrays of Python ints.
     """
     if not strings:
         return []
@@ -298,36 +254,27 @@ def derivation_counts(g: CnfGrammar, strings: list[str]) -> list[int]:
     # each distinct children pair (b, c) is multiplied once per split, and
     # the product is added into every parent a of a rule a -> b c
     B, C = g.pairs.T
-    scatter = g.parents.astype(float)
-    # cell is (start, string, nonterminal) for the spans of one width; left[l]
-    # and right[l] keep the columns of width l that each pair's b and c read
-    cell = g.emits[np.searchsorted(symbols, codes)].transpose(1, 0, 2).astype(float)
-    left, right = {}, {}
-    for width in range(2, L + 1):
-        left[width - 1], right[width - 1] = cell[..., B], cell[..., C]
-        spans = L - width + 1
-        acc = np.zeros((spans, len(words), len(B)))
-        for m in range(1, width):
-            acc += left[m][:spans] * right[width - m][m:m + spans]
-        cell = acc @ scatter
-        if not cell.max() < EXACT_FLOAT_LIMIT:
-            counts = [derivation_count(g, strings[i]) for i in first]
+    leaves = g.emits[np.searchsorted(symbols, codes)].transpose(1, 0, 2)
+    for kind in (float, object):
+        # cell is (start, string, nonterminal) for the spans of one width; left[l]
+        # and right[l] keep the columns of width l that each pair's b and c read
+        cell, scatter = leaves.astype(kind), g.parents.astype(kind)
+        left, right = {}, {}
+        for width in range(2, L + 1):
+            left[width - 1], right[width - 1] = cell[..., B], cell[..., C]
+            spans = L - width + 1
+            acc = np.zeros((spans, len(words), len(B)), dtype=kind)
+            for m in range(1, width):
+                acc += left[m][:spans] * right[width - m][m:m + spans]
+            cell = acc @ scatter
+            if kind is float and not cell.max() < EXACT_FLOAT_LIMIT:
+                break
+        else:
+            # the chart is exact: float64 below the guard, or Python ints
             break
-    else:
-        counts = cell[0, :, g.start].astype(np.int64).tolist()
+    # below 2^53 a float64 is an int64 exactly; an object chart holds Python ints
+    counts = cell[0, :, g.start].astype(np.int64 if kind is float else object).tolist()
     return [counts[i] for i in inverse.tolist()]
-
-
-def live_products(live: np.ndarray, l: int, B: np.ndarray, C: np.ndarray):
-    """The (split, pair) products of span length l whose children can both derive.
-
-    ``live`` is a bool array whose row m - 1 tells, for m = 1..l-1, which
-    nonterminals derive some string of length m (``ForwardTable.live``),
-    and children pair r is (B[r], C[r]).  Returns the index arrays (m - 1, r)
-    of every split m in 1..l-1 and pair r with live[m-1, B[r]] and
-    live[l-m-1, C[r]], ordered by ascending split, then pair.
-    """
-    return np.nonzero(live[:l - 1, B] & live[l - 2::-1, C])
 
 
 def union(g1: CnfGrammar, g2: CnfGrammar) -> CnfGrammar:
@@ -338,8 +285,8 @@ def union(g1: CnfGrammar, g2: CnfGrammar) -> CnfGrammar:
     disjointly renamed; all original rules are retained.  Then
     L = L1 | L2, and f(w) = f1(w) + f2(w) for |w| >= 2.  For a single
     symbol the two start copies of a shared lexical rule merge into one
-    rule, so f(w) = max(f1(w), f2(w)): derivation_count(union(g, g), "a")
-    is 1 when g derives "a".
+    rule, so f(w) = max(f1(w), f2(w)): derivation_counts(union(g, g), ["a"])
+    is [1] when g derives "a".
     """
     # Prefixing a fixed distinct letter keeps each side's renaming injective
     # and the two sides disjoint; the fresh start avoids both prefixes.

@@ -10,8 +10,8 @@ the grammar is unambiguous.
 Layer l is built from the shorter layers.  Only live products
 F_m[b] @ F_{l-m}[c] are formed: those of a distinct children pair (b, c) of
 ``CnfGrammar.pairs`` where b derives some string of length m and c some
-string of length l - m, as recorded in ``ForwardTable.live``
-(``grammar.live_products``).  Every other product is an exact zero matrix.
+string of length l - m, as recorded in ``ForwardTable.live``.  Every
+other product is an exact zero matrix.
 There are two paths, chosen by the HMM's state count n:
 
 - Below FOLD_STATES states, all live products of a layer are formed
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grammar import CnfGrammar, live_products
+from .grammar import CnfGrammar
 from .hmm import Hmm
 
 __all__ = [
@@ -245,13 +245,18 @@ def _fold_layers(g: CnfGrammar, layers: np.ndarray, live: np.ndarray) -> None:
     strided views of ``layers``, F_m[b] for ascending m against F_{l-m}[c],
     in chunks of at most max(1, FOLD_ENTRIES // n**2) splits, and the sum is
     added once into each parent.  Any other pair adds its products one by
-    one, in ascending split order.
+    one, in ascending split order.  ``left[l-1, p]`` and ``right[l-1, p]``
+    tell whether pair p's b and c derive length l, and layer l's live
+    products are the nonzero entries of left[:l-1] & right[l-2::-1].
     """
     L, n, np_ = layers.shape[:3]
-    B, C = g.pairs.T
     # fan[p] is (b, c, parents of pair p), as Python ints
     fan = [(b, c, np.flatnonzero(parents).tolist())
            for (b, c), parents in zip(g.pairs.tolist(), g.parents)]
+    # sides[l-1] stacks the rows left[l-1] and right[l-1]
+    children, sides = g.pairs.T, np.zeros((L, 2, len(fan)), dtype=bool)
+    left, right = sides[:, 0], sides[:, 1]
+    live[0].take(children, out=sides[0])
     # views[l-1][a] is F_l[a]; a list lookup costs less than indexing an ndarray
     views = [list(layer) for layer in layers]
     # the stacked products of one chunk of splits land here
@@ -260,19 +265,20 @@ def _fold_layers(g: CnfGrammar, layers: np.ndarray, live: np.ndarray) -> None:
     for l in range(2, L + 1):
         # row marks the parents of live products; a list item is cheaper to
         # set than an ndarray item
-        cur, row, splits_of = views[l - 1], [False] * n, [[] for _ in fan]
-        # i = m - 1 for split m; the live pairs come in ascending split order
-        split, pair = live_products(live, l, B, C)
-        for i, p in zip(split.tolist(), pair.tolist()):
-            splits_of[p].append(i)
-        for (b, c, parents), splits in zip(fan, splits_of):
-            if not splits:
+        cur, row = views[l - 1], [False] * n
+        # i = m - 1 for split m; pair p's live splits are split[ends[p-1]:ends[p]]
+        pair, split = (left[:l - 1] & right[l - 2::-1]).T.nonzero()
+        ends = np.bincount(pair, minlength=len(fan)).cumsum().tolist()
+        split = split.tolist()
+        for (b, c, parents), start, end in zip(fan, [0] + ends, ends):
+            if start == end:
                 continue
-            i, j, k = splits[0], splits[-1], len(splits)
+            splits = split[start:end]
+            i, j, k = splits[0], splits[-1], end - start
             d = splits[1] - i if k > 1 else 0
             if k > 1 and splits == list(range(i, j + 1, d)):
-                left, right = layers[i:j + 1:d, b], layers[l - 2 - i::-d, c][:k]
-                parts = (np.add.reduce(np.matmul(left[at:at + chunk], right[at:at + chunk],
+                lo, hi = layers[i:j + 1:d, b], layers[l - 2 - i::-d, c][:k]
+                parts = (np.add.reduce(np.matmul(lo[at:at + chunk], hi[at:at + chunk],
                                                  out=stack[:min(chunk, k - at)]), axis=0)
                          for at in range(0, k, chunk))
                 total = next(parts)
@@ -286,6 +292,7 @@ def _fold_layers(g: CnfGrammar, layers: np.ndarray, live: np.ndarray) -> None:
                     cur[a] += product
                     row[a] = True
         live[l - 1] = row
+        live[l - 1].take(children, out=sides[l - 1])
 
 
 def weighted_mass(g: CnfGrammar, model: Hmm, L: int) -> LikelihoodResult:

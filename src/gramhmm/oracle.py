@@ -1,10 +1,13 @@
-"""Reference computations: brute force over exhaustive string enumeration,
-and the forward-table recurrence in exact integer arithmetic.
+"""Reference computations: the per-string CYK derivation count, brute force
+over exhaustive string enumeration, and the forward-table recurrence in exact
+integer arithmetic.
 
-Every walk here visits Sigma^L in lexicographic order (guarded by the
-enumeration limit) and serves as ground truth for the dynamic programs, so
-summation uses math.fsum in that fixed order.  ``exact_weighted_mass``
-reaches lengths past the walk's limit with no rounding at all.
+``derivation_count`` is a dict chart over Python ints, apart from the
+vectorized ``grammar.derivation_counts`` it checks.  Every walk here visits
+Sigma^L in lexicographic order (guarded by the enumeration limit) and serves
+as ground truth for the dynamic programs, so summation uses math.fsum in that
+fixed order.  ``exact_weighted_mass`` reaches lengths past the walk's limit
+with no rounding at all.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grammar import CnfGrammar, GrammarError, derivation_count
+from .grammar import CnfGrammar, GrammarError
 from .hmm import Hmm, string_likelihood
 
 if TYPE_CHECKING:
@@ -25,6 +28,7 @@ if TYPE_CHECKING:
 __all__ = [
     "OracleError",
     "ExactDistribution",
+    "derivation_count",
     "enumerate_language",
     "max_ambiguity",
     "brute_force_weighted_mass",
@@ -49,6 +53,48 @@ class ExactDistribution:
     probabilities: dict[str, float]
     z: float
     member_likelihood: float  # membership-weighted mass f_A(L_G intersect Sigma^L)
+
+
+def derivation_count(g: CnfGrammar, w: str) -> int:
+    """Number of derivation trees of w from the start symbol; 0 iff w is not in the language.
+
+    Exact, over Python integers, by the standard CYK chart over substrings:
+    a span's count for nonterminal a is the sum, over splits and binary
+    rules a -> b c, of the products of the two child span counts.  The
+    oracles' reference count.
+    """
+    if len(w) < 1:
+        raise GrammarError("string must be nonempty")
+    L = len(w)
+    # the rule index's rows as lookups: symbol -> emitters, pair -> parents
+    emitters = {s: np.flatnonzero(row).tolist() for s, row in zip(g.alphabet, g.emits)}
+    by_children = {(b, c): np.flatnonzero(row).tolist()
+                   for (b, c), row in zip(g.pairs.tolist(), g.parents)}
+    for ch in w:
+        if ch not in emitters:
+            raise GrammarError(f"symbol {ch!r} not in grammar alphabet")
+    # chart[(i, j)] maps nonterminal -> count for substring w[i:j]
+    chart: dict[tuple[int, int], dict[int, int]] = {}
+    for i, ch in enumerate(w):
+        chart[(i, i + 1)] = dict.fromkeys(emitters[ch], 1)
+    for span in range(2, L + 1):
+        for i in range(L - span + 1):
+            j = i + span
+            cell = {}
+            for m in range(i + 1, j):
+                left = chart[(i, m)]
+                right = chart[(m, j)]
+                if not left or not right:
+                    continue
+                for b, cb in left.items():
+                    for c, cc in right.items():
+                        parents = by_children.get((b, c))
+                        if parents:
+                            prod = cb * cc
+                            for a in parents:
+                                cell[a] = cell.get(a, 0) + prod
+            chart[(i, j)] = cell
+    return chart[(0, L)].get(g.start, 0)
 
 
 def _members(g: CnfGrammar, L: int):

@@ -46,7 +46,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .grammar import CnfGrammar, live_products
+from .grammar import CnfGrammar
 from .hmm import Hmm
 from .inference import ForwardTable, NumericalError, forward_table
 
@@ -180,7 +180,7 @@ class Sampler:
         one entry per column, ordered by ascending split m, then rule
         a -> b c in index order, which is the order of a's children pairs."""
         B, C = self._children[a]
-        split, rule = live_products(self.table.live, l, B, C)
+        split, rule = np.nonzero(self.table.live[:l - 1, B] & self.table.live[l - 2::-1, C])
         return split + 1, B[rule], C[rule]
 
     def _choose(self, a: int, l: int, s, t, u) -> tuple[np.ndarray, ...]:

@@ -74,6 +74,13 @@ def random_grammar(rng: np.random.Generator, max_nonterminals=4, alphabet="abc",
     )
 
 
+def live_products(live: np.ndarray, l: int, B: np.ndarray, C: np.ndarray):
+    """The (split, pair) products of span length l whose children can both
+    derive, as index arrays (m - 1, r) ordered by split, then pair: ``live``
+    is ``ForwardTable.live`` and children pair r is (B[r], C[r])."""
+    return np.nonzero(live[:l - 1, B] & live[l - 2::-1, C])
+
+
 def same_rules(g: CnfGrammar, h: CnfGrammar) -> bool:
     """Same start and rules, by name: the grammar files' lines agree up to
     order."""

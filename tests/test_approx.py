@@ -13,10 +13,10 @@ from gramhmm.approx import (
     fpras_likelihood,
     sample_size,
 )
-from gramhmm.grammar import derivation_count, dyck_grammar, parse_grammar, union, universal_grammar
+from gramhmm.grammar import dyck_grammar, parse_grammar, union, universal_grammar
 from gramhmm.hmm import random_hmm, uniform_hmm
 from gramhmm.inference import forward_table, weighted_mass
-from gramhmm.oracle import exact_distribution
+from gramhmm.oracle import derivation_count, exact_distribution
 from gramhmm.sampling import Sampler, seeded_generator
 
 
@@ -193,6 +193,16 @@ class TestFpras:
         with pytest.raises(ApproxError, match="^ambiguity bound 1 exceeded: "
                                               "a length-3 proposal has 2 derivations$"):
             fpras_likelihood(g, uniform_hmm("ab"), 3, epsilon=0.1, bound=1, seed=0)
+
+    def test_bound_exceeded_past_float(self):
+        # the first batch's largest count is past 2^53, so its chart is
+        # filled again over Python ints, and the message carries the exact
+        # count
+        g = parse_grammar("start S\nS -> S S\nS -> 'a'\nS -> 'b'")
+        with pytest.raises(ApproxError, match="^ambiguity bound 2 exceeded: a length-40 "
+                                              "proposal has 680425371729975800390 "
+                                              "derivations$"):
+            fpras_likelihood(g, uniform_hmm("ab"), 40, epsilon=0.1, bound=2, seed=0)
 
     def test_trailing_nul_symbols(self):
         # the proposals "aa\x00" and "aaa" each hold a quarter of the mass

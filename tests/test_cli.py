@@ -256,6 +256,18 @@ class TestApprox:
         assert r.stderr.splitlines() == [
             "ambiguity bound 1 exceeded: a length-3 proposal has 2 derivations"]
 
+    def test_bound_exceeded_past_float(self, files, capsys):
+        files["ss"] = files["tmp"] / "ss.grm"
+        files["ss"].write_text("start S\nS -> S S\nS -> 'a'\nS -> 'b'\n")
+        assert main(["approx", "--grammar", str(files["ss"]), "--hmm", str(files["ab_hmm"]),
+                     "--length", "40", "--epsilon", "0.1", "--ambiguity-bound", "2",
+                     "--seed", "0"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "ambiguity bound 2 exceeded: a length-40 proposal has 680425371729975800390 "
+            "derivations"]
+
     def test_failure_prob_is_not_an_option(self, files):
         r = run_cli("approx", "--grammar", files["dyck"], "--hmm", files["paren_hmm"],
                     "--length", 4, "--epsilon", 0.2, "--ambiguity-bound", 1, "--seed", 3,

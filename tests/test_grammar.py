@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramhmm import grammar
+from gramhmm import grammar, oracle
 from gramhmm.grammar import (
     EXACT_FLOAT_LIMIT,
     GrammarError,
     GrammarSyntaxError,
     CnfGrammar,
-    derivation_count,
     derivation_counts,
     dyck_grammar,
     format_grammar,
@@ -22,7 +21,7 @@ from gramhmm.grammar import (
 
 from gramhmm.hmm import random_hmm, uniform_hmm
 from gramhmm.inference import forward_table
-from gramhmm.oracle import enumerate_language, max_ambiguity
+from gramhmm.oracle import derivation_count, enumerate_language, max_ambiguity
 
 from conftest import count_trees_by_enumeration, enumerate_yields, random_grammar, same_rules
 
@@ -119,7 +118,7 @@ class TestParse:
 
 
 class TestInsideVector:
-    """The big-integer inside (CYK) chart, read through ``derivation_count``."""
+    """The oracle's per-string reference count, ``oracle.derivation_count``."""
 
     def test_catalan(self, ss_grammar):
         assert derivation_count(ss_grammar, "aaaa") == 5
@@ -140,6 +139,8 @@ class TestInsideVector:
 
 
 class TestDerivationCount:
+    """``oracle.derivation_count`` against hand counts and tree enumeration."""
+
     def test_two_trees(self, ss_grammar):
         assert derivation_count(ss_grammar, "aaa") == 2
 
@@ -174,7 +175,36 @@ class TestDerivationCounts:
     @given(grammar_and_strings())
     def test_matches_per_string_count(self, instance):
         g, strings = instance
-        assert derivation_counts(g, strings) == [derivation_count(g, w) for w in strings]
+        counts = derivation_counts(g, strings)
+        assert counts == [derivation_count(g, w) for w in strings]
+        assert all(type(count) is int for count in counts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grammar_and_strings())
+    def test_int_chart_matches_per_string_count(self, instance):
+        # with no float entry trusted, every chart of two or more symbols
+        # is filled again over Python ints
+        g, strings = instance
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grammar, "EXACT_FLOAT_LIMIT", 0.0)
+            counts = derivation_counts(g, strings)
+        assert counts == [derivation_count(g, w) for w in strings]
+        assert all(type(count) is int for count in counts)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(32, 40).flatmap(
+        lambda L: st.lists(st.text(alphabet="ab", min_size=L, max_size=L), min_size=1,
+                           max_size=3)))
+    def test_counts_beyond_float_match_per_string_count(self, seed, strings):
+        # every length-L string of S -> S S | 'a' | 'b' has Catalan(L - 1)
+        # derivations, past 2^53 from L = 32 on; the union adds a random
+        # grammar's counts
+        ss = parse_grammar("start S\nS -> S S\nS -> 'a'\nS -> 'b'")
+        for g in (ss, union(ss, random_grammar(np.random.default_rng(seed), alphabet="ab"))):
+            counts = derivation_counts(g, strings)
+            assert counts == [derivation_count(g, w) for w in strings]
+            assert all(type(count) is int for count in counts)
+            assert max(counts) > EXACT_FLOAT_LIMIT
 
     def test_counts_beyond_float_fall_back(self, ss_grammar, monkeypatch):
         counted = []
@@ -183,14 +213,18 @@ class TestDerivationCounts:
             counted.append(w)
             return derivation_count(g, w)
 
-        monkeypatch.setattr(grammar, "derivation_count", spy)
-        # Catalan(30) < 2^53 stays on the float chart; Catalan(33) does not
+        monkeypatch.setattr(oracle, "derivation_count", spy)
+        # Catalan(30) < 2^53 stays on the float chart; Catalan(33) does not,
+        # and the same chart is filled again over Python ints
         assert derivation_counts(ss_grammar, ["a" * 31]) == [math.comb(60, 30) // 31]
-        assert counted == []
         catalan33 = math.comb(66, 33) // 34
         assert catalan33 > EXACT_FLOAT_LIMIT
-        assert derivation_counts(ss_grammar, ["a" * 34] * 3) == [catalan33] * 3
-        assert counted == ["a" * 34]
+        counts = derivation_counts(ss_grammar, ["a" * 34] * 3)
+        assert counts == [catalan33] * 3
+        assert all(type(count) is int for count in counts)
+        assert counted == []
+        # the chart is the module's one counter
+        assert not hasattr(grammar, "derivation_count")
 
     def test_empty_batch(self, ss_grammar):
         assert derivation_counts(ss_grammar, []) == []

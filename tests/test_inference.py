@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramhmm import inference
-from gramhmm.grammar import live_products, parse_grammar, union
+from gramhmm.grammar import parse_grammar, union
 from gramhmm.hmm import random_hmm, uniform_hmm
 from gramhmm.inference import (
     FOLD_ENTRIES,
@@ -21,7 +21,7 @@ from gramhmm.inference import (
 )
 from gramhmm.oracle import brute_force_weighted_mass, max_ambiguity
 
-from conftest import random_grammar, random_instance
+from conftest import live_products, random_grammar, random_instance
 
 
 def full_loop_layers(g, model, L):
@@ -45,6 +45,50 @@ def assert_close_to_full_loop(table, rel=1e-12):
     ref = full_loop_layers(table.grammar, table.model, table.length)
     assert np.all(np.abs(table.layers - ref) <= rel * ref)
     assert np.array_equal(table.live, (table.layers > 0).any(axis=(2, 3)))
+
+
+def fold_0_16_layers(g, model, L):
+    """Reference: the layers and ``live`` of gramhmm 0.16.0's folded table,
+    which grouped each layer's live products by pair in a Python pass."""
+    N, n = g.nonterminal_count, model.state_count
+    layers = np.zeros((L, N, n, n))
+    live = np.zeros((L, N), dtype=bool)
+    for a, s in g.lexical_rules:
+        layers[0, a] += model.matrices[s]
+        live[0, a] = True
+    B, C = g.pairs.T
+    fan = [(b, c, np.flatnonzero(parents).tolist())
+           for (b, c), parents in zip(g.pairs.tolist(), g.parents)]
+    views = [list(layer) for layer in layers]
+    stack = np.empty((min(max(1, FOLD_ENTRIES // (n * n)), L), n, n))
+    chunk = len(stack)
+    for l in range(2, L + 1):
+        cur, row, splits_of = views[l - 1], [False] * N, [[] for _ in fan]
+        split, pair = live_products(live, l, B, C)
+        for i, p in zip(split.tolist(), pair.tolist()):
+            splits_of[p].append(i)
+        for (b, c, parents), splits in zip(fan, splits_of):
+            if not splits:
+                continue
+            i, j, k = splits[0], splits[-1], len(splits)
+            d = splits[1] - i if k > 1 else 0
+            if k > 1 and splits == list(range(i, j + 1, d)):
+                left, right = layers[i:j + 1:d, b], layers[l - 2 - i::-d, c][:k]
+                parts = (np.add.reduce(np.matmul(left[at:at + chunk], right[at:at + chunk],
+                                                 out=stack[:min(chunk, k - at)]), axis=0)
+                         for at in range(0, k, chunk))
+                total = next(parts)
+                for part in parts:
+                    total += part
+                products = [total]
+            else:
+                products = [views[i][b] @ views[l - i - 2][c] for i in splits]
+            for product in products:
+                for a in parents:
+                    cur[a] += product
+                    row[a] = True
+        live[l - 1] = row
+    return layers, live
 
 
 def split_steps(table):
@@ -206,6 +250,19 @@ class TestFoldedTable:
         short = min(L, 6)
         exact = brute_force_weighted_mass(g, model, short)
         assert weighted_mass(g, model, short).value == pytest.approx(exact, rel=1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([8, 9]),
+           st.integers(1, 24))
+    def test_matches_0_16_fold(self, seed, sparse, states, L):
+        # grouping each layer's products by pair changes no sum and no order
+        rng = np.random.default_rng(seed)
+        g = random_grammar(rng, sparse=sparse)
+        model = random_hmm(states, g.alphabet, int(rng.integers(0, 2**31)))
+        table = forward_table(g, model, L)
+        layers, live = fold_0_16_layers(g, model, L)
+        assert np.array_equal(table.layers, layers)
+        assert np.array_equal(table.live, live)
 
     def test_contiguous_splits_in_chunks(self, c08):
         # every split of every pair is live; at n=64 a chunk holds 16 splits

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gramhmm.grammar import derivation_count
+from gramhmm.oracle import derivation_count
 from gramhmm.oracle import enumerate_language, max_ambiguity
 from gramhmm.hmm import uniform_hmm
 from gramhmm.oracle import brute_force_likelihood

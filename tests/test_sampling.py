@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramhmm.grammar import (
-    CnfGrammar, derivation_count, live_products, parse_grammar, union, universal_grammar,
+    CnfGrammar, parse_grammar, union, universal_grammar,
 )
 from gramhmm.hmm import Hmm, random_hmm, uniform_hmm
 from gramhmm.inference import NumericalError, forward_table
-from gramhmm.oracle import exact_distribution, tv_distance
+from gramhmm.oracle import derivation_count, exact_distribution, tv_distance
 from gramhmm.sampling import (
     BLOCK_ELEMENTS,
     CHUNK,
@@ -26,7 +26,7 @@ from gramhmm.sampling import (
     trees_json,
 )
 
-from conftest import random_grammar, random_instance
+from conftest import live_products, random_grammar, random_instance
 
 
 def reference_pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
