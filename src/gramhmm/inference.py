@@ -17,13 +17,17 @@ There are two paths, chosen by the HMM's state count n:
 - Below FOLD_STATES states, all live products of a layer are formed
   together, one per (split m, rule a -> b c), found as the nonzero entries
   of two rule-level liveness rows (does b derive length m, does c derive
-  l - m): the factors are gathered into two stacks, multiplied by one
-  batched ``np.matmul``, and added by one ``np.add.at`` on the flattened
-  layer, at the flat entries of each product's parent, in chunks of at most
-  max(1, FOLD_ENTRIES // n**2) products.  The products are ordered by split,
-  then rule, and ``np.add.at`` adds repeated indices one after another in
-  index order, so each F_l[a] gets its addends in the order of a loop over
-  splits, then rules.  Adding +0.0 to a nonnegative entry changes nothing,
+  l - m).  The table is read as flat blocks, block (l-1)*N + a being
+  F_l[a], and three int rows of (split, rule) entries, built once per
+  table, hold each entry's left block, its right block less a per-layer
+  offset, and its parent: each chunk's factors are two ``take``s through
+  them, multiplied by one batched ``np.matmul`` and added by one
+  ``np.add.at`` on the flattened layer, at the flat entries of each
+  product's parent, in chunks of at most max(1, FOLD_ENTRIES // n**2)
+  products.  The products are ordered by split, then rule, and
+  ``np.add.at`` adds repeated indices one after another in index order, so
+  each F_l[a] gets its addends in the order of a loop over splits, then
+  rules.  Adding +0.0 to a nonnegative entry changes nothing,
   so these layers are bit-identical to the full loop's while their entries
   are finite.  The one difference is after overflow: a dead product against
   an overflowed layer is 0 * inf = NaN in the full loop, and is never
@@ -149,10 +153,11 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     Combine:   each live product F_m[b] @ F_{l-m}[c] of a children pair
     (b, c), where b derives length m and c length l - m, is added into
     F_l[a] for each rule a -> b c.  Below FOLD_STATES states each layer's
-    live products are formed per rule by one batched product and added by
-    one flat, ordered scatter per chunk (``_batch_layers``), in order of
-    ascending m, then rule index, and every finite entry is bit-identical to
-    the full loop's;
+    live products are formed per rule by one batched product over factors
+    taken from the table's flat blocks through index rows built once per
+    table, and added by one flat, ordered scatter per chunk
+    (``_batch_layers``), in order of ascending m, then rule index, and every
+    finite entry is bit-identical to the full loop's;
     an entry the full loop would make NaN by 0 * inf after overflow stays
     inf.  From FOLD_STATES states on, each pair's evenly spaced live splits
     are summed by one stacked product (``_fold_layers``), so the layers
@@ -194,46 +199,51 @@ def _batch_layers(g: CnfGrammar, layers: np.ndarray, live: np.ndarray) -> None:
     formed by batched ``np.matmul`` and added by one flat ``np.add.at`` per
     chunk.
 
-    Rule r is a -> b c with (b, c, a) = (rule_b[r], rule_c[r], rule_parent[r]),
-    in (pair, parent) order, so the live (split, rule) products of a layer,
-    ordered by split and then rule, reach each F_l[a] in the loop's
-    (split, pair) order.  ``left[l-1, r]`` and ``right[l-1, r]`` tell whether
-    b and c derive length l, so layer l's live products are the nonzero
-    entries of left[:l-1] & right[l-2::-1], the rows of splits m and l - m.
-    Each chunk adds its products into the flattened layer at ``target[r]``,
-    the n*n flat entries of F_l[a]; the add is in place, so a parent whose
-    products run across a chunk boundary gets them in order.
+    The table is read as flat blocks: block (l-1)*N + a is F_l[a].  Rule r
+    is a -> b c, in (pair, parent) order, and R is the rule count.  Three
+    int rows, built once, have one entry i*R + r per split m = i + 1 and
+    rule r: ``lo`` = i*N + b, the block of F_m[b]; ``hi`` = c - i*N, the
+    block of F_{l-m}[c] less (l-2)*N; and ``parent`` = a.  ``left[l-1, r]``
+    and ``right[l-1, r]`` tell whether b and c derive length l, so layer
+    l's live products are the nonzero entries of
+    (left[:l-1] & right[l-2::-1]).ravel(), ordered by split, then rule,
+    which reaches each F_l[a] in the loop's (split, pair) order; every read
+    of the table is a ``take`` through the rows.  Each chunk adds its
+    products into the flattened layer at ``entries[a]``, the n*n flat
+    entries of F_l[a]; the add is in place, so a parent whose products run
+    across a chunk boundary gets them in order.
     """
-    L, _, n = layers.shape[:3]
+    L, N, n = layers.shape[:3]
     rule_pair, rule_parent = np.nonzero(g.parents)
     children = g.pairs[rule_pair].T
     rule_b, rule_c = children
-    target = rule_parent[:, None] * (n * n) + np.arange(n * n)
+    # entry i*R + r of each row is split m = i + 1 and rule r
+    shift = np.arange(0, (L - 1) * N, N)[:, None]
+    lo, hi = (shift + rule_b).ravel(), (rule_c - shift).ravel()
+    parent = np.tile(rule_parent, L - 1)
+    entries = np.arange(N * n * n).reshape(N, n * n)
+    blocks, flat = layers.reshape(-1, n, n), layers.reshape(L, -1)
     # sides[l-1] stacks the rows left[l-1] and right[l-1]
     sides = np.zeros((L, 2, len(rule_parent)), dtype=bool)
     left, right = sides[:, 0], sides[:, 1]
     live[0].take(children, out=sides[0])
-    flat = layers.reshape(L, -1)
     chunk = max(1, FOLD_ENTRIES // (n * n))
     # a short table pays these calls on every layer, so they are the cheaper
     # method forms: ``.nonzero()`` over ``np.nonzero``, ``take`` over fancy
     # indexing
     for l in range(2, L + 1):
-        # i = m - 1 for split m
-        split, rule = (left[:l - 1] & right[l - 2::-1]).nonzero()
-        if not len(rule):
+        q = (left[:l - 1] & right[l - 2::-1]).ravel().nonzero()[0]
+        if not len(q):
             # the layer, its live row and its rule rows stay zero
             continue
-        if len(rule) <= chunk:
-            parts = [(split, rule)]
-        else:
-            parts = ((split[at:at + chunk], rule[at:at + chunk])
-                     for at in range(0, len(rule), chunk))
-        for i, r in parts:
-            product = np.matmul(layers[i, rule_b[r]], layers[l - 2 - i, rule_c[r]])
-            np.add.at(flat[l - 1], target.take(r, axis=0).ravel(), product.ravel())
+        parts = [q] if len(q) <= chunk else (q[at:at + chunk] for at in range(0, len(q), chunk))
+        for part in parts:
+            product = np.matmul(blocks.take(lo.take(part), axis=0),
+                                blocks.take(hi.take(part) + (l - 2) * N, axis=0))
+            np.add.at(flat[l - 1], entries.take(parent.take(part), axis=0).ravel(),
+                      product.ravel())
         row = live[l - 1]
-        row[rule_parent[rule]] = True
+        row[parent.take(q)] = True
         row.take(children, out=sides[l - 1])
 
 

@@ -195,6 +195,38 @@ class TestForwardTable:
         assert np.array_equal(table.layers, full_loop_layers(c08, model, 110))
         assert np.array_equal(table.live, (table.layers > 0).any(axis=(2, 3)))
 
+    @pytest.mark.parametrize("states", [1, 3])
+    @pytest.mark.parametrize("text, L", [
+        # lexical rules only: no rules, so the index rows are empty
+        ("start S\nS -> 'a'\nS -> 'b'\nT -> 'a'", 6),
+        # X derives nothing, so no binary rule is ever live
+        ("start S\nS -> S X\nS -> X S\nX -> X X\nS -> 'a'\nS -> 'b'", 6),
+        # one layer: no splits, so the index rows are empty
+        ("start S\nS -> S S\nS -> 'a'\nS -> 'b'", 1),
+    ])
+    def test_no_live_products(self, text, L, states):
+        g = parse_grammar(text)
+        model = random_hmm(states, "ab", seed=states)
+        table = forward_table(g, model, L)
+        assert not table.layers[1:].any() and not table.live[1:].any()
+        assert np.array_equal(table.layers, full_loop_layers(g, model, L))
+        assert np.array_equal(table.live, (table.layers > 0).any(axis=(2, 3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.booleans())
+    def test_three_product_chunks_match_full_loop(self, seed, L, sparse):
+        # chunks of 3 products cut a parent's products of one layer between
+        # chunks, which must still add in the loop's order
+        rng = np.random.default_rng(seed)
+        g = random_grammar(rng, sparse=sparse)
+        states = int(rng.integers(1, FOLD_STATES))
+        model = random_hmm(states, g.alphabet, int(rng.integers(0, 2**31)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "FOLD_ENTRIES", 3 * states * states)
+            table = forward_table(g, model, L)
+        assert np.array_equal(table.layers, full_loop_layers(g, model, L))
+        assert np.array_equal(table.live, (table.layers > 0).any(axis=(2, 3)))
+
     def test_long_one_state_dyck(self, dyck, paren_uniform):
         # C_1000 / 2^2000, the share of balanced strings among all of length
         # 2000; the pinned float is the per-product loop's
@@ -220,14 +252,20 @@ class TestForwardTable:
 
     def test_overflow_gives_inf_not_nan(self):
         # F_l[Z] is zero for l >= 2.  The full loop multiplies F_2[Z] by the
-        # overflowed S layers and gets 0 * inf = NaN from L = 453 on; the
-        # live products alone leave those entries inf
+        # overflowed S layers and gets 0 * inf = NaN; the live products alone
+        # leave those entries inf.  The S rows overflow at about the same
+        # length at every batched n: first at l = 466, 451 and 453
         g = parse_grammar("start S\nS -> S S\nS -> Z S\nS -> 'a'\nS -> 'b'\nZ -> 'a'")
-        with np.errstate(over="ignore"):
-            table = forward_table(g, uniform_hmm("ab"), 460)
-        assert not np.isnan(table.layers).any()
-        assert np.isinf(table.layers[450:, g.start]).all()
-        assert np.isfinite(table.layers[:450]).all()
+        for states in (1, 3, 7):
+            with np.errstate(over="ignore", invalid="ignore"):
+                table = forward_table(g, random_hmm(states, "ab", seed=5), 480)
+            assert not np.isnan(table.layers).any()
+            # inf only in rows of F_l[S] that overflowed and stay so
+            inf = np.isinf(table.layers)
+            rows = inf[:, g.start].any(axis=2)
+            assert not inf[:, g.nonterminal_names.index("Z")].any()
+            assert np.array_equal(rows, np.logical_or.accumulate(rows, axis=0))
+            assert not rows[:440].any() and inf[470:, g.start].all()
 
 
 class TestFoldedTable:
