@@ -290,22 +290,19 @@ def union(g1: CnfGrammar, g2: CnfGrammar) -> CnfGrammar:
     """
     # Prefixing a fixed distinct letter keeps each side's renaming injective
     # and the two sides disjoint; the fresh start avoids both prefixes.
-    names = ["U0"]
-    left = {i: len(names) + i for i in range(g1.nonterminal_count)}
-    names += [f"L{nm}" for nm in g1.nonterminal_names]
-    off = len(names)
-    right = {i: off + i for i in range(g2.nonterminal_count)}
-    names += [f"R{nm}" for nm in g2.nonterminal_names]
+    names = ["U0", *(f"L{nm}" for nm in g1.nonterminal_names),
+             *(f"R{nm}" for nm in g2.nonterminal_names)]
 
     binary: list[tuple[int, int, int]] = []
     lexical: list[tuple[int, str]] = []
-    for g, ren in ((g1, left), (g2, right)):
+    # an operand's nonterminal j is j + off in the union
+    for g, off in ((g1, 1), (g2, 1 + g1.nonterminal_count)):
         for a, b, c in g.binary_rules:
-            binary.append((ren[a], ren[b], ren[c]))
+            binary.append((a + off, b + off, c + off))
             if a == g.start:
-                binary.append((0, ren[b], ren[c]))
+                binary.append((0, b + off, c + off))
         for a, s in g.lexical_rules:
-            lexical.append((ren[a], s))
+            lexical.append((a + off, s))
             if a == g.start:
                 lexical.append((0, s))
 

@@ -7,43 +7,27 @@ symbol and the initial distribution gives the weighted mass
 Z = sum_w f_G(w) * f_A(w), which is the exact constrained likelihood when
 the grammar is unambiguous.
 
-Layer l is built from the shorter layers.  Only live products
-F_m[b] @ F_{l-m}[c] are formed: those of a distinct children pair (b, c) of
-``CnfGrammar.pairs`` where b derives some string of length m and c some
-string of length l - m, as recorded in ``ForwardTable.live``.  Every
-other product is an exact zero matrix.
-There are two paths, chosen by the HMM's state count n:
+Layer 1 is F_1[a] = sum of A_sigma over lexical rules a -> sigma.  Layer l
+is built from the shorter ones: F_l[a] = sum over rules a -> b c and splits
+m = 1..l-1 of F_m[b] @ F_{l-m}[c].  Row l of ``ForwardTable.live`` marks
+the nonterminals that derive some string of length l, which depends on the
+grammar alone.  A product is live when b derives length m and c length
+l - m; every other product is an exact zero matrix and is never formed.
 
-- Below FOLD_STATES states, all live products of a layer are formed
-  together, one per (split m, rule a -> b c), found as the nonzero entries
-  of two rule-level liveness rows (does b derive length m, does c derive
-  l - m).  The table is read as flat blocks, block (l-1)*N + a being
-  F_l[a], and three int rows of (split, rule) entries, built once per
-  table, hold each entry's left block, its right block less a per-layer
-  offset, and its parent: each chunk's factors are two ``take``s through
-  them, multiplied by one batched ``np.matmul`` and added by one
-  ``np.add.at`` on the flattened layer, at the flat entries of each
-  product's parent, in chunks of at most max(1, FOLD_ENTRIES // n**2)
-  products.  The products are ordered by split, then rule, and
-  ``np.add.at`` adds repeated indices one after another in index order, so
-  each F_l[a] gets its addends in the order of a loop over splits, then
-  rules.  Adding +0.0 to a nonnegative entry changes nothing,
-  so these layers are bit-identical to the full loop's while their entries
-  are finite.  The one difference is after overflow: a dead product against
-  an overflowed layer is 0 * inf = NaN in the full loop, and is never
-  formed here, so such entries stay inf.
-- From FOLD_STATES states on, the layer goes pair by pair, in pair order.
-  A pair whose live splits are two or more and evenly spaced (every split,
-  or every other one) has its split sum formed as one stacked product,
-  ``np.matmul`` over two strided views of the table, summed over the splits
-  and added once into each parent; a pair with one live split, or unevenly
-  spaced ones, adds its products one by one in ascending split order.  The
-  sums run in a fixed order, so a table is bit-reproducible, but they are
-  not the loop's order: the layers match the full loop's to a relative
-  error of about 1e-15, not bit for bit.  The stacked products of one pair
-  are formed in chunks of at most max(1, FOLD_ENTRIES // n**2) splits, so
-  their temporary holds at most FOLD_ENTRIES float64 entries (512 KB) up to
-  n = 256, and one n x n product beyond.
+``forward_table`` runs the one loop over l = 2..L.  The path chosen by the
+HMM's state count n sets up, once per table, its product columns and a
+kernel ``add(l, mask)``: below FOLD_STATES states (``_batch_layers``) a
+column is a rule a -> b c, in (pair, parent) order; from FOLD_STATES on
+(``_fold_layers``) it is a distinct children pair (b, c) of
+``CnfGrammar.pairs``.  The loop keeps two liveness rows per layer, taken
+from ``live[l-1]``: ``left[l-1]`` (the column's b derives length l) and
+``right[l-1]`` (its c does).  Layer l's live products are the true entries
+of the (split, column) mask left[:l-1] & right[l-2::-1], row i being split
+m = i + 1.  The kernel forms and adds them into layer l and returns the
+parents it wrote; the loop marks those in ``live[l-1]`` and takes that
+row's liveness rows.  A layer with no live product stays zero, and so do
+its rows.  Cost is O(live products of the layer * n^3) per layer, at most
+O(l * |rules| * n^3).
 
 All layers live in one read-only, C-contiguous float64 array of shape
 (L, N, n, n), indexed [l-1, a, s, t], which the likelihood, the sampler and
@@ -56,6 +40,7 @@ matches some other grammar or HMM.
 from __future__ import annotations
 
 import mmap
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +69,8 @@ AMBIGUITY_SLACK = 1e-9
 # the scatter's cost per entry outgrows the fold's one add per pair, while at
 # small n the fold's fixed cost per pair and layer outweighs its small products
 FOLD_STATES = 8
-# largest entry count of one chunk's products, folded or batched: 512 KB of
-# float64
+# largest entry count of one float64 temporary, 512 KB: one chunk's products,
+# folded or batched, and one row block of the sampler's choice weights
 FOLD_ENTRIES = 2**16
 
 
@@ -147,71 +132,66 @@ def _check_alphabets(g: CnfGrammar, model: Hmm) -> None:
 
 
 def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
-    """Build all layers 1..L bottom-up.
+    """Build layers 1..L of the forward table of ``g`` and ``model``, and
+    their ``live`` rows, by the loop of the module docstring.
 
-    Base case: F_1[a] = sum of A_sigma over lexical rules a -> sigma.
-    Combine:   each live product F_m[b] @ F_{l-m}[c] of a children pair
-    (b, c), where b derives length m and c length l - m, is added into
-    F_l[a] for each rule a -> b c.  Below FOLD_STATES states each layer's
-    live products are formed per rule by one batched product over factors
-    taken from the table's flat blocks through index rows built once per
-    table, and added by one flat, ordered scatter per chunk
-    (``_batch_layers``), in order of ascending m, then rule index, and every
-    finite entry is bit-identical to the full loop's;
-    an entry the full loop would make NaN by 0 * inf after overflow stays
-    inf.  From FOLD_STATES states on, each pair's evenly spaced live splits
-    are summed by one stacked product (``_fold_layers``), so the layers
-    agree with the loop's to rounding only; a rebuild is still
-    bit-identical.  Row l of ``live`` is set for the parents of layer l's
-    live products.  Cost is O(live products of the layer * n^3) per layer,
-    at most O(l * |rules| * n^3).
+    Raises InferenceError when the alphabets differ, when L < 1, or when the
+    table cannot be allocated.
     """
     _check_alphabets(g, model)
     if L < 1:
         raise InferenceError("length must be >= 1")
-    n, np_ = g.nonterminal_count, model.state_count
+    N, n = g.nonterminal_count, model.state_count
     # pages of a private anonymous map take no memory until written (rows that
     # stay zero never are) and go back to the OS when the table is freed
-    size = L * n * np_ * np_ * 8
+    size = L * N * n * n * 8
     try:
         buf = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
     except (OSError, OverflowError) as e:
         raise InferenceError(
             f"forward table for length {L} needs {size} bytes and cannot be allocated: {e}"
         ) from None
-    layers = np.frombuffer(buf).reshape(L, n, np_, np_)
-    # live[l-1, a]: a derives some string of length l, so F_l[a] may be nonzero
-    live = np.zeros((L, n), dtype=bool)
+    layers = np.frombuffer(buf).reshape(L, N, n, n)
+    live = np.zeros((L, N), dtype=bool)
     for a, s in g.lexical_rules:
         layers[0, a] += model.matrices[s]
         live[0, a] = True
-    if np_ >= FOLD_STATES:
-        _fold_layers(g, layers, live)
-    else:
-        _batch_layers(g, layers, live)
+    children, add = (_fold_layers if n >= FOLD_STATES else _batch_layers)(g, layers)
+    # sides[l-1] stacks the rows left[l-1] and right[l-1]
+    sides = np.zeros((L, 2, children.shape[1]), dtype=bool)
+    left, right = sides[:, 0], sides[:, 1]
+    live[0].take(children, out=sides[0])
+    for l in range(2, L + 1):
+        row = live[l - 1]
+        row[add(l, left[:l - 1] & right[l - 2::-1])] = True
+        row.take(children, out=sides[l - 1])
     layers.setflags(write=False)
     live.setflags(write=False)
     return ForwardTable(layers=layers, live=live, grammar=g, model=model)
 
 
-def _batch_layers(g: CnfGrammar, layers: np.ndarray, live: np.ndarray) -> None:
-    """Fill layers 2..L and their ``live`` rows, each layer's live products
-    formed by batched ``np.matmul`` and added by one flat ``np.add.at`` per
-    chunk.
+def _batch_layers(
+    g: CnfGrammar, layers: np.ndarray
+) -> tuple[np.ndarray, Callable[[int, np.ndarray], np.ndarray]]:
+    """Per-rule columns, and a kernel that forms a layer's live products by
+    batched ``np.matmul`` and adds them by one flat ``np.add.at`` per chunk.
 
-    The table is read as flat blocks: block (l-1)*N + a is F_l[a].  Rule r
-    is a -> b c, in (pair, parent) order, and R is the rule count.  Three
-    int rows, built once, have one entry i*R + r per split m = i + 1 and
-    rule r: ``lo`` = i*N + b, the block of F_m[b]; ``hi`` = c - i*N, the
-    block of F_{l-m}[c] less (l-2)*N; and ``parent`` = a.  ``left[l-1, r]``
-    and ``right[l-1, r]`` tell whether b and c derive length l, so layer
-    l's live products are the nonzero entries of
-    (left[:l-1] & right[l-2::-1]).ravel(), ordered by split, then rule,
-    which reaches each F_l[a] in the loop's (split, pair) order; every read
-    of the table is a ``take`` through the rows.  Each chunk adds its
-    products into the flattened layer at ``entries[a]``, the n*n flat
-    entries of F_l[a]; the add is in place, so a parent whose products run
-    across a chunk boundary gets them in order.
+    The table is read as flat blocks: block (l-1)*N + a is F_l[a].  Column r
+    is rule a -> b c, and R is the rule count.  Three int rows, built once,
+    have one entry i*R + r per split m = i + 1 and rule r: ``lo`` = i*N + b,
+    the block of F_m[b]; ``hi`` = c - i*N, the block of F_{l-m}[c] less
+    (l-2)*N; and ``parent`` = a.  The live products are the true entries of
+    the raveled mask, ordered by split, then rule, and are formed in chunks
+    of at most max(1, FOLD_ENTRIES // n**2), each factor read by one ``take``
+    through the rows into a buffer allocated once per table.  Each chunk
+    adds its products into the flattened layer at ``entries[a]``, the n*n
+    flat entries of F_l[a].  ``np.add.at`` adds repeated indices one after
+    another in index order, in place, so each F_l[a] gets its addends in the
+    order of a loop over splits, then rules, across chunk boundaries too.
+    Adding +0.0 to a nonnegative entry changes nothing, so the layers are
+    that loop's bits while their entries are finite.  After overflow, a dead
+    product against an overflowed layer is 0 * inf = NaN in the loop and is
+    never formed here, so such entries stay inf.
     """
     L, N, n = layers.shape[:3]
     rule_pair, rule_parent = np.nonzero(g.parents)
@@ -223,61 +203,66 @@ def _batch_layers(g: CnfGrammar, layers: np.ndarray, live: np.ndarray) -> None:
     parent = np.tile(rule_parent, L - 1)
     entries = np.arange(N * n * n).reshape(N, n * n)
     blocks, flat = layers.reshape(-1, n, n), layers.reshape(L, -1)
-    # sides[l-1] stacks the rows left[l-1] and right[l-1]
-    sides = np.zeros((L, 2, len(rule_parent)), dtype=bool)
-    left, right = sides[:, 0], sides[:, 1]
-    live[0].take(children, out=sides[0])
-    chunk = max(1, FOLD_ENTRIES // (n * n))
+    chunk = min(max(1, FOLD_ENTRIES // (n * n)), max(1, len(lo)))
+    # a chunk's two factor stacks, its products and their parents' flat
+    # entries, allocated once per table: allocated and freed on every layer,
+    # they let the heap shrink and fault its pages back in on the next layer
+    lefts, rights, products = np.empty((3, chunk, n, n))
+    spots = np.empty((chunk, n * n), dtype=np.intp)
+
     # a short table pays these calls on every layer, so they are the cheaper
     # method forms: ``.nonzero()`` over ``np.nonzero``, ``take`` over fancy
-    # indexing
-    for l in range(2, L + 1):
-        q = (left[:l - 1] & right[l - 2::-1]).ravel().nonzero()[0]
+    # indexing; ``mode="clip"`` writes straight into ``out`` and clips
+    # nothing, as every index is in range
+    def add(l: int, mask: np.ndarray) -> np.ndarray:
+        q = mask.ravel().nonzero()[0]
         if not len(q):
-            # the layer, its live row and its rule rows stay zero
-            continue
+            return q
         parts = [q] if len(q) <= chunk else (q[at:at + chunk] for at in range(0, len(q), chunk))
         for part in parts:
-            product = np.matmul(blocks.take(lo.take(part), axis=0),
-                                blocks.take(hi.take(part) + (l - 2) * N, axis=0))
-            np.add.at(flat[l - 1], entries.take(parent.take(part), axis=0).ravel(),
-                      product.ravel())
-        row = live[l - 1]
-        row[parent.take(q)] = True
-        row.take(children, out=sides[l - 1])
+            k = len(part)
+            x, y, spot = lefts[:k], rights[:k], spots[:k]
+            blocks.take(lo.take(part), axis=0, out=x, mode="clip")
+            blocks.take(hi.take(part) + (l - 2) * N, axis=0, out=y, mode="clip")
+            entries.take(parent.take(part), axis=0, out=spot, mode="clip")
+            np.add.at(flat[l - 1], spot.ravel(), np.matmul(x, y, out=products[:k]).ravel())
+        return parent.take(q)
+
+    return children, add
 
 
-def _fold_layers(g: CnfGrammar, layers: np.ndarray, live: np.ndarray) -> None:
-    """Fill layers 2..L and their ``live`` rows, one children pair at a time.
+def _fold_layers(
+    g: CnfGrammar, layers: np.ndarray
+) -> tuple[np.ndarray, Callable[[int, np.ndarray], list[int]]]:
+    """Per-pair columns, and a kernel that adds a layer's live products one
+    children pair at a time, in pair order.
 
-    Per layer, a pair whose live splits i (= m - 1) are two or more and
-    evenly spaced by d has its split sum formed as stacked products over two
-    strided views of ``layers``, F_m[b] for ascending m against F_{l-m}[c],
-    in chunks of at most max(1, FOLD_ENTRIES // n**2) splits, and the sum is
-    added once into each parent.  Any other pair adds its products one by
-    one, in ascending split order.  ``left[l-1, p]`` and ``right[l-1, p]``
-    tell whether pair p's b and c derive length l, and layer l's live
-    products are the nonzero entries of left[:l-1] & right[l-2::-1].
+    A pair whose live splits i (= m - 1) are two or more and evenly spaced
+    by d has its split sum formed as stacked products over two strided views
+    of ``layers``, F_m[b] for ascending m against F_{l-m}[c], in chunks of
+    at most max(1, FOLD_ENTRIES // n**2) splits; each chunk is summed over
+    its splits, the chunk sums are added in order, and the sum is added once
+    into each parent.  Any other pair adds its products one by one, in
+    ascending split order.  The sums run in a fixed order, so a rebuild
+    gives the same bits, but not in the full loop's order: the layers match
+    that loop's to a relative error of about 1e-15.  The stacked products
+    of a chunk hold at most FOLD_ENTRIES float64 entries (512 KB) up to
+    n = 256, and one n x n product beyond.
     """
-    L, n, np_ = layers.shape[:3]
+    L, n = len(layers), layers.shape[2]
     # fan[p] is (b, c, parents of pair p), as Python ints
     fan = [(b, c, np.flatnonzero(parents).tolist())
            for (b, c), parents in zip(g.pairs.tolist(), g.parents)]
-    # sides[l-1] stacks the rows left[l-1] and right[l-1]
-    children, sides = g.pairs.T, np.zeros((L, 2, len(fan)), dtype=bool)
-    left, right = sides[:, 0], sides[:, 1]
-    live[0].take(children, out=sides[0])
     # views[l-1][a] is F_l[a]; a list lookup costs less than indexing an ndarray
     views = [list(layer) for layer in layers]
     # the stacked products of one chunk of splits land here
-    stack = np.empty((min(max(1, FOLD_ENTRIES // (np_ * np_)), L), np_, np_))
+    stack = np.empty((min(max(1, FOLD_ENTRIES // (n * n)), L), n, n))
     chunk = len(stack)
-    for l in range(2, L + 1):
-        # row marks the parents of live products; a list item is cheaper to
-        # set than an ndarray item
-        cur, row = views[l - 1], [False] * n
+
+    def add(l: int, mask: np.ndarray) -> list[int]:
+        cur, written = views[l - 1], []
         # i = m - 1 for split m; pair p's live splits are split[ends[p-1]:ends[p]]
-        pair, split = (left[:l - 1] & right[l - 2::-1]).T.nonzero()
+        pair, split = mask.T.nonzero()
         ends = np.bincount(pair, minlength=len(fan)).cumsum().tolist()
         split = split.tolist()
         for (b, c, parents), start, end in zip(fan, [0] + ends, ends):
@@ -300,9 +285,10 @@ def _fold_layers(g: CnfGrammar, layers: np.ndarray, live: np.ndarray) -> None:
             for product in products:
                 for a in parents:
                     cur[a] += product
-                    row[a] = True
-        live[l - 1] = row
-        live[l - 1].take(children, out=sides[l - 1])
+            written += parents
+        return written
+
+    return g.pairs.T, add
 
 
 def weighted_mass(g: CnfGrammar, model: Hmm, L: int) -> LikelihoodResult:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .grammar import CnfGrammar, union
@@ -118,15 +119,17 @@ def parse_dimacs(text: str) -> Cnf3Formula:
     return Cnf3Formula(variable_count=n_vars, clauses=tuple(clauses))
 
 
-def _falsifying_bits(clause: Clause, n: int) -> list[tuple[str, ...]]:
-    """Per-position allowed bits for assignments that falsify the clause.
+def _falsifying_bits(literals: Iterable[int], n: int) -> list[tuple[str, ...]]:
+    """Per-position allowed bits for assignments that falsify every literal:
+    those of one clause, or of all clauses of a subset.
 
     A positive literal forces bit '0' at its position, a negative one '1';
-    untouched positions allow both.  Contradictory repeats (a tautological
-    clause) leave a position with no allowed bit, i.e. an empty language.
+    untouched positions allow both.  Contradictory literals (a tautological
+    clause, or clauses that no assignment falsifies together) leave a
+    position with no allowed bit, i.e. an empty language.
     """
     allowed: list[set[str]] = [{"0", "1"} for _ in range(n)]
-    for lit in clause:
+    for lit in literals:
         allowed[abs(lit) - 1] &= {"0"} if lit > 0 else {"1"}
     return [tuple(sorted(a)) for a in allowed]
 
@@ -205,15 +208,11 @@ def model_count_via_likelihood(formula: Cnf3Formula) -> int:
             f"model counting is limited to {INCLUSION_EXCLUSION_CLAUSE_LIMIT} clauses"
         )
     model = uniform_hmm("01")
-    per_clause = [_falsifying_bits(c, n) for c in formula.clauses]
     terms = []
     for size in range(1, k + 1):
         sign = 1.0 if size % 2 == 1 else -1.0
-        for subset in itertools.combinations(range(k), size):
-            allowed = [
-                tuple(sorted(set.intersection(*(set(per_clause[j][i]) for j in subset))))
-                for i in range(n)
-            ]
+        for subset in itertools.combinations(formula.clauses, size):
+            allowed = _falsifying_bits([lit for clause in subset for lit in clause], n)
             if any(not a for a in allowed):
                 continue
             g = _position_grammar(allowed)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .grammar import CnfGrammar
 from .hmm import Hmm
-from .inference import ForwardTable, NumericalError, forward_table
+from .inference import FOLD_ENTRIES, ForwardTable, NumericalError, forward_table
 
 __all__ = [
     "SamplingError",
@@ -63,8 +63,6 @@ UNDERFLOW_FLOOR = 1e-300
 # Draws per batch.  A constant, so a seeded stream depends only on the seed
 # and the arguments.
 CHUNK = 1024
-# Most choice weights formed at once; larger groups are split into row blocks.
-BLOCK_ELEMENTS = 1 << 16
 
 
 class SamplingError(ValueError):
@@ -198,7 +196,8 @@ class Sampler:
         left, right = m * N + b, (l - m) * N + c
         # the first rows of F_m[b] in _rows and of F_{l-m}[c] in _cols
         lo0, hi0 = (left - N) * n, (right - N) * n
-        step = max(1, BLOCK_ELEMENTS // (len(m) * n))
+        # a row block's choice weights fit in FOLD_ENTRIES entries
+        step = max(1, FOLD_ENTRIES // (len(m) * n))
         column, middle = np.empty((2, len(s)), dtype=np.intp)
         for i in range(0, len(s), step):
             block = slice(i, i + step)

@@ -195,7 +195,7 @@ class TestForwardTable:
         assert np.array_equal(table.layers, full_loop_layers(c08, model, 110))
         assert np.array_equal(table.live, (table.layers > 0).any(axis=(2, 3)))
 
-    @pytest.mark.parametrize("states", [1, 3])
+    @pytest.mark.parametrize("states", [1, 3, 8, 9])
     @pytest.mark.parametrize("text, L", [
         # lexical rules only: no rules, so the index rows are empty
         ("start S\nS -> 'a'\nS -> 'b'\nT -> 'a'", 6),
@@ -253,10 +253,11 @@ class TestForwardTable:
     def test_overflow_gives_inf_not_nan(self):
         # F_l[Z] is zero for l >= 2.  The full loop multiplies F_2[Z] by the
         # overflowed S layers and gets 0 * inf = NaN; the live products alone
-        # leave those entries inf.  The S rows overflow at about the same
-        # length at every batched n: first at l = 466, 451 and 453
+        # leave those entries inf, on the batched and the folded path alike.
+        # The S rows overflow at about the same length at every n: first at
+        # l = 466, 451, 453, 450 and 451 for n = 1, 3, 7, 8 and 9
         g = parse_grammar("start S\nS -> S S\nS -> Z S\nS -> 'a'\nS -> 'b'\nZ -> 'a'")
-        for states in (1, 3, 7):
+        for states in (1, 3, 7, 8, 9):
             with np.errstate(over="ignore", invalid="ignore"):
                 table = forward_table(g, random_hmm(states, "ab", seed=5), 480)
             assert not np.isnan(table.layers).any()

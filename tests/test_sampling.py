@@ -11,10 +11,9 @@ from gramhmm.grammar import (
     CnfGrammar, parse_grammar, union, universal_grammar,
 )
 from gramhmm.hmm import Hmm, random_hmm, uniform_hmm
-from gramhmm.inference import NumericalError, forward_table
+from gramhmm.inference import FOLD_ENTRIES, NumericalError, forward_table
 from gramhmm.oracle import derivation_count, exact_distribution, tv_distance
 from gramhmm.sampling import (
-    BLOCK_ELEMENTS,
     CHUNK,
     UNDERFLOW_FLOOR,
     Sampler,
@@ -47,7 +46,7 @@ def reference_choose(table, a: int, l: int, s, t, u) -> tuple[np.ndarray, ...]:
     B, C = g.pairs[g.parents[:, a]].T
     split, rule = live_products(table.live, l, B, C)
     m, b, c = split + 1, B[rule], C[rule]
-    step = max(1, BLOCK_ELEMENTS // (len(m) * table.model.state_count))
+    step = max(1, FOLD_ENTRIES // (len(m) * table.model.state_count))
     column = np.empty(len(s), dtype=np.intp)
     middle = np.empty(len(s), dtype=np.intp)
     for i in range(0, len(s), step):
@@ -432,7 +431,7 @@ class TestProperties:
                 break
         a, l = groups[int(rng.integers(len(groups)))]
         columns = len(sampler._columns(a, l)[0])
-        k = int(rng.integers(1, 40)) + (BLOCK_ELEMENTS // (columns * n) if many else 0)
+        k = int(rng.integers(1, 40)) + (FOLD_ENTRIES // (columns * n) if many else 0)
         s, t = np.nonzero(table.layers[l - 1, a])
         nodes = rng.integers(len(s), size=k)
         s, t, u = s[nodes], t[nodes], rng.random((2, k))
