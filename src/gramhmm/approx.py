@@ -58,13 +58,16 @@ class FprasReport:
 
 def sample_size(bound: int, epsilon: float) -> int:
     """Smallest Hoeffding sample count for |p_hat - p| <= epsilon / bound
-    with probability at least 3/4: N = ceil(ln(8) * bound^2 / (2 epsilon^2)).
-    """
+    with probability at least 3/4: N = ceil(ln(8) * bound^2 / (2 epsilon^2)),
+    or ApproxError where that float64 quotient is not a finite integer."""
     if bound < 1:
         raise ApproxError("ambiguity bound must be >= 1")
     if not 0.0 < epsilon < 1.0:
         raise ApproxError("epsilon must be in (0, 1)")
-    return math.ceil(math.log(8.0) * bound * bound / (2.0 * epsilon * epsilon))
+    try:
+        return math.ceil(math.log(8.0) * bound * bound / (2.0 * epsilon * epsilon))
+    except (ZeroDivisionError, OverflowError):
+        raise ApproxError(f"sample size is not finite at epsilon {epsilon}, bound {bound}") from None
 
 
 def exact_bernoulli(count: int, rng: np.random.Generator) -> bool:

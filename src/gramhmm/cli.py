@@ -26,6 +26,8 @@ from . import inference, oracle, reductions, sampling
 EXIT_OK = 0
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
+# json.dumps(value, allow_nan=False), with one encoder in place of one per call
+_encode = json.JSONEncoder(allow_nan=False).encode
 
 
 class JsonText(str):
@@ -214,18 +216,16 @@ def main(argv: list[str] | None = None) -> int:
         print(str(e), file=sys.stderr)
         return _failure_code(e)
     elapsed = time.perf_counter() - started
-    # values already written as JSON go last, after the encoded keys
-    written = {key: body.pop(key) for key in list(body) if isinstance(body[key], JsonText)}
     doc = {"command": args.command, "status": "ok", **body}
+    pieces = []  # json.dumps(doc)'s pieces, JsonText values as is; unjoined, so no copy
     try:
-        text = json.dumps(doc, allow_nan=False)
+        for key, value in doc.items():
+            pieces += [", ", _encode(key), ": ", value if isinstance(value, JsonText) else _encode(value)]
     except ValueError:
         print(f"non-finite result: {_nonfinite(body, args.command)}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if written:
-        text = text[:-1] + "".join(f", {json.dumps(key)}: {value}"
-                                   for key, value in written.items()) + "}"
-    sys.stdout.write(text + "\n")
+    pieces[0] = "{"
+    sys.stdout.writelines(pieces + ["}\n"])
     print(f"{args.command}: {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK
 

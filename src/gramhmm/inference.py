@@ -237,30 +237,28 @@ def _fold_layers(
     """Per-pair columns, and a kernel that adds a layer's live products one
     children pair at a time, in pair order.
 
-    A pair whose live splits i (= m - 1) are two or more and evenly spaced
-    by d has its split sum formed as stacked products over two strided views
-    of ``layers``, F_m[b] for ascending m against F_{l-m}[c], in chunks of
-    at most max(1, FOLD_ENTRIES // n**2) splits; each chunk is summed over
-    its splits, the chunk sums are added in order, and the sum is added once
-    into each parent.  Any other pair adds its products one by one, in
-    ascending split order.  The sums run in a fixed order, so a rebuild
-    gives the same bits, but not in the full loop's order: the layers match
-    that loop's to a relative error of about 1e-15.  The stacked products
-    of a chunk hold at most FOLD_ENTRIES float64 entries (512 KB) up to
-    n = 256, and one n x n product beyond.
+    A pair's live splits i (= m - 1) are cut into runs: evenly spaced ones,
+    a single split included, form one run, and any other set one run per
+    split.  Every run is summed as stacked products over two strided views of
+    ``layers``, F_m[b] for ascending m against F_{l-m}[c], in chunks of at
+    most max(1, FOLD_ENTRIES // n**2) splits; each chunk is summed over its
+    splits, the chunk sums are added in order, and the run's sum is added
+    once into each parent, run after run.  A one-split run's sum is its
+    product's bits.  The sums run in a fixed order, so a rebuild gives the
+    same bits, but not the full loop's: the layers match that loop's to a
+    relative error of about 1e-15.  A chunk's stacked products hold at most
+    FOLD_ENTRIES float64 entries (512 KB) up to n = 256, one n x n beyond.
     """
     L, n = len(layers), layers.shape[2]
     # fan[p] is (b, c, parents of pair p), as Python ints
     fan = [(b, c, np.flatnonzero(parents).tolist())
            for (b, c), parents in zip(g.pairs.tolist(), g.parents)]
-    # views[l-1][a] is F_l[a]; a list lookup costs less than indexing an ndarray
-    views = [list(layer) for layer in layers]
     # the stacked products of one chunk of splits land here
     stack = np.empty((min(max(1, FOLD_ENTRIES // (n * n)), L), n, n))
     chunk = len(stack)
 
     def add(l: int, mask: np.ndarray) -> list[int]:
-        cur, written = views[l - 1], []
+        cur, written = layers[l - 1], []
         # i = m - 1 for split m; pair p's live splits are split[ends[p-1]:ends[p]]
         pair, split = mask.T.nonzero()
         ends = np.bincount(pair, minlength=len(fan)).cumsum().tolist()
@@ -269,22 +267,20 @@ def _fold_layers(
             if start == end:
                 continue
             splits = split[start:end]
-            i, j, k = splits[0], splits[-1], end - start
-            d = splits[1] - i if k > 1 else 0
-            if k > 1 and splits == list(range(i, j + 1, d)):
-                lo, hi = layers[i:j + 1:d, b], layers[l - 2 - i::-d, c][:k]
+            i, k = splits[0], end - start
+            d = splits[1] - i if k > 1 else 1
+            runs = ([(i, d, k)] if splits == list(range(i, splits[-1] + 1, d))
+                    else [(i, 1, 1) for i in splits])
+            for i, d, k in runs:  # first split, spacing, split count
+                lo, hi = layers[i:i + d * k:d, b], layers[l - 2 - i::-d, c][:k]
                 parts = (np.add.reduce(np.matmul(lo[at:at + chunk], hi[at:at + chunk],
                                                  out=stack[:min(chunk, k - at)]), axis=0)
                          for at in range(0, k, chunk))
                 total = next(parts)
                 for part in parts:
                     total += part
-                products = [total]
-            else:
-                products = [views[i][b] @ views[l - i - 2][c] for i in splits]
-            for product in products:
                 for a in parents:
-                    cur[a] += product
+                    cur[a] += total
             written += parents
         return written
 

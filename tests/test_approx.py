@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,14 @@ class TestSampleSize:
         with pytest.raises(ApproxError):
             sample_size(0, 0.1)
 
+    @pytest.mark.parametrize("bound, epsilon", [(2, 1e-300), (10**200, 0.5)],
+                             ids=["epsilon-underflow", "bound-overflow"])
+    def test_size_not_finite(self, bound, epsilon):
+        # epsilon^2 underflows to 0, or bound^2 leaves float range
+        message = f"sample size is not finite at epsilon {epsilon}, bound {bound}"
+        with pytest.raises(ApproxError, match=f"^{re.escape(message)}$"):
+            sample_size(bound, epsilon)
+
 
 class TestStreamPin:
     """(samples, accepted) of seeded runs, recorded at gramhmm 0.7.0: a change
@@ -128,17 +137,19 @@ class TestExactBernoulli:
         with pytest.raises(ApproxError):
             exact_bernoulli(0, np.random.default_rng(0))
 
+    # the walk reads the stream of one exact_bernoulli call per trial
+    # (TestBernoulliStream), so one walk gives the same hits
     @pytest.mark.parametrize("count,trials,tol", [(2, 100_000, 0.006), (3, 60_000, 0.007)])
     def test_acceptance_rate(self, count, trials, tol):
         rng = np.random.default_rng(123)
-        hits = sum(exact_bernoulli(count, rng) for _ in range(trials))
+        hits = sum(_bernoulli_walk([count] * trials, rng))
         assert hits / trials == pytest.approx(1 / count, abs=tol)
 
     def test_huge_count_rarely_accepts(self):
         # count far above 2^53: float division would round to garbage
         rng = np.random.default_rng(7)
         count = 10**30
-        assert not any(exact_bernoulli(count, rng) for _ in range(1000))
+        assert not any(_bernoulli_walk([count] * 1000, rng))
 
 
 class TestFpras:

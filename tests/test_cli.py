@@ -268,6 +268,17 @@ class TestApprox:
             "ambiguity bound 2 exceeded: a length-40 proposal has 680425371729975800390 "
             "derivations"]
 
+    @pytest.mark.parametrize("epsilon, bound", [("1e-300", "2"), ("0.5", "1" + "0" * 200)],
+                             ids=["epsilon-underflow", "bound-overflow"])
+    def test_sample_size_not_finite(self, files, epsilon, bound):
+        r = run_cli("approx", "--grammar", files["dyck"], "--hmm", files["paren_hmm"],
+                    "--length", 4, "--epsilon", epsilon, "--ambiguity-bound", bound, "--seed", 3)
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert r.stderr.splitlines() == [
+            f"sample size is not finite at epsilon {float(epsilon)}, bound {bound}"]
+
     def test_failure_prob_is_not_an_option(self, files):
         r = run_cli("approx", "--grammar", files["dyck"], "--hmm", files["paren_hmm"],
                     "--length", 4, "--epsilon", 0.2, "--ambiguity-bound", 1, "--seed", 3,

@@ -23,7 +23,7 @@ from gramhmm.hmm import random_hmm, uniform_hmm
 from gramhmm.inference import forward_table
 from gramhmm.oracle import derivation_count, enumerate_language, max_ambiguity
 
-from conftest import count_trees_by_enumeration, enumerate_yields, random_grammar, same_rules
+from conftest import enumerate_yields, random_grammar, same_rules
 
 
 @st.composite
@@ -115,59 +115,6 @@ class TestParse:
         except GrammarError:
             return
         assert same_rules(parse_grammar(format_grammar(g)), g)
-
-
-class TestInsideVector:
-    """The oracle's per-string reference count, ``oracle.derivation_count``."""
-
-    def test_catalan(self, ss_grammar):
-        assert derivation_count(ss_grammar, "aaaa") == 5
-
-    def test_single_rule(self):
-        g = parse_grammar("start S\nS -> 'a'")
-        assert derivation_count(g, "a") == 1
-
-    def test_unknown_symbol(self):
-        g = parse_grammar("start S\nS -> 'a'")
-        with pytest.raises(GrammarError, match="alphabet"):
-            derivation_count(g, "b")
-
-    def test_empty_string(self):
-        g = parse_grammar("start S\nS -> 'a'")
-        with pytest.raises(GrammarError):
-            derivation_count(g, "")
-
-
-class TestDerivationCount:
-    """``oracle.derivation_count`` against hand counts and tree enumeration."""
-
-    def test_two_trees(self, ss_grammar):
-        assert derivation_count(ss_grammar, "aaa") == 2
-
-    def test_no_binary_rule(self):
-        g = parse_grammar("start S\nS -> 'a'")
-        assert derivation_count(g, "aa") == 0
-
-    def test_dyck_unambiguous(self, dyck):
-        assert derivation_count(dyck, "()()") == 1
-
-    def test_big_counts_are_exact(self, ss_grammar):
-        # Catalan(19) > 2^32; must not lose precision
-        import math
-
-        c19 = math.comb(38, 19) // 20
-        assert derivation_count(ss_grammar, "a" * 20) == c19
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_tree_enumeration(self, seed):
-        rng = np.random.default_rng(seed)
-        g = random_grammar(rng)
-        import itertools
-
-        for L in (1, 2, 3, 4):
-            for tup in itertools.product(g.alphabet, repeat=L):
-                w = "".join(tup)
-                assert derivation_count(g, w) == count_trees_by_enumeration(g, w)
 
 
 class TestDerivationCounts:

@@ -270,9 +270,9 @@ class TestForwardTable:
 
 
 class TestFoldedTable:
-    """From FOLD_STATES states on, each children pair's evenly spaced live
-    splits are summed by one stacked product, so the layers differ from the
-    loop's in the last bits."""
+    """From FOLD_STATES states on, each children pair's live splits are
+    summed by stacked products, one per run of evenly spaced splits, so the
+    layers differ from the loop's in the last bits."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["dense", "sparse", "union"]),
@@ -322,12 +322,17 @@ class TestFoldedTable:
 
     def test_unevenly_spaced_splits(self):
         # A derives lengths 1, 2 and 4 only, so pair (A, C) has live splits
-        # 1, 2, 4 from l = 5 on
-        g = parse_grammar("start S\nS -> A C\nA -> P P\nA -> Q Q\nQ -> P P\nC -> C C\n"
-                          "A -> 'a'\nP -> 'a'\nC -> 'a'\nC -> 'b'")
-        table = forward_table(g, random_hmm(8, "ab", seed=10), 12)
+        # 1, 2, 4 from l = 5 on; pair (A, A) is added into S before it
+        g = parse_grammar("start S\nS -> A A\nS -> A C\nA -> P P\nA -> Q Q\nQ -> P P\n"
+                          "C -> C C\nA -> 'a'\nP -> 'a'\nC -> 'a'\nC -> 'b'")
+        model = random_hmm(8, "ab", seed=10)
+        table = forward_table(g, model, 12)
         assert None in split_steps(table)
         assert_close_to_full_loop(table)
+        # one run per uneven split adds the products in 0.16.0's order
+        layers, live = fold_0_16_layers(g, model, 12)
+        assert np.array_equal(table.layers, layers)
+        assert np.array_equal(table.live, live)
 
     def test_rebuild_is_bitwise_equal(self, c08):
         model = random_hmm(16, "ab", seed=8)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,12 +13,13 @@ from gramhmm.oracle import (
     OracleError,
     brute_force_likelihood,
     brute_force_weighted_mass,
+    derivation_count,
     exact_distribution,
     exact_weighted_mass,
     tv_distance,
 )
 
-from conftest import random_instance
+from conftest import count_trees_by_enumeration, random_grammar, random_instance
 
 
 class TestWeightedMass:
@@ -131,3 +133,48 @@ class TestTvDistance:
     def test_small_shift(self):
         dist = ExactDistribution({"a": 0.5, "b": 0.5}, 1.0, 1.0)
         assert tv_distance({"a": 0.6, "b": 0.4}, dist) == pytest.approx(0.1)
+
+
+class TestDerivationCount:
+    """The oracle's per-string reference count, ``oracle.derivation_count``,
+    against hand counts and tree enumeration."""
+
+    def test_catalan(self, ss_grammar):
+        assert derivation_count(ss_grammar, "aaaa") == 5
+
+    def test_two_trees(self, ss_grammar):
+        assert derivation_count(ss_grammar, "aaa") == 2
+
+    def test_single_rule(self):
+        g = parse_grammar("start S\nS -> 'a'")
+        assert derivation_count(g, "a") == 1
+
+    def test_no_binary_rule(self):
+        g = parse_grammar("start S\nS -> 'a'")
+        assert derivation_count(g, "aa") == 0
+
+    def test_unknown_symbol(self):
+        g = parse_grammar("start S\nS -> 'a'")
+        with pytest.raises(GrammarError, match="alphabet"):
+            derivation_count(g, "b")
+
+    def test_empty_string(self):
+        g = parse_grammar("start S\nS -> 'a'")
+        with pytest.raises(GrammarError):
+            derivation_count(g, "")
+
+    def test_dyck_unambiguous(self, dyck):
+        assert derivation_count(dyck, "()()") == 1
+
+    def test_big_counts_are_exact(self, ss_grammar):
+        # Catalan(19) > 2^32; must not lose precision
+        c19 = math.comb(38, 19) // 20
+        assert derivation_count(ss_grammar, "a" * 20) == c19
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_tree_enumeration(self, seed):
+        g = random_grammar(np.random.default_rng(seed))
+        for L in (1, 2, 3, 4):
+            for tup in itertools.product(g.alphabet, repeat=L):
+                w = "".join(tup)
+                assert derivation_count(g, w) == count_trees_by_enumeration(g, w)
