@@ -2,7 +2,8 @@
 
 Human-readable diagnostics (timings, progress) go to stderr so stdout stays
 machine-readable and bit-reproducible for seeded commands.  Exit codes:
-0 ok, 2 usage error (from argparse), 3 validation error, 4 numerical/consistency error.
+0 ok, 2 usage error (from argparse), 3 validation error or out of memory,
+4 numerical/consistency error.
 
 ``main`` can be called repeatedly in one process: the first call builds the
 parser and later calls reuse it.
@@ -215,6 +216,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return _failure_code(e)
+    except MemoryError as e:
+        # a buffer the host cannot give, such as the sampler's transposed copy
+        # of the table, is a limit of the input like a table too large to map
+        detail = " ".join(str(e).split())
+        print(f"out of memory: {detail}" if detail else "out of memory", file=sys.stderr)
+        return EXIT_VALIDATION
     elapsed = time.perf_counter() - started
     doc = {"command": args.command, "status": "ok", **body}
     pieces = []  # json.dumps(doc)'s pieces, JsonText values as is; unjoined, so no copy

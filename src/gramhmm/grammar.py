@@ -44,6 +44,13 @@ class GrammarSyntaxError(GrammarError):
         self.column = column
 
 
+def _unwritable(name) -> bool:
+    """Whether a nonterminal name would write a line that reads back
+    differently, or not at all."""
+    return (not isinstance(name, str) or not name or name == "start"
+            or name[0] in "#'" or name.split() != [name])
+
+
 @dataclass(frozen=True)
 class CnfGrammar:
     """A context-free grammar in Chomsky normal form.
@@ -75,14 +82,19 @@ class CnfGrammar:
             raise GrammarError("grammar must declare at least one nonterminal")
         if not (0 <= self.start < n):
             raise GrammarError("start symbol index out of range")
-        if len(set(self.nonterminal_names)) != n:
+        names = self.nonterminal_names
+        if len(set(names)) != n:
             raise GrammarError("duplicate nonterminal name")
-        for name in self.nonterminal_names:
-            # each would write a line that reads back differently, or not at all
-            if (not isinstance(name, str) or not name or name == "start"
-                    or name[0] in "#'" or any(ch.isspace() for ch in name)):
-                raise GrammarError(
-                    f"nonterminal name {name!r} cannot be written to a grammar file")
+        try:
+            text = " " + " ".join(names)
+        except TypeError:  # a name that is not a str
+            text = ""
+        # the names split back out of the joined text iff none is empty or
+        # holds whitespace; then a name starts right after a space
+        if (text.split() != list(names) or "start" in names
+                or " #" in text or " '" in text):
+            bad = next(name for name in names if _unwritable(name))
+            raise GrammarError(f"nonterminal name {bad!r} cannot be written to a grammar file")
         if not self.binary_rules and not self.lexical_rules:
             raise GrammarError("grammar has no rules")
         if len(set(self.binary_rules)) != len(self.binary_rules):
@@ -96,14 +108,20 @@ class CnfGrammar:
         sigma = set(self.alphabet)
         if len(sigma) != len(self.alphabet):
             raise GrammarError("duplicate symbol in alphabet")
-        for a, b, c in self.binary_rules:
-            if not all(0 <= x < n for x in (a, b, c)):
-                raise GrammarError(f"binary rule ({a},{b},{c}) references undeclared nonterminal")
-        for a, s in self.lexical_rules:
-            if not 0 <= a < n:
-                raise GrammarError(f"lexical rule ({a},{s!r}) references undeclared nonterminal")
-            if s not in sigma:
-                raise GrammarError(f"lexical rule emits undeclared terminal {s!r}")
+        # one bound over all the rules; the first bad rule is looked for only
+        # when a bound fails
+        binary, lexical = self.binary_rules, self.lexical_rules
+        columns = tuple(zip(*binary))
+        if binary and not (min(map(min, columns)) >= 0 and max(map(max, columns)) < n):
+            a, b, c = next(r for r in binary if not all(0 <= x < n for x in r))
+            raise GrammarError(f"binary rule ({a},{b},{c}) references undeclared nonterminal")
+        heads, emitted = zip(*lexical) if lexical else ((), ())
+        if heads and not (min(heads) >= 0 and max(heads) < n and sigma.issuperset(emitted)):
+            for a, s in lexical:
+                if not 0 <= a < n:
+                    raise GrammarError(f"lexical rule ({a},{s!r}) references undeclared nonterminal")
+                if s not in sigma:
+                    raise GrammarError(f"lexical rule emits undeclared terminal {s!r}")
         object.__setattr__(self, "binary_rules", tuple(sorted(self.binary_rules)))
         object.__setattr__(self, "lexical_rules", tuple(sorted(self.lexical_rules)))
         object.__setattr__(self, "alphabet", tuple(sorted(self.alphabet)))
@@ -111,13 +129,13 @@ class CnfGrammar:
         # the rule index, as plain attributes, not fields, so it is neither a
         # constructor parameter nor part of equality, hash or repr
         pairs = sorted({(b, c) for _, b, c in self.binary_rules})
-        row = {pair: p for p, pair in enumerate(pairs)}
+        # the flat offsets of the rows, so each rule sets one flat entry
+        row = {pair: p * n for p, pair in enumerate(pairs)}
+        column = {s: i * n for i, s in enumerate(self.alphabet)}
         parents = np.zeros((len(pairs), n), dtype=bool)
-        for a, b, c in self.binary_rules:
-            parents[row[b, c], a] = True
+        parents.put([row[b, c] + a for a, b, c in self.binary_rules], True)
         emits = np.zeros((len(self.alphabet), n), dtype=bool)
-        for a, s in self.lexical_rules:
-            emits[self.alphabet.index(s), a] = True
+        emits.put([column[s] + a for a, s in self.lexical_rules], True)
         for name, index in (("pairs", np.array(pairs, dtype=np.intp).reshape(-1, 2)),
                             ("parents", parents), ("emits", emits)):
             index.setflags(write=False)

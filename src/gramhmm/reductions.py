@@ -6,8 +6,11 @@ satisfies f_G(w) = number of clauses w falsifies, and the model count is
 2^n * (1 - likelihood of the union language under the uniform HMM on
 {0,1}).  That likelihood is computed by inclusion-exclusion over clause
 subsets: the assignments falsifying every clause of a subset form again a
-position grammar, which is unambiguous, so each term is one exact forward-
-table likelihood.  The cost is 2^k tables for k clauses, hence the clause
+position grammar, which is unambiguous, so each term is one exact
+likelihood.  The position grammars of many subsets sit side by side in one
+grammar, as disjoint blocks of nonterminals, so one forward table yields
+all their terms; a table holds at most FOLD_ENTRIES entries unless it holds
+a single subset.  The cost is 2^k terms for k clauses, hence the clause
 limit.  Used as a rich end-to-end self-test, not a competitive counter.
 """
 
@@ -18,9 +21,12 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import inference
 from .grammar import CnfGrammar, union
 from .hmm import uniform_hmm
-from .inference import NumericalError, ucfg_likelihood
+from .inference import FOLD_ENTRIES, NumericalError, _attested
 # unused here; kept bound because the traced benchmark run wraps this name
 from .oracle import brute_force_likelihood  # noqa: F401
 
@@ -38,6 +44,13 @@ __all__ = [
 BRUTE_FORCE_VAR_LIMIT = 24
 INCLUSION_EXCLUSION_CLAUSE_LIMIT = 12
 ROUNDING_RESIDUE_TOL = 1e-6
+# most nonterminals of one grammar of grouped clause subsets.  The grammar's
+# rule index CnfGrammar.parents is dense, children pairs x nonterminals, so
+# it grows as the square of the group.  At 8 variables and 12 clauses, on a
+# 2-vCPU host, groups of 2^13 nonterminals took 1.5 times as long and five
+# times the peak memory of one table per subset; groups of 2^10 took a
+# third of the time and 1.1 times the memory
+GROUP_NONTERMINALS = 2**10
 
 Clause = tuple[int, int, int]
 
@@ -119,50 +132,61 @@ def parse_dimacs(text: str) -> Cnf3Formula:
     return Cnf3Formula(variable_count=n_vars, clauses=tuple(clauses))
 
 
-def _falsifying_bits(literals: Iterable[int], n: int) -> list[tuple[str, ...]]:
-    """Per-position allowed bits for assignments that falsify every literal:
-    those of one clause, or of all clauses of a subset.
+def _forced_bits(literals: Iterable[int]) -> tuple[int, int]:
+    """Bit masks of the positions that an assignment falsifying every literal
+    (of one clause, or of all clauses of a subset) must set to '0' and to
+    '1'; bit i is position i + 1.
 
-    A positive literal forces bit '0' at its position, a negative one '1';
-    untouched positions allow both.  Contradictory literals (a tautological
-    clause, or clauses that no assignment falsifies together) leave a
-    position with no allowed bit, i.e. an empty language.
+    A positive literal forces bit '0' at its position, a negative one '1'.
+    A position in both masks (a tautological clause, or clauses that no
+    assignment falsifies together) has no allowed bit, so the language is
+    empty.
     """
-    allowed: list[set[str]] = [{"0", "1"} for _ in range(n)]
+    zeros = ones = 0
     for lit in literals:
-        allowed[abs(lit) - 1] &= {"0"} if lit > 0 else {"1"}
-    return [tuple(sorted(a)) for a in allowed]
+        if lit > 0:
+            zeros |= 1 << (lit - 1)
+        else:
+            ones |= 1 << (-lit - 1)
+    return zeros, ones
 
 
-def _position_grammar(allowed: list[tuple[str, ...]]) -> CnfGrammar:
-    """Right-linear CNF grammar for the product language of per-position bit sets.
+def _position_grammar(blocks: list[tuple[int, int]], n: int) -> CnfGrammar:
+    """Right-linear CNF grammar with one block of nonterminals per pair of
+    ``_forced_bits`` masks: from its start, block j derives the length-n
+    strings with '0' at each position of its zeros mask and '1' at each
+    position of its ones mask.
 
-    Nonterminal Q_i tracks position i; the grammar is deterministic, hence
-    unambiguous.  A position with no allowed bit simply gets no rule, which
-    makes the language empty.
+    Block j's nonterminal Q_i is index j*n + i - 1 and tracks position i, so
+    block j starts at Q_1 = j*n; every block shares X0 and X1, the last two
+    indices.  The grammar starts at block 0, and is deterministic per block,
+    hence unambiguous from each block's start.  A position with no allowed
+    bit simply gets no rule, which makes that block's language empty.  A
+    single block is named Q1..Qn, X0, X1; block j > 0 appends _j.
     """
-    n = len(allowed)
-    names = [f"Q{i}" for i in range(1, n + 1)] + ["X0", "X1"]
-    x = {"0": n, "1": n + 1}
-    binary = []
-    for i in range(n - 1):
-        for bit in allowed[i]:
-            binary.append((i, x[bit], i + 1))
-    lexical = [(n, "0"), (n + 1, "1")]
-    lexical += [(n - 1, bit) for bit in allowed[n - 1]]
+    x0 = len(blocks) * n
+    names = [f"Q{i}_{j}" if j else f"Q{i}" for j in range(len(blocks)) for i in range(1, n + 1)]
+    binary, lexical = [], [(x0, "0"), (x0 + 1, "1")]
+    for j, (zeros, ones) in enumerate(blocks):
+        # bits[i] lists the allowed bits at position i + 1, as (X index, symbol)
+        bits = [[(x, s) for x, s, forced in ((x0, "0", ones), (x0 + 1, "1", zeros))
+                 if not forced >> i & 1] for i in range(n)]
+        q = j * n
+        binary += [(q + i, x, q + i + 1) for i in range(n - 1) for x, _ in bits[i]]
+        lexical += [(q + n - 1, s) for _, s in bits[n - 1]]
     return CnfGrammar(
         start=0,
         binary_rules=tuple(binary),
         lexical_rules=tuple(lexical),
         alphabet=("0", "1"),
-        nonterminal_names=tuple(names),
+        nonterminal_names=(*names, "X0", "X1"),
     )
 
 
 def clause_complement_grammar(clause: Clause, n: int) -> CnfGrammar:
     """Unambiguous grammar for the length-n assignments falsifying the clause."""
     _check_clause(clause, n)
-    return _position_grammar(_falsifying_bits(clause, n))
+    return _position_grammar([_forced_bits(clause)], n)
 
 
 def formula_to_cfg(formula: Cnf3Formula) -> CnfGrammar:
@@ -177,28 +201,61 @@ def formula_to_cfg(formula: Cnf3Formula) -> CnfGrammar:
 
 
 def brute_force_model_count(formula: Cnf3Formula) -> int:
-    """Exhaustive count of satisfying assignments."""
+    """Exhaustive count of satisfying assignments.
+
+    Assignment x sets variable v to bit v - 1 of x.  The assignments are
+    checked in blocks of at most FOLD_ENTRIES indices, each clause by three
+    vector operations on the block: a clause holds at x iff x has a bit of
+    its positive literals set or a bit of its negative literals clear.  It
+    shares no code with the grammar reduction.
+    """
     n = formula.variable_count
     if n > BRUTE_FORCE_VAR_LIMIT:
         raise ReductionError(f"brute force limited to {BRUTE_FORCE_VAR_LIMIT} variables")
+    # (positive, negative) variable masks; a clause with both v and -v always holds
+    masks = []
+    for clause in formula.clauses:
+        pos = sum({1 << (lit - 1) for lit in clause if lit > 0})
+        neg = sum({1 << (-lit - 1) for lit in clause if lit < 0})
+        if not pos & neg:
+            masks.append((pos, neg))
     count = 0
-    for bits in itertools.product((False, True), repeat=n):
-        if all(
-            any(bits[abs(lit) - 1] == (lit > 0) for lit in clause)
-            for clause in formula.clauses
-        ):
-            count += 1
+    for lo in range(0, 1 << n, FOLD_ENTRIES):
+        x = np.arange(lo, min(lo + FOLD_ENTRIES, 1 << n), dtype=np.int64)
+        models = np.ones(len(x), dtype=bool)
+        for pos, neg in masks:
+            # (x ^ neg) has a bit of pos | neg set iff some literal holds
+            np.logical_and(models, (x ^ neg) & (pos | neg), out=models)
+        count += int(np.count_nonzero(models))
     return count
+
+
+def _group_size(n: int) -> int:
+    """Most subsets whose length-n position grammars share one grammar of
+    group*n + 2 nonterminals: at most GROUP_NONTERMINALS, and few enough
+    that its table, n layers of one 1x1 entry per nonterminal, holds at most
+    FOLD_ENTRIES entries."""
+    return max(1, (min(FOLD_ENTRIES // n, GROUP_NONTERMINALS) - 2) // n)
 
 
 def model_count_via_likelihood(formula: Cnf3Formula) -> int:
     """Model count as 2^n * (1 - likelihood of the falsifying language).
 
     The likelihood of the union of the clause-falsifying languages is the
-    inclusion-exclusion sum, over nonempty clause subsets, of the exact
-    ``ucfg_likelihood`` of each subset's intersection grammar, added with
-    ``math.fsum``.  Formulas with more than INCLUSION_EXCLUSION_CLAUSE_LIMIT
-    clauses are refused.  A count that does not round cleanly raises
+    inclusion-exclusion sum, over nonempty clause subsets (by size, then in
+    ``itertools.combinations`` order), of the exact likelihood of each
+    subset's intersection language, added with ``math.fsum``; a subset whose
+    language is empty adds nothing and is skipped.  The other subsets' position
+    grammars are put side by side, ``_group_size(n)`` per grammar, so that a
+    table of n layers holds at most FOLD_ENTRIES entries unless it holds a
+    single subset, and one ``forward_table`` per grammar gives each subset's
+    term as the contraction of its block's start, as ``ForwardTable.contract``
+    forms it.  A term above 1 proves the grammar ambiguous and raises
+    AttestationViolatedError.  Under the uniform one-state HMM every term is
+    an exact dyadic rational.
+
+    Formulas with more than INCLUSION_EXCLUSION_CLAUSE_LIMIT clauses are
+    refused.  A count that does not round cleanly raises
     InconsistentModelCountError.
     """
     n = formula.variable_count
@@ -207,17 +264,27 @@ def model_count_via_likelihood(formula: Cnf3Formula) -> int:
         raise ReductionError(
             f"model counting is limited to {INCLUSION_EXCLUSION_CLAUSE_LIMIT} clauses"
         )
-    model = uniform_hmm("01")
-    terms = []
+    forced = [_forced_bits(clause) for clause in formula.clauses]
+    # (sign, masks) of each subset with a nonempty falsifying language
+    live = []
     for size in range(1, k + 1):
         sign = 1.0 if size % 2 == 1 else -1.0
-        for subset in itertools.combinations(formula.clauses, size):
-            allowed = _falsifying_bits([lit for clause in subset for lit in clause], n)
-            if any(not a for a in allowed):
-                continue
-            g = _position_grammar(allowed)
-            value = ucfg_likelihood(g, model, n, unambiguity_attested=True).value
-            terms.append(sign * value)
+        for subset in itertools.combinations(forced, size):
+            zeros = ones = 0
+            for z, o in subset:
+                zeros, ones = zeros | z, ones | o
+            if not zeros & ones:
+                live.append((sign, (zeros, ones)))
+    model = uniform_hmm("01")
+    group = _group_size(n)
+    terms = []
+    for at in range(0, len(live), group):
+        chunk = live[at:at + group]
+        table = inference.forward_table(_position_grammar([b for _, b in chunk], n), model, n)
+        # ForwardTable.contract at each block's start: sum over t, then pi' over s
+        starts = np.arange(0, len(chunk) * n, n)
+        masses = table.layer(n)[starts].sum(axis=2) @ model.initial
+        terms += [sign * _attested(value, n) for (sign, _), value in zip(chunk, masses.tolist())]
     likelihood = math.fsum(terms)
     raw = (1 << n) * (1.0 - likelihood)
     rounded = round(raw)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from gramhmm import sampling
 from gramhmm.cli import COMMANDS, CliFailure, _failure_code, build_parser, main
 from gramhmm.grammar import dyck_grammar, format_grammar, parse_grammar, union, universal_grammar
 from gramhmm.hmm import Hmm, HmmError, format_hmm, uniform_hmm
@@ -371,6 +372,30 @@ class TestReduce3Sat:
         assert enumerate_language(g, 3) == {"000"}
 
 
+    @pytest.mark.parametrize("dimacs, stdout_digest, out_digest", [
+        ("p cnf 8 1\n1 -5 7 0\n",
+         "dbcdf337854ff955de5ea9df37b411fc6583c3f21dadf2aa7fa31b964c688a80",
+         "034d9860310f6b5f69b8baa67d32dc98233ec9e5bb54201b774531e3af01affc"),
+        ("p cnf 8 4\n1 -2 3 0\n-3 4 -8 0\n2 5 -6 0\n-1 -7 8 0\n",
+         "64b144be231d26143a8db3ed9c6dbfae00558bbff3c43b89267e2e458b0ad1ee",
+         "a0c1b80699647baf131449bea8f99362e889b5727e8d73c20b4c39890bf5c7cd"),
+        ("p cnf 9 8\n1 2 -3 0\n-4 5 6 0\n7 -8 9 0\n-1 -5 8 0\n"
+         "2 -6 -9 0\n3 4 -7 0\n-2 -3 5 0\n1 -4 -9 0\n",
+         "8a92373646ee2290b753fe3428df0b79e3cf47b470200bac1cf16503cf7ba5f8",
+         "bac78c6aa849d6999fa38d03a7c518ede93efdc8d91c0d5950173ef34c6c868d"),
+    ], ids=["k1", "k4", "k8"])
+    def test_count_and_out_bytes_pinned(self, tmp_path, monkeypatch, capsys,
+                                        dimacs, stdout_digest, out_digest):
+        # sha256 of stdout and of the written grammar as gramhmm 0.17.0 wrote
+        # them, so neither grouping the model count's tables nor the grammar
+        # checks change a byte
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.cnf").write_text(dimacs)
+        assert main(["reduce3sat", "--cnf", "f.cnf", "--out", "g.grm", "--count"]) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest, stdout
+        assert hashlib.sha256((tmp_path / "g.grm").read_bytes()).hexdigest() == out_digest
+
     def test_out_to_unwritable_path(self, files, tmp_path):
         r = run_cli("reduce3sat", "--cnf", files["cnf"], "--out", tmp_path / "no" / "g.grm")
         assert r.returncode == 3
@@ -462,6 +487,27 @@ def test_table_too_large_is_validation_error(files, command, length):
     assert r.stdout == ""
     assert r.stderr.startswith(
         f"forward table for length {length} needs {40 * length} bytes and cannot be allocated")
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 438. MiB for an array with shape (3500, 4, 64, 64) and data type float64",
+     "out of memory: Unable to allocate 438. MiB for an array with shape (3500, 4, 64, 64) "
+     "and data type float64"),
+    ("", "out of memory"),
+    ("first line\nsecond line", "out of memory: first line second line"),
+], ids=["numpy", "bare", "two-lines"])
+def test_memory_error_is_validation_error(files, monkeypatch, capsys, message, line):
+    # the sampler's transposed copy of the table is the allocation that fails
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(sampling.np, "ascontiguousarray", no_memory)
+    code = main(["sample", "--grammar", str(files["dyck"]), "--hmm", str(files["paren_hmm"]),
+                 "--length", "4", "--count", "1", "--seed", "0"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [line]
 
 
 @pytest.mark.parametrize("error, code", [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -350,6 +351,59 @@ class TestValidation:
     def test_whitespace_symbol(self, symbol):
         with pytest.raises(GrammarError, match="^alphabet symbols may not be whitespace$"):
             CnfGrammar(0, (), ((0, symbol),), (symbol,), ("S",))
+
+    # (start, binary rules, lexical rules, alphabet, names) breaking one check
+    # each, in the order the checks run, and the message each raises
+    BROKEN = [
+        ((0, (), ((0, "a"),), ("a",), ()), "grammar must declare at least one nonterminal"),
+        ((1, (), ((0, "a"),), ("a",), ("S",)), "start symbol index out of range"),
+        ((0, (), ((0, "a"),), ("a",), ("S", "S")), "duplicate nonterminal name"),
+        ((0, (), ((0, "a"),), ("a",), ("S", "B C")),
+         "nonterminal name 'B C' cannot be written to a grammar file"),
+        ((0, (), ((0, "a"),), ("a",), ("S", 7)),
+         "nonterminal name 7 cannot be written to a grammar file"),
+        ((0, (), (), ("a",), ("S",)), "grammar has no rules"),
+        ((0, ((0, 0, 0), (0, 0, 0)), ((0, "a"),), ("a",), ("S",)), "duplicate binary rule"),
+        ((0, (), ((0, "a"), (0, "a")), ("a",), ("S",)), "duplicate lexical rule"),
+        ((0, (), ((0, "a"),), ("a", "bc"), ("S",)), "alphabet symbols must be single characters"),
+        ((0, (), ((0, "a"),), ("a", " "), ("S",)), "alphabet symbols may not be whitespace"),
+        ((0, (), ((0, "a"),), ("a", "a"), ("S",)), "duplicate symbol in alphabet"),
+        ((0, ((0, 0, 0), (0, 2, 0)), ((0, "a"),), ("a",), ("S", "T")),
+         "binary rule (0,2,0) references undeclared nonterminal"),
+        ((0, ((0, -1, 0),), ((0, "a"),), ("a",), ("S",)),
+         "binary rule (0,-1,0) references undeclared nonterminal"),
+        ((0, (), ((0, "a"), (2, "a")), ("a",), ("S", "T")),
+         "lexical rule (2,'a') references undeclared nonterminal"),
+        ((0, (), ((-1, "a"),), ("a",), ("S",)),
+         "lexical rule (-1,'a') references undeclared nonterminal"),
+        ((0, (), ((0, "a"), (0, "z")), ("a",), ("S",)), "lexical rule emits undeclared terminal 'z'"),
+    ]
+
+    @pytest.mark.parametrize("fields, message", BROKEN)
+    def test_each_message_fires(self, fields, message):
+        with pytest.raises(GrammarError, match=f"^{re.escape(message)}$"):
+            CnfGrammar(*fields)
+
+    @pytest.mark.parametrize("fields, message", [
+        # an earlier check wins over a later one
+        ((2, (), ((0, "a"),), ("a",), ("S", "S")), "start symbol index out of range"),
+        ((0, ((0, 0, 5),), (), ("a",), ("S", "#A")),
+         "nonterminal name '#A' cannot be written to a grammar file"),
+        ((0, ((0, 0, 5),), ((3, "a"),), (" ",), ("S",)), "alphabet symbols may not be whitespace"),
+        ((0, ((0, 0, 5),), ((3, "z"),), ("a",), ("S",)),
+         "binary rule (0,0,5) references undeclared nonterminal"),
+        # within one check, the first bad item in the given order wins
+        ((0, ((0, 0, 0),), ((0, "a"),), ("a",), ("S", "start", "'A", "")),
+         "nonterminal name 'start' cannot be written to a grammar file"),
+        ((0, ((0, 0, 9), (0, 7, 0)), ((0, "a"),), ("a",), ("S",)),
+         "binary rule (0,0,9) references undeclared nonterminal"),
+        ((0, (), ((0, "z"), (5, "a")), ("a",), ("S",)), "lexical rule emits undeclared terminal 'z'"),
+        ((0, (), ((5, "a"), (0, "z")), ("a",), ("S",)),
+         "lexical rule (5,'a') references undeclared nonterminal"),
+    ])
+    def test_first_broken_check_wins(self, fields, message):
+        with pytest.raises(GrammarError, match=f"^{re.escape(message)}$"):
+            CnfGrammar(*fields)
 
 
 class TestRuleIndex:
