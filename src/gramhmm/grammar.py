@@ -306,34 +306,40 @@ def union(g1: CnfGrammar, g2: CnfGrammar) -> CnfGrammar:
     rule, so f(w) = max(f1(w), f2(w)): derivation_counts(union(g, g), ["a"])
     is [1] when g derives "a".
     """
+    return CnfGrammar(*_union_fields(_fields(g1), _fields(g2)))
+
+
+def _fields(g: CnfGrammar) -> tuple:
+    """The grammar's constructor arguments, in field order."""
+    return g.start, g.binary_rules, g.lexical_rules, g.alphabet, g.nonterminal_names
+
+
+def _union_fields(first: tuple, second: tuple) -> tuple:
+    """``union``'s constructor arguments from its operands' (``_fields``), so
+    that a fold of unions constructs only its last grammar."""
     # Prefixing a fixed distinct letter keeps each side's renaming injective
     # and the two sides disjoint; the fresh start avoids both prefixes.
-    names = ["U0", *(f"L{nm}" for nm in g1.nonterminal_names),
-             *(f"R{nm}" for nm in g2.nonterminal_names)]
-
+    names, alphabet = ["U0"], set()
     binary: list[tuple[int, int, int]] = []
     lexical: list[tuple[int, str]] = []
     # an operand's nonterminal j is j + off in the union
-    for g, off in ((g1, 1), (g2, 1 + g1.nonterminal_count)):
-        for a, b, c in g.binary_rules:
+    off = 1
+    for (start, rules, emitted, symbols, nonterminals), prefix in ((first, "L"), (second, "R")):
+        names += [prefix + name for name in nonterminals]
+        alphabet.update(symbols)
+        for a, b, c in rules:
             binary.append((a + off, b + off, c + off))
-            if a == g.start:
+            if a == start:
                 binary.append((0, b + off, c + off))
-        for a, s in g.lexical_rules:
+        for a, s in emitted:
             lexical.append((a + off, s))
-            if a == g.start:
+            if a == start:
                 lexical.append((0, s))
-
+        off += len(nonterminals)
     # binary start-rule copies stay distinct under the disjoint renaming, but
     # every lexical copy is (0, symbol), so the set merges a symbol that both
     # starts emit
-    return CnfGrammar(
-        start=0,
-        binary_rules=tuple(binary),
-        lexical_rules=tuple(set(lexical)),
-        alphabet=tuple(set(g1.alphabet) | set(g2.alphabet)),
-        nonterminal_names=tuple(names),
-    )
+    return 0, tuple(binary), tuple(set(lexical)), tuple(alphabet), tuple(names)
 
 
 def dyck_grammar() -> CnfGrammar:

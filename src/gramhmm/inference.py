@@ -39,6 +39,7 @@ matches some other grammar or HMM.
 
 from __future__ import annotations
 
+import math
 import mmap
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -131,6 +132,19 @@ def _check_alphabets(g: CnfGrammar, model: Hmm) -> None:
         )
 
 
+def _mapped_zeros(shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A zero-filled, writable float64 array of ``shape`` on a private
+    anonymous map, whose pages take no memory until written (blocks that
+    stay zero never are) and go back to the OS when the array is freed.
+    Raises InferenceError, naming ``what``, when the map cannot be made."""
+    size = math.prod(shape) * 8
+    try:
+        buf = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
+    except (OSError, OverflowError) as e:
+        raise InferenceError(f"{what} needs {size} bytes and cannot be allocated: {e}") from None
+    return np.frombuffer(buf).reshape(shape)
+
+
 def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     """Build layers 1..L of the forward table of ``g`` and ``model``, and
     their ``live`` rows, by the loop of the module docstring.
@@ -142,16 +156,7 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     if L < 1:
         raise InferenceError("length must be >= 1")
     N, n = g.nonterminal_count, model.state_count
-    # pages of a private anonymous map take no memory until written (rows that
-    # stay zero never are) and go back to the OS when the table is freed
-    size = L * N * n * n * 8
-    try:
-        buf = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
-    except (OSError, OverflowError) as e:
-        raise InferenceError(
-            f"forward table for length {L} needs {size} bytes and cannot be allocated: {e}"
-        ) from None
-    layers = np.frombuffer(buf).reshape(L, N, n, n)
+    layers = _mapped_zeros((L, N, n, n), f"forward table for length {L}")
     live = np.zeros((L, N), dtype=bool)
     for a, s in g.lexical_rules:
         layers[0, a] += model.matrices[s]
@@ -273,12 +278,13 @@ def _fold_layers(
                     else [(i, 1, 1) for i in splits])
             for i, d, k in runs:  # first split, spacing, split count
                 lo, hi = layers[i:i + d * k:d, b], layers[l - 2 - i::-d, c][:k]
-                parts = (np.add.reduce(np.matmul(lo[at:at + chunk], hi[at:at + chunk],
-                                                 out=stack[:min(chunk, k - at)]), axis=0)
-                         for at in range(0, k, chunk))
+                parts = (np.matmul(lo[at:at + chunk], hi[at:at + chunk],
+                                   out=stack[:min(chunk, k - at)]) for at in range(0, k, chunk))
+                # a one-split run's sum is its product, read in place
                 total = next(parts)
+                total = total[0] if k == 1 else np.add.reduce(total, axis=0)
                 for part in parts:
-                    total += part
+                    total += np.add.reduce(part, axis=0)
                 for a in parents:
                     cur[a] += total
             written += parents

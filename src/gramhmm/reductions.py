@@ -16,6 +16,7 @@ limit.  Used as a rich end-to-end self-test, not a competitive counter.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference
-from .grammar import CnfGrammar, union
+from .grammar import CnfGrammar, _union_fields
 from .hmm import uniform_hmm
 from .inference import FOLD_ENTRIES, NumericalError, _attested
 # unused here; kept bound because the traced benchmark run wraps this name
@@ -164,6 +165,11 @@ def _position_grammar(blocks: list[tuple[int, int]], n: int) -> CnfGrammar:
     bit simply gets no rule, which makes that block's language empty.  A
     single block is named Q1..Qn, X0, X1; block j > 0 appends _j.
     """
+    return CnfGrammar(*_position_fields(blocks, n))
+
+
+def _position_fields(blocks: list[tuple[int, int]], n: int) -> tuple:
+    """``_position_grammar``'s constructor arguments, in field order."""
     x0 = len(blocks) * n
     names = [f"Q{i}_{j}" if j else f"Q{i}" for j in range(len(blocks)) for i in range(1, n + 1)]
     binary, lexical = [], [(x0, "0"), (x0 + 1, "1")]
@@ -174,13 +180,7 @@ def _position_grammar(blocks: list[tuple[int, int]], n: int) -> CnfGrammar:
         q = j * n
         binary += [(q + i, x, q + i + 1) for i in range(n - 1) for x, _ in bits[i]]
         lexical += [(q + n - 1, s) for _, s in bits[n - 1]]
-    return CnfGrammar(
-        start=0,
-        binary_rules=tuple(binary),
-        lexical_rules=tuple(lexical),
-        alphabet=("0", "1"),
-        nonterminal_names=(*names, "X0", "X1"),
-    )
+    return 0, tuple(binary), tuple(lexical), ("0", "1"), (*names, "X0", "X1")
 
 
 def clause_complement_grammar(clause: Clause, n: int) -> CnfGrammar:
@@ -190,14 +190,15 @@ def clause_complement_grammar(clause: Clause, n: int) -> CnfGrammar:
 
 
 def formula_to_cfg(formula: Cnf3Formula) -> CnfGrammar:
-    """Union of the clause-complement grammars; f_G(w) counts falsified clauses."""
-    grammars = [
-        clause_complement_grammar(c, formula.variable_count) for c in formula.clauses
-    ]
-    g = grammars[0]
-    for other in grammars[1:]:
-        g = union(g, other)
-    return g
+    """Union of the clause-complement grammars; f_G(w) counts falsified clauses.
+
+    The grammar of clauses c1..ck is union(...union(G1, G2)..., Gk), with the
+    names that nesting gives, but the clause grammars and the inner unions
+    stay constructor arguments, and only the whole union is constructed.
+    """
+    n = formula.variable_count
+    fields = [_position_fields([_forced_bits(clause)], n) for clause in formula.clauses]
+    return CnfGrammar(*functools.reduce(_union_fields, fields))
 
 
 def brute_force_model_count(formula: Cnf3Formula) -> int:

@@ -13,21 +13,29 @@ is made per draw.
 
 Draws are made in batches of ``CHUNK``.  A batch keeps a frontier of pending
 nodes (state pair, position, draw) filed under their (span length,
-nonterminal) and expands it from length L down to 1, one group of nodes
-sharing a (length, nonterminal) at a time, in ascending nonterminal order.
-For each node only its own choice weights
-F_m[b][s,:] * F_{l-m}[c][:,t] are formed, over the live (split, rule)
-columns of its (nonterminal, length) only, in the table's fixed order
-(ascending split, then rule index, then middle state), and the whole group
-is drawn with one vectorized inverse-CDF step, so memory stays flat in the
-number of draws.  Both factors are read as whole contiguous rows: F_m[b][s,:]
-from the table's layers, F_{l-m}[c][:,t] from a transposed copy of them.  A
-column is live when b derives length m and c length l - m
-(``ForwardTable.live``); a dead column's weights are exact zeros, which
-never win a draw and leave the cumulative sums of the others unchanged, so
-dropping them changes no draw.  A nonterminal a's rules come
+nonterminal) and expands it from length L down to 2, one group of nodes
+sharing a (length, nonterminal) at a time, in ascending nonterminal order;
+a group filed as one row block is used as it is.  For each node only its
+own choice weights F_m[b][s,:] * F_{l-m}[c][:,t] are formed, over the live
+(split, rule) columns of its (nonterminal, length) only, in the table's
+fixed order (ascending split, then rule index, then middle state), and the
+whole group is drawn with one vectorized inverse-CDF step, so memory stays
+flat in the number of draws.  Both factors are read as whole contiguous
+rows: F_m[b][s,:] from the table's layers, F_{l-m}[c][:,t] from a
+transposed copy of them.  A column is live when b derives length m and c
+length l - m (``ForwardTable.live``); a dead column's weights are exact
+zeros, which never win a draw and leave the cumulative sums of the others
+unchanged, so dropping them changes no draw.  A nonterminal a's rules come
 from the grammar's rule index: its children pairs ``pairs[parents[:, a]]``
 and its symbols ``emits[:, a]``.
+
+All the leaves of a batch, length 1, are drawn in one step, their groups in
+ascending nonterminal order, over cumulative weights that span the whole
+alphabet: a symbol that a does not emit adds +0.0, so it is never picked
+and the sums of the others keep their bits.  One uniform per leaf is drawn
+by a single call, which gives the same doubles as one call per group in
+that order.  A pick is the index of the first cumulative weight above
+u * total, found by ``argmin`` over the row's "at most" tests.
 
 Derivation trees are recorded only when the caller asks for them; the
 strings-only path keeps no per-node records.  A batch drawn with trees keeps
@@ -48,7 +56,8 @@ import numpy as np
 
 from .grammar import CnfGrammar
 from .hmm import Hmm
-from .inference import FOLD_ENTRIES, ForwardTable, NumericalError, forward_table
+from .inference import (FOLD_ENTRIES, ForwardTable, NumericalError, _mapped_zeros,
+                        forward_table)
 
 __all__ = [
     "SamplingError",
@@ -92,7 +101,14 @@ def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise SamplingNumericalError("numerical underflow at node")
     # r < total keeps the pick on a choice of positive weight
     r = np.minimum(u * total, np.nextafter(total, 0.0))
-    return (cum <= r[:, None]).sum(axis=1)
+    # a row of cum never decreases and ends above r, so its trues form a
+    # prefix and the first false's index is their count
+    return (cum <= r[:, None]).argmin(axis=1)
+
+
+def _joined(blocks: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """The columns of a group's row blocks; a single block is used as is."""
+    return blocks[0] if len(blocks) == 1 else tuple(np.concatenate(col) for col in zip(*blocks))
 
 
 def _tree_texts(records: list[tuple], names: tuple[str, ...], symbols: Sequence[str]) -> list[str]:
@@ -154,7 +170,10 @@ class Sampler:
 
     Keeps the table's layers as rows F_l[a][s, :] and a transposed copy as
     rows F_l[a][:, t], so each factor of a choice weight is read as one
-    contiguous row.  The copy costs one more table of memory per sampler.
+    contiguous row.  The copy is written only at the table's live blocks, on
+    a lazily paged map like the table's, so it costs about the table's own
+    resident memory.  The leaves' cumulative weights over the alphabet add
+    |alphabet| / L of the table's entries.
     """
 
     def __init__(self, table: ForwardTable):
@@ -164,14 +183,18 @@ class Sampler:
         n = self.model.state_count
         # row ((l-1)*N + a)*n + s of _rows is F_l[a][s, :]; of _cols, F_l[a][:, s]
         self._rows = table.layers.reshape(-1, n)
-        self._cols = np.ascontiguousarray(table.layers.swapaxes(2, 3)).reshape(-1, n)
+        # a dead block of the table is zero, so only the live ones are
+        # written; the others stay untouched zero pages of the map
+        cols = _mapped_zeros(table.layers.shape, "the sampler's transposed table")
+        np.copyto(cols, table.layers.swapaxes(2, 3), where=table.live[:, :, None, None])
+        self._cols = cols.reshape(-1, n)
         self._codes = np.array([ord(s) for s in g.alphabet], dtype=np.uint32)
         # _children[a] is (B, C), the children pairs of a's rules in index order
         self._children = [g.pairs[g.parents[:, a]].T for a in range(g.nonterminal_count)]
-        # _leaf[a] is (symbol indices a emits, their matrices stacked on axis 2)
+        # _leaf[a, s, t] is the cumulative weights of a's leaves at (s, t)
+        # over the whole alphabet, a symbol that a does not emit adding +0.0
         stacked = np.stack([self.model.matrices[s] for s in g.alphabet], axis=2)
-        self._leaf = {a: (syms, stacked[:, :, syms])
-                      for a, syms in enumerate(map(np.flatnonzero, g.emits.T))}
+        self._leaf = np.cumsum(g.emits.T[:, None, None, :] * stacked, axis=3)
 
     def _columns(self, a: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live (split, rule) columns of nodes (a, l) as arrays (m, b, c),
@@ -210,6 +233,18 @@ class Sampler:
             column[block] = j
         return left[column], right[column], m[column], middle
 
+    def _draw_leaves(self, groups: dict[int, list[tuple[np.ndarray, ...]]],
+                     rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+        """Draw every leaf's symbol in one step: the leaves of ``groups``
+        (nonterminal a: row blocks (s, t, pos, draw)) as columns
+        (a, s, t, pos, draw), the groups in ascending nonterminal order, and
+        each leaf's symbol as an alphabet index, drawn with one uniform per
+        leaf in that order."""
+        leaves = sorted(groups.items())
+        a = np.repeat([a for a, _ in leaves], [sum(len(b[0]) for b in bs) for _, bs in leaves])
+        s, t, pos, d = _joined([b for _, bs in leaves for b in bs])
+        return a, s, t, pos, d, _pick(self._leaf[a, s, t], rng.random(len(s)))
+
     def _draw_batch(self, L: int, k: int, rng: np.random.Generator, trees: bool):
         """k draws of length L: their strings and, with trees, their node
         records for ``_tree_texts`` (None without trees)."""
@@ -224,18 +259,11 @@ class Sampler:
         pending: dict[int, dict[int, list[tuple[np.ndarray, ...]]]] = {
             L: {g.start: [(s0, t0, np.zeros(k, dtype=np.intp), np.arange(k))]}
         }
-        for l in range(L, 0, -1):
+        for l in range(L, 1, -1):
             groups = pending.pop(l, {})
             children = []
             for a in sorted(groups):
-                s, t, pos, d = (np.concatenate(col) for col in zip(*groups[a]))
-                if l == 1:
-                    syms, w = self._leaf[a]
-                    j = _pick(np.cumsum(w[s, t], axis=1), rng.random(len(s)))
-                    codes[d, pos] = self._codes[syms[j]]
-                    if trees:
-                        records.append((d, a, pos, pos + 1, s, t, syms[j]))
-                    continue
+                s, t, pos, d = _joined(groups[a])
                 left, right, m, mid = self._choose(a, l, s, t, rng.random((2, len(s))))
                 if trees:
                     records.append((d, a, pos, pos + l, s, t, -1))
@@ -252,6 +280,10 @@ class Sampler:
                 l_child, a_child = divmod(int(key[lo]), N)
                 blocks = pending.setdefault(l_child, {}).setdefault(a_child, [])
                 blocks.append(tuple(col[lo:hi] for col in child))
+        a, s, t, pos, d, j = self._draw_leaves(pending.pop(1), rng)
+        codes[d, pos] = self._codes[j]
+        if trees:
+            records.append((d, a, pos, pos + 1, s, t, j))
         # the "<U{L}" view drops trailing NULs, which a '\x00' symbol draws
         return [w.ljust(L, "\x00") for w in codes.view(f"<U{L}")[:, 0].tolist()], records
 

@@ -501,7 +501,7 @@ def test_memory_error_is_validation_error(files, monkeypatch, capsys, message, l
     def no_memory(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(sampling.np, "ascontiguousarray", no_memory)
+    monkeypatch.setattr(sampling, "_mapped_zeros", no_memory)
     code = main(["sample", "--grammar", str(files["dyck"]), "--hmm", str(files["paren_hmm"]),
                  "--length", "4", "--count", "1", "--seed", "0"])
     out, err = capsys.readouterr()

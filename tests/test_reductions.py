@@ -1,8 +1,10 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
+from gramhmm.grammar import union
 from gramhmm.oracle import derivation_count
 from gramhmm.oracle import enumerate_language, max_ambiguity
 from gramhmm.hmm import uniform_hmm
@@ -114,6 +116,16 @@ class TestFormulaToCfg:
                     for clause in f.clauses
                 )
                 assert derivation_count(g, w) == falsified
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 12])
+    def test_equals_nested_unions(self, k):
+        # one construction gives the grammar, names included, that the
+        # nested unions of the clause grammars construct step by step
+        rng = np.random.default_rng(k)
+        f = random_formula(rng, int(rng.integers(3, 9)), k)
+        nested = functools.reduce(union, [clause_complement_grammar(c, f.variable_count)
+                                          for c in f.clauses])
+        assert formula_to_cfg(f) == nested
 
     def test_ambiguity_bounded_by_clause_count(self):
         rng = np.random.default_rng(4)

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gramhmm import inference
+
 from gramhmm.grammar import (
     CnfGrammar, parse_grammar, union, universal_grammar,
 )
 from gramhmm.hmm import Hmm, random_hmm, uniform_hmm
-from gramhmm.inference import FOLD_ENTRIES, NumericalError, forward_table
+from gramhmm.inference import FOLD_ENTRIES, InferenceError, NumericalError, forward_table
 from gramhmm.oracle import derivation_count, exact_distribution, tv_distance
 from gramhmm.sampling import (
     CHUNK,
@@ -58,6 +60,22 @@ def reference_choose(table, a: int, l: int, s, t, u) -> tuple[np.ndarray, ...]:
         middle[block] = reference_pick(np.cumsum(lo[rows, j] * hi[rows, j], axis=1), u[1, block])
         column[block] = j
     return m[column], b[column], c[column], middle
+
+
+def reference_leaves(table, groups: dict, rng) -> list[np.ndarray]:
+    """gramhmm 0.18.0's leaf step: one pick per leaf group, in ascending
+    nonterminal order, over the symbols its nonterminal emits, each with its
+    own ``rng.random`` call.  Returns the columns (a, s, t, pos, draw) and
+    the picked symbols' alphabet indices."""
+    g = table.grammar
+    stacked = np.stack([table.model.matrices[sym] for sym in g.alphabet], axis=2)
+    picked = []
+    for a in sorted(groups):
+        s, t, pos, d = (np.concatenate(col) for col in zip(*groups[a]))
+        syms = np.flatnonzero(g.emits[:, a])
+        j = reference_pick(np.cumsum(stacked[:, :, syms][s, t], axis=1), rng.random(len(s)))
+        picked.append((np.full(len(s), a), s, t, pos, d, syms[j]))
+    return [np.concatenate(col) for col in zip(*picked)]
 
 
 def assert_same_text(actual: str, expected: str) -> None:
@@ -149,7 +167,8 @@ class TestSample:
             l = end - start
             a = dyck.nonterminal_names.index(node["nonterminal"])
             if l == 1:
-                weights = sampler._leaf[a][1][s, t]
+                # the leaf weights over the alphabet, from their cumulative sums
+                weights = np.diff(sampler._leaf[a, s, t], prepend=0.0)
             else:
                 m, b, c = sampler._columns(a, l)
                 # one column per live (split, rule) pair, and no other
@@ -225,6 +244,83 @@ class TestSample:
             seeded_generator(-1)
         with pytest.raises(SamplingError, match="^seed must be nonnegative, got -1$"):
             sample_many(dyck, paren_uniform, 4, 1, -1)
+
+
+# cumulative rows with zero-weight columns (repeated sums, leading and
+# trailing ones included) and ties (equal weights put u * total on a sum)
+pick_weights = st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+                         st.floats(1e-6, 1e6))
+# u at and next to 0, next to 1, on quarters, and anywhere in [0, 1)
+pick_uniforms = st.one_of(st.sampled_from([0.0, 5e-324, 2.0**-53, 0.25, 0.5, 0.75,
+                                           1.0 - 2.0**-53, np.nextafter(1.0 - 2.0**-53, 0.0)]),
+                          st.floats(0.0, 1.0, exclude_max=True))
+
+
+class TestPick:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda columns: st.lists(
+        st.tuples(st.lists(pick_weights, min_size=columns, max_size=columns), pick_uniforms),
+        min_size=1, max_size=6)))
+    def test_matches_reference(self, rows):
+        weights = np.array([w for w, _ in rows])
+        # every row keeps a positive weight, so its total passes the guard
+        weights[weights.sum(axis=1) == 0.0, -1] = 1.0
+        cum, u = np.cumsum(weights, axis=1), np.array([u for _, u in rows])
+        j = _pick(cum, u)
+        assert np.array_equal(j, reference_pick(cum, u))
+        # the pick never lands on a zero-weight column
+        assert (weights[np.arange(len(j)), j] > 0).all()
+
+    @pytest.mark.parametrize("n", [3, 9])
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_leaf_step_matches_per_nonterminal_picks(self, n, seed, sparse):
+        """One leaf step over padded cumulative weights draws what one step
+        per nonterminal drew, from the same uniforms, whatever order the
+        groups were filed in."""
+        rng = np.random.default_rng(seed)
+        g = random_grammar(rng, sparse=sparse)
+        table = forward_table(g, random_hmm(n, g.alphabet, int(rng.integers(0, 2**31))), 1)
+        groups = {}
+        for a in rng.permutation(g.nonterminal_count).tolist():
+            s, t = np.nonzero(table.layers[0, a])
+            if not len(s):
+                continue
+            groups[a] = []
+            for k in rng.integers(1, 30, size=int(rng.integers(1, 4))).tolist():
+                rows = rng.integers(len(s), size=k)
+                groups[a].append((s[rows], t[rows], rng.integers(0, 64, size=k),
+                                  rng.integers(0, 9, size=k)))
+        mine, theirs = seeded_generator(seed), seeded_generator(seed)
+        leaves = Sampler(table)._draw_leaves(groups, mine)
+        expected = reference_leaves(table, groups, theirs)
+        for actual, want in zip(leaves, expected, strict=True):
+            assert np.array_equal(actual, want)
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+class TestTransposedCopy:
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_live_blocks_transposed_dead_blocks_zero(self, n):
+        rng = np.random.default_rng(n)
+        g = random_grammar(rng, sparse=True)
+        table = forward_table(g, random_hmm(n, g.alphabet, 11), 9)
+        assert not table.live.all()
+        cols = Sampler(table)._cols.reshape(table.layers.shape)
+        assert np.array_equal(cols, table.layers.swapaxes(2, 3))
+        assert not cols[~table.live].any()
+
+    def test_allocation_failure_is_inference_error(self, dyck, paren_uniform, monkeypatch):
+        table = forward_table(dyck, paren_uniform, 4)
+
+        def refuse(*args, **kwargs):
+            raise OSError("no room")
+
+        monkeypatch.setattr(inference.mmap, "mmap", refuse)
+        # 4 layers of 5 nonterminals, one 1x1 block each
+        with pytest.raises(InferenceError, match="^the sampler's transposed table needs 160 "
+                                                 "bytes and cannot be allocated: no room$"):
+            Sampler(table)
 
 
 class TestSampleMany:
