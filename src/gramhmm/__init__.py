@@ -68,4 +68,4 @@ from .reductions import (
     parse_dimacs,
 )
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"

@@ -29,6 +29,16 @@ row's liveness rows.  A layer with no live product stays zero, and so do
 its rows.  Cost is O(live products of the layer * n^3) per layer, at most
 O(l * |rules| * n^3).
 
+With THREAD_STATES[0] <= n < THREAD_STATES[1] states, in a process that may
+run on two CPUs or more, the fold hands the runs that hold about the second
+half of a layer's splits to one worker thread, on every layer of at least
+THREAD_WORK multiply-adds; the calling thread adds the worker's run sums in
+run order after its own, so the layers keep the one-thread fold's bits.  The
+worker starts with the first table in that band and stays for the process.
+Each thread keeps its own stack of at most 512 KB.  No option or
+environment variable controls the worker: only n, the layer's size and
+``os.sched_getaffinity`` do.
+
 All layers live in one read-only, C-contiguous float64 array of shape
 (L, N, n, n), indexed [l-1, a, s, t], which the likelihood, the sampler and
 the FPRAS read in place.  A table carries the grammar and HMM it was built
@@ -41,6 +51,8 @@ from __future__ import annotations
 
 import math
 import mmap
+import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -73,6 +85,17 @@ FOLD_STATES = 8
 # largest entry count of one float64 temporary, 512 KB: one chunk's products,
 # folded or batched, and one row block of the sampler's choice weights
 FOLD_ENTRIES = 2**16
+# HMMs with THREAD_STATES[0] <= n < THREAD_STATES[1] states, in a process
+# that may run on two CPUs or more, fold each layer on two threads: one
+# product of that size keeps one CPU busy.  On a shared 2-CPU host the c08
+# table ran about 1.5 times as fast at 64 states, L=30 (0.9-1.8 over 40-96
+# states); at 104-128 states 0.8-0.9 times, as OpenBLAS threads each product
+# itself, and below 40 states, at L=30, 0.9-1.0 times
+THREAD_STATES = (40, 100)
+# a layer is folded on two threads only when its live products come to at
+# least this many multiply-adds (live splits * n**3): a smaller one finishes
+# before the worker would pay back its wake-up and the interpreter lock
+THREAD_WORK = 2**23
 
 
 class NumericalError(ValueError):
@@ -244,26 +267,40 @@ def _fold_layers(
 
     A pair's live splits i (= m - 1) are cut into runs: evenly spaced ones,
     a single split included, form one run, and any other set one run per
-    split.  Every run is summed as stacked products over two strided views of
-    ``layers``, F_m[b] for ascending m against F_{l-m}[c], in chunks of at
-    most max(1, FOLD_ENTRIES // n**2) splits; each chunk is summed over its
-    splits, the chunk sums are added in order, and the run's sum is added
-    once into each parent, run after run.  A one-split run's sum is its
-    product's bits.  The sums run in a fixed order, so a rebuild gives the
-    same bits, but not the full loop's: the layers match that loop's to a
-    relative error of about 1e-15.  A chunk's stacked products hold at most
-    FOLD_ENTRIES float64 entries (512 KB) up to n = 256, one n x n beyond.
+    split.  Every run is summed by ``_run_sum`` and its sum is added once
+    into each parent, run after run.  The sums run in a fixed order, so a
+    rebuild gives the same bits, but not the full loop's: the layers match
+    that loop's to a relative error of about 1e-15.
+
+    With THREAD_STATES[0] <= n < THREAD_STATES[1] states and at least two
+    CPUs in this process's affinity mask, each layer of at least THREAD_WORK
+    multiply-adds and two runs is cut in two: the one ``_Worker`` thread sums
+    the runs after the cut, which hold about the second half of the layer's
+    splits, into a buffer shaped like the stack, while the calling thread
+    sums and adds the runs before it; the caller then waits for the worker
+    and adds its sums in run order.  So the layers are the one-thread fold's
+    bits.  The worker gets at most len(stack) runs, and its stack, sums and
+    spare are allocated once per table, so it allocates nothing per layer.
+    Each thread keeps its own stack of at most FOLD_ENTRIES entries (512 KB):
+    the fold holds two such stacks while it uses the worker.  No option or
+    environment variable selects the worker.
     """
     L, n = len(layers), layers.shape[2]
     # fan[p] is (b, c, parents of pair p), as Python ints
     fan = [(b, c, np.flatnonzero(parents).tolist())
            for (b, c), parents in zip(g.pairs.tolist(), g.parents)]
-    # the stacked products of one chunk of splits land here
-    stack = np.empty((min(max(1, FOLD_ENTRIES // (n * n)), L), n, n))
-    chunk = len(stack)
+    # the calling thread's stack of chunk products, chunk-sum spare and run sum
+    chunk = min(max(1, FOLD_ENTRIES // (n * n)), L)
+    stack, spare, total = np.empty((chunk, n, n)), np.empty((n, n)), np.empty((n, n))
+    worker = None
+    if THREAD_STATES[0] <= n < THREAD_STATES[1] and len(os.sched_getaffinity(0)) >= 2:
+        worker = _Worker.shared()
+        # the worker's own stack and spare, and the sums of its runs
+        side_stack, sums = np.empty_like(stack), np.empty_like(stack)
+        side_spare = np.empty_like(spare)
 
     def add(l: int, mask: np.ndarray) -> list[int]:
-        cur, written = layers[l - 1], []
+        cur, written, runs = layers[l - 1], [], []
         # i = m - 1 for split m; pair p's live splits are split[ends[p-1]:ends[p]]
         pair, split = mask.T.nonzero()
         ends = np.bincount(pair, minlength=len(fan)).cumsum().tolist()
@@ -274,23 +311,123 @@ def _fold_layers(
             splits = split[start:end]
             i, k = splits[0], end - start
             d = splits[1] - i if k > 1 else 1
-            runs = ([(i, d, k)] if splits == list(range(i, splits[-1] + 1, d))
-                    else [(i, 1, 1) for i in splits])
-            for i, d, k in runs:  # first split, spacing, split count
-                lo, hi = layers[i:i + d * k:d, b], layers[l - 2 - i::-d, c][:k]
-                parts = (np.matmul(lo[at:at + chunk], hi[at:at + chunk],
-                                   out=stack[:min(chunk, k - at)]) for at in range(0, k, chunk))
-                # a one-split run's sum is its product, read in place
-                total = next(parts)
-                total = total[0] if k == 1 else np.add.reduce(total, axis=0)
-                for part in parts:
-                    total += np.add.reduce(part, axis=0)
-                for a in parents:
-                    cur[a] += total
+            # (children, parents, first split, spacing, split count)
+            runs += ([(b, c, parents, i, d, k)] if splits == list(range(i, splits[-1] + 1, d))
+                     else [(b, c, parents, i, 1, 1) for i in splits])
             written += parents
+        # the worker sums the runs from cut on: at most len(sums) of them,
+        # holding at least half the layer's splits if they can
+        cut = len(runs)
+        if worker is not None and cut > 1 and len(split) * n**3 >= THREAD_WORK:
+            tail = 0
+            while cut > 1 and 2 * tail < len(split) and len(runs) - cut < len(sums):
+                cut -= 1
+                tail += runs[cut][5]
+            side = runs[cut:]
+            if not worker.start(lambda: [_run_sum(layers, l, run, side_stack, side_spare, out)
+                                         for run, out in zip(side, sums)]):
+                cut = len(runs)
+        try:
+            for run in runs[:cut]:
+                _run_sum(layers, l, run, stack, spare, total)
+                for a in run[2]:
+                    cur[a] += total
+        finally:
+            # the worker reads the table: it must be done before add returns
+            error = worker.wait() if cut < len(runs) else None
+        if cut < len(runs):
+            if error is not None:
+                raise error
+            for run, out in zip(runs[cut:], sums):
+                for a in run[2]:
+                    cur[a] += out
         return written
 
     return g.pairs.T, add
+
+
+def _run_sum(layers: np.ndarray, l: int, run: tuple, stack: np.ndarray, spare: np.ndarray,
+             out: np.ndarray) -> None:
+    """Write into ``out`` the sum, for layer l, of F_m[b] @ F_{l-m}[c] over
+    the run's k splits m = i + 1, i + 1 + d, ...
+
+    The products are stacked ``np.matmul`` over two strided views of
+    ``layers``, F_m[b] for ascending m against F_{l-m}[c], in chunks of
+    len(stack) splits; each chunk is summed over its splits and the chunk
+    sums are added in order, the later ones through ``spare``.  A one-split
+    run's sum is its product's bits.  ``stack`` holds at most FOLD_ENTRIES
+    float64 entries (512 KB) up to n = 256, one n x n beyond.
+    """
+    b, c, _, i, d, k = run
+    lo, hi = layers[i:i + d * k:d, b], layers[l - 2 - i::-d, c][:k]
+    if k == 1:
+        np.matmul(lo, hi, out=out[None])
+        return
+    chunk = len(stack)
+    np.add.reduce(np.matmul(lo[:chunk], hi[:chunk], out=stack[:min(chunk, k)]), axis=0, out=out)
+    for at in range(chunk, k, chunk):
+        part = np.matmul(lo[at:at + chunk], hi[at:at + chunk], out=stack[:min(chunk, k - at)])
+        out += np.add.reduce(part, axis=0, out=spare)
+
+
+class _Worker:
+    """The one daemon thread that sums runs for the fold, started by the
+    first table that uses it.  It takes one job at a time: a table built
+    meanwhile in another thread finds it busy and folds alone."""
+
+    _shared = None
+    _starting = threading.Lock()
+
+    def __init__(self) -> None:
+        # _busy is held from ``start`` to ``wait``; _go is released by
+        # ``start`` and _done when the job ends
+        self._busy, self._go, self._done = threading.Lock(), threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._job: Callable[[], object] | None = None
+        self._error: BaseException | None = None
+        threading.Thread(target=self._serve, name="gramhmm-fold", daemon=True).start()
+
+    @classmethod
+    def shared(cls) -> _Worker:
+        with cls._starting:
+            if cls._shared is None:
+                cls._shared = cls()
+            return cls._shared
+
+    @classmethod
+    def forget(cls) -> None:
+        """In a child made by fork, which has no worker thread: the first
+        table in the band starts a new one."""
+        cls._shared, cls._starting = None, threading.Lock()
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            try:
+                self._job()
+            except BaseException as e:  # re-raised in the waiting thread
+                self._error = e
+            self._job = None  # so the finished table can be freed
+            self._done.release()
+
+    def start(self, job: Callable[[], object]) -> bool:
+        """Hand ``job`` to the thread, or return False when it is busy."""
+        if not self._busy.acquire(blocking=False):
+            return False
+        self._job = job
+        self._go.release()
+        return True
+
+    def wait(self) -> BaseException | None:
+        """Block until the job ends; return what it raised, if anything."""
+        self._done.acquire()
+        error, self._error = self._error, None
+        self._busy.release()
+        return error
+
+
+os.register_at_fork(after_in_child=_Worker.forget)
 
 
 def weighted_mass(g: CnfGrammar, model: Hmm, L: int) -> LikelihoodResult:

@@ -1,20 +1,25 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from gramhmm import sampling
+from gramhmm import inference, sampling
 from gramhmm.cli import COMMANDS, CliFailure, _failure_code, build_parser, main
 from gramhmm.grammar import dyck_grammar, format_grammar, parse_grammar, union, universal_grammar
-from gramhmm.hmm import Hmm, HmmError, format_hmm, uniform_hmm
+from gramhmm.hmm import Hmm, HmmError, format_hmm, random_hmm, uniform_hmm
 from gramhmm.inference import AttestationError, AttestationViolatedError
 from gramhmm.reductions import InconsistentModelCountError, ReductionError
 from gramhmm.sampling import SamplingError, SamplingNumericalError
 
 from conftest import same_rules
+
+TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                              reason="the fold's worker thread runs only on two CPUs or more")
 
 
 def run_cli(*args):
@@ -508,6 +513,59 @@ def test_memory_error_is_validation_error(files, monkeypatch, capsys, message, l
     assert code == 3
     assert out == ""
     assert err.splitlines() == [line]
+
+
+@pytest.fixture
+def wide_files(tmp_path, c08):
+    """c08 and a 64-state HMM, inside the fold's worker-thread band."""
+    assert inference.THREAD_STATES[0] <= 64 < inference.THREAD_STATES[1]
+    grammar, model = tmp_path / "c08.grm", tmp_path / "wide.hmm.json"
+    grammar.write_text(format_grammar(c08))
+    model.write_text(format_hmm(random_hmm(64, "ab", seed=3)))
+    return ["--grammar", str(grammar), "--hmm", str(model)]
+
+
+@TWO_CPUS
+def test_memory_error_in_the_fold_worker_is_validation_error(wide_files, monkeypatch, capsys):
+    run_sum = inference._run_sum
+
+    def no_memory(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("Unable to allocate 32.0 KiB for the worker")
+        run_sum(*args)
+
+    monkeypatch.setattr(inference, "_run_sum", no_memory)
+    code = main(["likelihood", *wide_files, "--length", "30", "--mode", "weighted"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["out of memory: Unable to allocate 32.0 KiB for the worker"]
+
+
+@TWO_CPUS
+def test_one_cpu_gives_the_same_bytes(wide_files):
+    # the same in-band command, free to use two CPUs (the fold's worker
+    # thread runs) and pinned to one in the child process (it does not)
+    cpu = min(os.sched_getaffinity(0))
+    argv = ["likelihood", *wide_files, "--length", "30", "--mode", "weighted"]
+
+    def run(pin):
+        program = "\n".join([
+            "import os, sys, threading",
+            f"os.sched_setaffinity(0, {{{cpu}}})" if pin else "",
+            "from gramhmm.cli import main",
+            "code = main(sys.argv[1:])",
+            "print('threads', threading.active_count(), file=sys.stderr)",
+            "sys.exit(code)",
+        ])
+        return subprocess.run([sys.executable, "-c", program, *argv], capture_output=True,
+                              timeout=120)
+
+    free, pinned = run(False), run(True)
+    assert free.stderr.splitlines()[-1] == b"threads 2"
+    assert pinned.stderr.splitlines()[-1] == b"threads 1"
+    assert free.returncode == pinned.returncode == 0
+    assert free.stdout == pinned.stdout
 
 
 @pytest.mark.parametrize("error, code", [

@@ -1,4 +1,9 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +27,13 @@ from gramhmm.inference import (
 from gramhmm.oracle import brute_force_weighted_mass, max_ambiguity
 
 from conftest import live_products, random_grammar, random_instance
+
+# A derives lengths 1, 2 and 4 only, so pair (A, C) has live splits 1, 2, 4
+# from l = 5 on; pair (A, A) is added into S before it
+UNEVEN = parse_grammar("start S\nS -> A A\nS -> A C\nA -> P P\nA -> Q Q\nQ -> P P\n"
+                       "C -> C C\nA -> 'a'\nP -> 'a'\nC -> 'a'\nC -> 'b'")
+TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                              reason="the fold's worker thread runs only on two CPUs or more")
 
 
 def full_loop_layers(g, model, L):
@@ -321,10 +333,7 @@ class TestFoldedTable:
         assert_close_to_full_loop(table)
 
     def test_unevenly_spaced_splits(self):
-        # A derives lengths 1, 2 and 4 only, so pair (A, C) has live splits
-        # 1, 2, 4 from l = 5 on; pair (A, A) is added into S before it
-        g = parse_grammar("start S\nS -> A A\nS -> A C\nA -> P P\nA -> Q Q\nQ -> P P\n"
-                          "C -> C C\nA -> 'a'\nP -> 'a'\nC -> 'a'\nC -> 'b'")
+        g = UNEVEN
         model = random_hmm(8, "ab", seed=10)
         table = forward_table(g, model, 12)
         assert None in split_steps(table)
@@ -338,6 +347,143 @@ class TestFoldedTable:
         model = random_hmm(16, "ab", seed=8)
         assert np.array_equal(forward_table(c08, model, 30).layers,
                               forward_table(c08, model, 30).layers)
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """The threads that summed the fold's runs, one entry per run; with
+        THREAD_WORK at 0, every layer of two runs or more uses the worker."""
+        summed = []
+        run_sum = inference._run_sum
+
+        def recorded(*args):
+            summed.append(threading.current_thread())
+            run_sum(*args)
+
+        monkeypatch.setattr(inference, "_run_sum", recorded)
+        monkeypatch.setattr(inference, "THREAD_WORK", 0)
+        return summed
+
+    @TWO_CPUS
+    @pytest.mark.parametrize("states", [48, 64])
+    @pytest.mark.parametrize("shape", ["c08", "dyck", "union", "uneven"])
+    def test_worker_changes_no_bit(self, shape, states, threads, monkeypatch, request):
+        # c08's runs cross chunks (28 splits at n=48, 16 at n=64), Dyck's
+        # splits are every other one, union(u, u) has one per pair, and
+        # UNEVEN one run per split
+        if shape == "union":
+            u = request.getfixturevalue("universal_ab")
+            g = union(u, u)
+        else:
+            g = UNEVEN if shape == "uneven" else request.getfixturevalue(shape)
+        assert inference.THREAD_STATES[0] <= states < inference.THREAD_STATES[1]
+        model = random_hmm(states, g.alphabet, seed=11)
+        table = forward_table(g, model, 32)
+        assert threading.main_thread() in threads and len(set(threads)) == 2
+        monkeypatch.setattr(inference, "THREAD_STATES", (0, 0))
+        del threads[:]
+        serial = forward_table(g, model, 32)
+        assert set(threads) == {threading.main_thread()}
+        assert np.array_equal(table.layers, serial.layers)
+        assert np.array_equal(table.live, serial.live)
+        layers, live = fold_0_16_layers(g, model, 32)
+        assert np.array_equal(table.layers, layers)
+        assert np.array_equal(table.live, live)
+
+    @TWO_CPUS
+    def test_worker_rebuilds_are_bitwise_equal(self, c08, threads):
+        model = random_hmm(64, "ab", seed=12)
+        first = forward_table(c08, model, 30).layers
+        for _ in range(20):
+            assert np.array_equal(forward_table(c08, model, 30).layers, first)
+        assert len(set(threads)) == 2
+
+    @TWO_CPUS
+    def test_concurrent_tables_share_one_worker(self, c08, threads):
+        # four threads build in-band tables at once: one of them holds the
+        # worker at a time, the others fold alone, and every table has the
+        # same bits
+        model = random_hmm(48, "ab", seed=13)
+        first = forward_table(c08, model, 20).layers
+        built = []
+
+        def build():
+            for _ in range(3):
+                built.append(np.array_equal(forward_table(c08, model, 20).layers, first))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            builders = [threading.Thread(target=build) for _ in range(4)]
+            for t in builders:
+                t.start()
+            for t in builders:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in builders)
+        assert built == [True] * 12
+        assert sum(t.name == "gramhmm-fold" for t in threading.enumerate()) == 1
+
+    @TWO_CPUS
+    def test_worker_error_reaches_the_caller(self, c08, monkeypatch):
+        class Failure(Exception):
+            pass
+
+        run_sum = inference._run_sum
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise Failure("raised in the worker")
+            run_sum(*args)
+
+        model = random_hmm(64, "ab", seed=14)
+        serial = forward_table(c08, model, 24).layers
+        monkeypatch.setattr(inference, "_run_sum", failing)
+        with pytest.raises(Failure, match="raised in the worker"):
+            forward_table(c08, model, 24)
+        # the worker is free again, and the next table keeps the bits
+        monkeypatch.setattr(inference, "_run_sum", run_sum)
+        assert np.array_equal(forward_table(c08, model, 24).layers, serial)
+
+    @TWO_CPUS
+    def test_forked_child_starts_its_own_worker(self, c08, threads):
+        # the child of a fork has no worker thread; without a new one its
+        # first table in the band would wait for the parent's forever
+        model = random_hmm(48, "ab", seed=15)
+        first = forward_table(c08, model, 20).layers
+        assert len(set(threads)) == 2
+        pid = os.fork()
+        if pid == 0:  # the child exits by os._exit alone, whatever happens
+            try:
+                signal.alarm(60)
+                os._exit(0 if np.array_equal(forward_table(c08, model, 20).layers, first) else 1)
+            finally:
+                os._exit(2)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_worker_starts_with_the_first_table_in_band(self):
+        # a fresh process: importing the CLI starts no thread, nor does a
+        # table on the batched path or the fold outside the band; the first
+        # table in the band starts the one worker, on two CPUs or more
+        program = "\n".join([
+            "import threading",
+            "import gramhmm.cli",
+            "from gramhmm.grammar import universal_grammar",
+            "from gramhmm.hmm import random_hmm",
+            "from gramhmm.inference import THREAD_STATES, forward_table",
+            "g = universal_grammar('ab')",
+            "counts = [threading.active_count()]",
+            "for n in (4, 16, THREAD_STATES[1], THREAD_STATES[0], THREAD_STATES[0]):",
+            "    forward_table(g, random_hmm(n, 'ab', seed=0), 12)",
+            "    counts.append(threading.active_count())",
+            "print(counts)",
+        ])
+        done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        worker = 1 if len(os.sched_getaffinity(0)) >= 2 else 0
+        assert done.stdout.split("\n")[0] == str([1, 1, 1, 1, 1 + worker, 1 + worker])
 
     def test_loop_below_fold_states(self, c08):
         assert FOLD_STATES == 8
