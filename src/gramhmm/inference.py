@@ -30,14 +30,18 @@ its rows.  Cost is O(live products of the layer * n^3) per layer, at most
 O(l * |rules| * n^3).
 
 With THREAD_STATES[0] <= n < THREAD_STATES[1] states, in a process that may
-run on two CPUs or more, the fold hands the runs that hold about the second
-half of a layer's splits to one worker thread, on every layer of at least
-THREAD_WORK multiply-adds; the calling thread adds the worker's run sums in
-run order after its own, so the layers keep the one-thread fold's bits.  The
-worker starts with the first table in that band and stays for the process.
-Each thread keeps its own stack of at most 512 KB.  No option or
-environment variable controls the worker: only n, the layer's size and
-``os.sched_getaffinity`` do.
+run on two CPUs or more, the fold shares every layer of at least THREAD_WORK
+multiply-adds with one daemon thread, ``gramhmm-fold``.  The calling thread
+puts the runs that hold about the second half of the layer's splits on the
+thread's one job queue, together with its table's own answer queue, and sums
+and adds its own runs; it then takes the answer (None, or what the worker
+raised, which it re-raises) and adds the worker's run sums in run order, so
+the layers keep the one-thread fold's bits.  Tables built at the same time
+in other threads queue their halves behind it.  The first table in the band
+starts the thread, which stays for the process; in a child made by fork,
+which has no such thread, the first table in the band starts a new one.  No
+option or environment variable controls the worker: only n, the layer's
+size and the CPUs the process may run on do.
 
 All layers live in one read-only, C-contiguous float64 array of shape
 (L, N, n, n), indexed [l-1, a, s, t], which the likelihood, the sampler and
@@ -85,16 +89,15 @@ FOLD_STATES = 8
 # largest entry count of one float64 temporary, 512 KB: one chunk's products,
 # folded or batched, and one row block of the sampler's choice weights
 FOLD_ENTRIES = 2**16
-# HMMs with THREAD_STATES[0] <= n < THREAD_STATES[1] states, in a process
-# that may run on two CPUs or more, fold each layer on two threads: one
+# the state counts n whose layers fold on two threads (module docstring): one
 # product of that size keeps one CPU busy.  On a shared 2-CPU host the c08
 # table ran about 1.5 times as fast at 64 states, L=30 (0.9-1.8 over 40-96
 # states); at 104-128 states 0.8-0.9 times, as OpenBLAS threads each product
 # itself, and below 40 states, at L=30, 0.9-1.0 times
 THREAD_STATES = (40, 100)
-# a layer is folded on two threads only when its live products come to at
-# least this many multiply-adds (live splits * n**3): a smaller one finishes
-# before the worker would pay back its wake-up and the interpreter lock
+# the fewest multiply-adds (live splits * n**3) of a layer folded on two
+# threads: a smaller one finishes before the worker would pay back its
+# wake-up and the interpreter lock
 THREAD_WORK = 2**23
 
 
@@ -272,18 +275,16 @@ def _fold_layers(
     rebuild gives the same bits, but not the full loop's: the layers match
     that loop's to a relative error of about 1e-15.
 
-    With THREAD_STATES[0] <= n < THREAD_STATES[1] states and at least two
-    CPUs in this process's affinity mask, each layer of at least THREAD_WORK
-    multiply-adds and two runs is cut in two: the one ``_Worker`` thread sums
-    the runs after the cut, which hold about the second half of the layer's
-    splits, into a buffer shaped like the stack, while the calling thread
-    sums and adds the runs before it; the caller then waits for the worker
-    and adds its sums in run order.  So the layers are the one-thread fold's
-    bits.  The worker gets at most len(stack) runs, and its stack, sums and
-    spare are allocated once per table, so it allocates nothing per layer.
-    Each thread keeps its own stack of at most FOLD_ENTRIES entries (512 KB):
-    the fold holds two such stacks while it uses the worker.  No option or
-    environment variable selects the worker.
+    In the worker's band (module docstring), ``add`` cuts a layer of at
+    least THREAD_WORK multiply-adds and two runs in two.  It queues the runs
+    after the cut, at most len(stack) of them holding at least half the
+    layer's splits if they can, for the worker, which sums them into
+    ``sums`` with its own stack and spare; it sums and adds the runs before
+    the cut itself, waits for the worker's answer, even when its own runs
+    raised, and adds ``sums`` in run order.  So the layers are the one-thread
+    fold's bits.  The worker's buffers are allocated once per table, so it
+    allocates nothing per layer, and each thread's stack holds at most
+    FOLD_ENTRIES entries (512 KB).
     """
     L, n = len(layers), layers.shape[2]
     # fan[p] is (b, c, parents of pair p), as Python ints
@@ -292,9 +293,9 @@ def _fold_layers(
     # the calling thread's stack of chunk products, chunk-sum spare and run sum
     chunk = min(max(1, FOLD_ENTRIES // (n * n)), L)
     stack, spare, total = np.empty((chunk, n, n)), np.empty((n, n)), np.empty((n, n))
-    worker = None
-    if THREAD_STATES[0] <= n < THREAD_STATES[1] and len(os.sched_getaffinity(0)) >= 2:
-        worker = _Worker.shared()
+    jobs = None
+    if THREAD_STATES[0] <= n < THREAD_STATES[1] and _cpu_count() >= 2:
+        jobs, done = _fold_worker()
         # the worker's own stack and spare, and the sums of its runs
         side_stack, sums = np.empty_like(stack), np.empty_like(stack)
         side_spare = np.empty_like(spare)
@@ -318,15 +319,14 @@ def _fold_layers(
         # the worker sums the runs from cut on: at most len(sums) of them,
         # holding at least half the layer's splits if they can
         cut = len(runs)
-        if worker is not None and cut > 1 and len(split) * n**3 >= THREAD_WORK:
+        if jobs is not None and cut > 1 and len(split) * n**3 >= THREAD_WORK:
             tail = 0
             while cut > 1 and 2 * tail < len(split) and len(runs) - cut < len(sums):
                 cut -= 1
                 tail += runs[cut][5]
             side = runs[cut:]
-            if not worker.start(lambda: [_run_sum(layers, l, run, side_stack, side_spare, out)
-                                         for run, out in zip(side, sums)]):
-                cut = len(runs)
+            jobs.put((lambda: [_run_sum(layers, l, run, side_stack, side_spare, out)
+                               for run, out in zip(side, sums)], done))
         try:
             for run in runs[:cut]:
                 _run_sum(layers, l, run, stack, spare, total)
@@ -334,7 +334,7 @@ def _fold_layers(
                     cur[a] += total
         finally:
             # the worker reads the table: it must be done before add returns
-            error = worker.wait() if cut < len(runs) else None
+            error = done.get() if cut < len(runs) else None
         if cut < len(runs):
             if error is not None:
                 raise error
@@ -370,64 +370,53 @@ def _run_sum(layers: np.ndarray, l: int, run: tuple, stack: np.ndarray, spare: n
         out += np.add.reduce(part, axis=0, out=spare)
 
 
-class _Worker:
-    """The one daemon thread that sums runs for the fold, started by the
-    first table that uses it.  It takes one job at a time: a table built
-    meanwhile in another thread finds it busy and folds alone."""
-
-    _shared = None
-    _starting = threading.Lock()
-
-    def __init__(self) -> None:
-        # _busy is held from ``start`` to ``wait``; _go is released by
-        # ``start`` and _done when the job ends
-        self._busy, self._go, self._done = threading.Lock(), threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._job: Callable[[], object] | None = None
-        self._error: BaseException | None = None
-        threading.Thread(target=self._serve, name="gramhmm-fold", daemon=True).start()
-
-    @classmethod
-    def shared(cls) -> _Worker:
-        with cls._starting:
-            if cls._shared is None:
-                cls._shared = cls()
-            return cls._shared
-
-    @classmethod
-    def forget(cls) -> None:
-        """In a child made by fork, which has no worker thread: the first
-        table in the band starts a new one."""
-        cls._shared, cls._starting = None, threading.Lock()
-
-    def _serve(self) -> None:
-        while True:
-            self._go.acquire()
-            try:
-                self._job()
-            except BaseException as e:  # re-raised in the waiting thread
-                self._error = e
-            self._job = None  # so the finished table can be freed
-            self._done.release()
-
-    def start(self, job: Callable[[], object]) -> bool:
-        """Hand ``job`` to the thread, or return False when it is busy."""
-        if not self._busy.acquire(blocking=False):
-            return False
-        self._job = job
-        self._go.release()
-        return True
-
-    def wait(self) -> BaseException | None:
-        """Block until the job ends; return what it raised, if anything."""
-        self._done.acquire()
-        error, self._error = self._error, None
-        self._busy.release()
-        return error
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    keeps one, else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-os.register_at_fork(after_in_child=_Worker.forget)
+_jobs, _starting = None, threading.Lock()
+
+
+def _fold_worker() -> tuple:
+    """The job queue of the one ``gramhmm-fold`` daemon thread, which the
+    first call starts, and a new answer queue for the caller's table."""
+    global _jobs
+    import queue  # 1.6 ms, paid by the first table in the band alone
+    with _starting:
+        if _jobs is None:
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), name="gramhmm-fold", daemon=True).start()
+            _jobs = jobs
+        return _jobs, queue.SimpleQueue()
+
+
+def _serve(jobs) -> None:
+    """Run each (job, done) pair's job, then put on ``done`` what it raised,
+    or None."""
+    while True:
+        job, done = jobs.get()
+        try:
+            job()
+        except BaseException as e:  # re-raised in the waiting thread
+            done.put(e)
+        else:
+            done.put(None)
+        job = done = None  # so the finished table can be freed
+
+
+def _drop_fold_worker() -> None:
+    """In a child made by fork, which has no worker thread: the first table
+    in the band starts a new one."""
+    global _jobs, _starting
+    _jobs, _starting = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_fold_worker)
 
 
 def weighted_mass(g: CnfGrammar, model: Hmm, L: int) -> LikelihoodResult:

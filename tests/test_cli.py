@@ -18,7 +18,7 @@ from gramhmm.sampling import SamplingError, SamplingNumericalError
 
 from conftest import same_rules
 
-TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+TWO_CPUS = pytest.mark.skipif(inference._cpu_count() < 2,
                               reason="the fold's worker thread runs only on two CPUs or more")
 
 
@@ -543,6 +543,7 @@ def test_memory_error_in_the_fold_worker_is_validation_error(wide_files, monkeyp
 
 
 @TWO_CPUS
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins the child to one CPU")
 def test_one_cpu_gives_the_same_bytes(wide_files):
     # the same in-band command, free to use two CPUs (the fold's worker
     # thread runs) and pinned to one in the child process (it does not)
@@ -566,6 +567,18 @@ def test_one_cpu_gives_the_same_bytes(wide_files):
     assert pinned.stderr.splitlines()[-1] == b"threads 1"
     assert free.returncode == pinned.returncode == 0
     assert free.stdout == pinned.stdout
+
+
+def test_import_loads_no_slow_module():
+    # each of these adds milliseconds to every command's start (a top-level
+    # fractions import read +10.6-19.5% setup_s, concurrent.futures 4.5-9
+    # ms); the fold's worker imports queue with the first table in its band
+    slow = ["queue", "concurrent.futures", "logging", "fractions", "decimal"]
+    program = f"import sys, gramhmm.cli; print([m for m in {slow!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("error, code", [

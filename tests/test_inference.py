@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from conftest import live_products, random_grammar, random_instance
 # from l = 5 on; pair (A, A) is added into S before it
 UNEVEN = parse_grammar("start S\nS -> A A\nS -> A C\nA -> P P\nA -> Q Q\nQ -> P P\n"
                        "C -> C C\nA -> 'a'\nP -> 'a'\nC -> 'a'\nC -> 'b'")
-TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+TWO_CPUS = pytest.mark.skipif(inference._cpu_count() < 2,
                               reason="the fold's worker thread runs only on two CPUs or more")
 
 
@@ -399,11 +400,14 @@ class TestFoldedTable:
 
     @TWO_CPUS
     def test_concurrent_tables_share_one_worker(self, c08, threads):
-        # four threads build in-band tables at once: one of them holds the
-        # worker at a time, the others fold alone, and every table has the
-        # same bits
+        # four threads build in-band tables at once: each table queues its
+        # runs for the one worker behind the others', so the worker sums the
+        # same runs of every table, and every table has the same bits
         model = random_hmm(48, "ab", seed=13)
         first = forward_table(c08, model, 20).layers
+        per_table = sum(t.name == "gramhmm-fold" for t in threads)
+        assert per_table > 0
+        del threads[:]
         built = []
 
         def build():
@@ -422,6 +426,7 @@ class TestFoldedTable:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in builders)
         assert built == [True] * 12
+        assert sum(t.name == "gramhmm-fold" for t in threads) == 12 * per_table
         assert sum(t.name == "gramhmm-fold" for t in threading.enumerate()) == 1
 
     @TWO_CPUS
@@ -444,6 +449,72 @@ class TestFoldedTable:
         # the worker is free again, and the next table keeps the bits
         monkeypatch.setattr(inference, "_run_sum", run_sum)
         assert np.array_equal(forward_table(c08, model, 24).layers, serial)
+
+    @TWO_CPUS
+    def test_interrupted_wait_keeps_the_worker(self, c08, monkeypatch):
+        # a KeyboardInterrupt while the caller waits for the worker's runs
+        # leaves the worker in use for the next table in the band
+        model = random_hmm(64, "ab", seed=16)
+        with monkeypatch.context() as serial_only:
+            serial_only.setattr(inference, "THREAD_STATES", (0, 0))
+            serial = forward_table(c08, model, 24).layers
+        run_sum, summed, fast = inference._run_sum, [], threading.Event()
+
+        def recorded(layers, *args):
+            # (table, thread) per run; the worker is slow until ``fast``
+            if threading.current_thread() is not threading.main_thread() and not fast.is_set():
+                time.sleep(0.05)
+            summed.append((layers, threading.current_thread()))
+            run_sum(layers, *args)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(inference, "_run_sum", recorded)
+        monkeypatch.setattr(inference, "THREAD_WORK", 0)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
+            with pytest.raises(KeyboardInterrupt):
+                forward_table(c08, model, 24)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        fast.set()
+        table = forward_table(c08, model, 24)
+        assert np.array_equal(table.layers, serial)
+        # the interrupted table's runs may still end on the worker meanwhile
+        assert len({thread for layers, thread in summed if layers is table.layers}) == 2
+
+    @TWO_CPUS
+    def test_worker_without_an_affinity_mask(self, c08, threads, monkeypatch):
+        # where os has no sched_getaffinity (macOS), the gate counts all CPUs
+        model = random_hmm(64, "ab", seed=17)
+        with monkeypatch.context() as serial_only:
+            serial_only.setattr(inference, "THREAD_STATES", (0, 0))
+            serial = forward_table(c08, model, 24).layers
+        monkeypatch.delattr(os, "sched_getaffinity")
+        del threads[:]
+        assert np.array_equal(forward_table(c08, model, 24).layers, serial)
+        assert len(set(threads)) == 2
+
+    def test_import_and_fold_without_register_at_fork(self):
+        # where os has no register_at_fork (Windows), gramhmm imports and the
+        # first table in the band starts the worker, on two CPUs or more
+        program = "\n".join([
+            "import os, threading",
+            "del os.register_at_fork",
+            "import gramhmm",
+            "from gramhmm.grammar import universal_grammar",
+            "from gramhmm.hmm import random_hmm",
+            "from gramhmm.inference import THREAD_STATES, forward_table",
+            "g, model = universal_grammar('ab'), random_hmm(THREAD_STATES[0], 'ab', seed=0)",
+            "print(forward_table(g, model, 12).contract(12) > 0, threading.active_count())",
+        ])
+        done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"True {1 + (inference._cpu_count() >= 2)}\n"
 
     @TWO_CPUS
     def test_forked_child_starts_its_own_worker(self, c08, threads):
@@ -482,7 +553,7 @@ class TestFoldedTable:
         done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr
-        worker = 1 if len(os.sched_getaffinity(0)) >= 2 else 0
+        worker = 1 if inference._cpu_count() >= 2 else 0
         assert done.stdout.split("\n")[0] == str([1, 1, 1, 1, 1 + worker, 1 + worker])
 
     def test_loop_below_fold_states(self, c08):
