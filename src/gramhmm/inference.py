@@ -87,7 +87,9 @@ AMBIGUITY_SLACK = 1e-9
 # small n the fold's fixed cost per pair and layer outweighs its small products
 FOLD_STATES = 8
 # largest entry count of one float64 temporary, 512 KB: one chunk's products,
-# folded or batched, and one row block of the sampler's choice weights
+# folded or batched, and one row block of the sampler's choice weights; also
+# of a forward table or sampler copy on the heap (``_zeros``) and of one
+# reduce3sat group's table
 FOLD_ENTRIES = 2**16
 # the state counts n whose layers fold on two threads (module docstring): one
 # product of that size keeps one CPU busy.  On a shared 2-CPU host the c08
@@ -123,7 +125,9 @@ class ForwardTable:
     shape (length, N, n, n), where layers[l-1, a, s, t] = F_l[a][s,t], and
     the read-only bool array ``live`` of shape (length, N): live[l-1, a] is
     true iff a derives some string of length l, which depends on the
-    grammar alone; where it is false, F_l[a] is zero."""
+    grammar alone; where it is false, F_l[a] is zero.  The layers are on
+    the heap up to FOLD_ENTRIES entries, else on a lazily paged map
+    (``_zeros``); the two hold the same bits."""
     layers: np.ndarray
     live: np.ndarray
     grammar: CnfGrammar
@@ -158,16 +162,24 @@ def _check_alphabets(g: CnfGrammar, model: Hmm) -> None:
         )
 
 
-def _mapped_zeros(shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A zero-filled, writable float64 array of ``shape`` on a private
-    anonymous map, whose pages take no memory until written (blocks that
-    stay zero never are) and go back to the OS when the array is freed.
-    Raises InferenceError, naming ``what``, when the map cannot be made."""
-    size = math.prod(shape) * 8
+def _zeros(shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A zero-filled, writable, C-contiguous float64 array of ``shape``.
+
+    One of at most FOLD_ENTRIES entries (512 KB) is on the heap, whose pages
+    stay resident from one command to the next, so a small table costs no
+    fresh map, page faults or unmap.  A larger one is on a private anonymous
+    map, whose pages take no memory until written (blocks that stay zero
+    never are) and go back to the OS when the array is freed.  Raises
+    InferenceError, naming ``what`` and the bytes asked for, when either
+    cannot be allocated."""
+    entries = math.prod(shape)
     try:
-        buf = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
-    except (OSError, OverflowError) as e:
-        raise InferenceError(f"{what} needs {size} bytes and cannot be allocated: {e}") from None
+        if entries <= FOLD_ENTRIES:
+            return np.zeros(shape)
+        buf = mmap.mmap(-1, entries * 8, access=mmap.ACCESS_COPY)
+    except (MemoryError, OSError, OverflowError) as e:
+        raise InferenceError(
+            f"{what} needs {entries * 8} bytes and cannot be allocated: {e}") from None
     return np.frombuffer(buf).reshape(shape)
 
 
@@ -182,7 +194,7 @@ def forward_table(g: CnfGrammar, model: Hmm, L: int) -> ForwardTable:
     if L < 1:
         raise InferenceError("length must be >= 1")
     N, n = g.nonterminal_count, model.state_count
-    layers = _mapped_zeros((L, N, n, n), f"forward table for length {L}")
+    layers = _zeros((L, N, n, n), f"forward table for length {L}")
     live = np.zeros((L, N), dtype=bool)
     for a, s in g.lexical_rules:
         layers[0, a] += model.matrices[s]
@@ -282,9 +294,13 @@ def _fold_layers(
     ``sums`` with its own stack and spare; it sums and adds the runs before
     the cut itself, waits for the worker's answer, even when its own runs
     raised, and adds ``sums`` in run order.  So the layers are the one-thread
-    fold's bits.  The worker's buffers are allocated once per table, so it
-    allocates nothing per layer, and each thread's stack holds at most
-    FOLD_ENTRIES entries (512 KB).
+    fold's bits.  Each job has a stop flag, which ``add`` sets when its own
+    runs raise and when it leaves, with the answer or with its wait cut
+    short by an interrupt; the worker checks it before each run, so an
+    abandoned layer holds the worker, and the caller's exception, for at
+    most the run it is in.  The worker's buffers are allocated once per
+    table, so it allocates nothing per layer, and each thread's stack holds
+    at most FOLD_ENTRIES entries (512 KB).
     """
     L, n = len(layers), layers.shape[2]
     # fan[p] is (b, c, parents of pair p), as Python ints
@@ -324,17 +340,33 @@ def _fold_layers(
             while cut > 1 and 2 * tail < len(split) and len(runs) - cut < len(sums):
                 cut -= 1
                 tail += runs[cut][5]
-            side = runs[cut:]
-            jobs.put((lambda: [_run_sum(layers, l, run, side_stack, side_spare, out)
-                               for run, out in zip(side, sums)], done))
+            side, stop = runs[cut:], threading.Event()
+
+            def job():
+                for run, out in zip(side, sums):
+                    if stop.is_set():
+                        return
+                    _run_sum(layers, l, run, side_stack, side_spare, out)
+
+            jobs.put((job, done))
         try:
             for run in runs[:cut]:
                 _run_sum(layers, l, run, stack, spare, total)
                 for a in run[2]:
                     cur[a] += total
+        except BaseException:
+            if cut < len(runs):
+                stop.set()  # the worker's sums will not be added
+            raise
         finally:
-            # the worker reads the table: it must be done before add returns
-            error = done.get() if cut < len(runs) else None
+            # the worker reads the table: it must be done before add returns,
+            # and begins no further run once add leaves
+            error = None
+            if cut < len(runs):
+                try:
+                    error = done.get()
+                finally:
+                    stop.set()
         if cut < len(runs):
             if error is not None:
                 raise error

@@ -56,8 +56,7 @@ import numpy as np
 
 from .grammar import CnfGrammar
 from .hmm import Hmm
-from .inference import (FOLD_ENTRIES, ForwardTable, NumericalError, _mapped_zeros,
-                        forward_table)
+from .inference import FOLD_ENTRIES, ForwardTable, NumericalError, _zeros, forward_table
 
 __all__ = [
     "SamplingError",
@@ -170,10 +169,11 @@ class Sampler:
 
     Keeps the table's layers as rows F_l[a][s, :] and a transposed copy as
     rows F_l[a][:, t], so each factor of a choice weight is read as one
-    contiguous row.  The copy is written only at the table's live blocks, on
-    a lazily paged map like the table's, so it costs about the table's own
-    resident memory.  The leaves' cumulative weights over the alphabet add
-    |alphabet| / L of the table's entries.
+    contiguous row.  The copy is allocated like the table (``inference._zeros``:
+    on the heap up to FOLD_ENTRIES entries, else on a lazily paged map) and
+    written only at the table's live blocks, so it costs about the table's
+    own resident memory.  The leaves' cumulative weights over the alphabet
+    add |alphabet| / L of the table's entries.
     """
 
     def __init__(self, table: ForwardTable):
@@ -184,8 +184,8 @@ class Sampler:
         # row ((l-1)*N + a)*n + s of _rows is F_l[a][s, :]; of _cols, F_l[a][:, s]
         self._rows = table.layers.reshape(-1, n)
         # a dead block of the table is zero, so only the live ones are
-        # written; the others stay untouched zero pages of the map
-        cols = _mapped_zeros(table.layers.shape, "the sampler's transposed table")
+        # written; on a map, the others stay untouched zero pages
+        cols = _zeros(table.layers.shape, "the sampler's transposed table")
         np.copyto(cols, table.layers.swapaxes(2, 3), where=table.live[:, :, None, None])
         self._cols = cols.reshape(-1, n)
         self._codes = np.array([ord(s) for s in g.alphabet], dtype=np.uint32)

@@ -1,4 +1,6 @@
 import itertools
+import math
+import mmap
 
 import numpy as np
 import pytest
@@ -37,6 +39,34 @@ def c08():
         "A -> B B", "S -> B S", "B -> S A", "A -> S S",
         "S -> 'a'", "S -> 'b'", "A -> 'a'", "B -> 'b'", "A -> 'b'", "B -> 'a'",
     ]))
+
+
+def refuse_allocation(monkeypatch, shape: tuple[int, ...]) -> None:
+    """Have both allocators of ``inference._zeros`` refuse a float64 array of
+    ``shape`` with the cause "no room": ``np.zeros`` by MemoryError, as
+    numpy does, and ``mmap.mmap`` by OSError, as the OS does.  Every other
+    allocation goes through."""
+    zeros, mapping, size = np.zeros, mmap.mmap, math.prod(shape) * 8
+
+    def heap(want, *args, **kwargs):
+        if want == shape and not args and not kwargs:
+            raise MemoryError("no room")
+        return zeros(want, *args, **kwargs)
+
+    def mapped(fileno, length, *args, **kwargs):
+        if length == size:
+            raise OSError("no room")
+        return mapping(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", heap)
+    monkeypatch.setattr(mmap, "mmap", mapped)
+
+
+def on_map(a: np.ndarray) -> bool:
+    """Whether ``a``'s memory is an anonymous map, not the heap."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap)
 
 
 def random_grammar(rng: np.random.Generator, max_nonterminals=4, alphabet="abc",

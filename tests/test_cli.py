@@ -16,7 +16,7 @@ from gramhmm.inference import AttestationError, AttestationViolatedError
 from gramhmm.reductions import InconsistentModelCountError, ReductionError
 from gramhmm.sampling import SamplingError, SamplingNumericalError
 
-from conftest import same_rules
+from conftest import refuse_allocation, same_rules
 
 TWO_CPUS = pytest.mark.skipif(inference._cpu_count() < 2,
                               reason="the fold's worker thread runs only on two CPUs or more")
@@ -506,13 +506,28 @@ def test_memory_error_is_validation_error(files, monkeypatch, capsys, message, l
     def no_memory(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(sampling, "_mapped_zeros", no_memory)
+    monkeypatch.setattr(sampling, "_zeros", no_memory)
     code = main(["sample", "--grammar", str(files["dyck"]), "--hmm", str(files["paren_hmm"]),
                  "--length", "4", "--count", "1", "--seed", "0"])
     out, err = capsys.readouterr()
     assert code == 3
     assert out == ""
     assert err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("states, size", [(1, 160), (64, 655360)], ids=["heap", "map"])
+def test_refused_table_is_validation_error(files, monkeypatch, capsys, states, size):
+    # 4 layers of 5 Dyck nonterminals: on the heap at 1 state, mapped at 64
+    model = files["tmp"] / "refused.hmm.json"
+    model.write_text(format_hmm(random_hmm(states, "()", seed=2)))
+    refuse_allocation(monkeypatch, (4, 5, states, states))
+    code = main(["likelihood", "--grammar", str(files["dyck"]), "--hmm", str(model),
+                 "--length", "4", "--mode", "weighted"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        f"forward table for length 4 needs {size} bytes and cannot be allocated: no room"]
 
 
 @pytest.fixture

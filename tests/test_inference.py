@@ -27,7 +27,7 @@ from gramhmm.inference import (
 )
 from gramhmm.oracle import brute_force_weighted_mass, max_ambiguity
 
-from conftest import live_products, random_grammar, random_instance
+from conftest import live_products, on_map, random_grammar, random_instance, refuse_allocation
 
 # A derives lengths 1, 2 and 4 only, so pair (A, C) has live splits 1, 2, 4
 # from l = 5 on; pair (A, A) is added into S before it
@@ -453,38 +453,59 @@ class TestFoldedTable:
     @TWO_CPUS
     def test_interrupted_wait_keeps_the_worker(self, c08, monkeypatch):
         # a KeyboardInterrupt while the caller waits for the worker's runs
-        # leaves the worker in use for the next table in the band
+        # leaves the worker in use for the next table in the band, and the
+        # worker begins at most one more run of the interrupted table
+        self.check_interrupt(c08, monkeypatch, caller_delay=0)
+
+    @TWO_CPUS
+    def test_interrupt_in_own_runs_stops_the_worker(self, c08, monkeypatch):
+        # the same when the interrupt lands in the caller's own runs, each
+        # slowed to 0.2 s: the caller does not wait for the worker's half
+        self.check_interrupt(c08, monkeypatch, caller_delay=0.2)
+
+    @staticmethod
+    def check_interrupt(c08, monkeypatch, caller_delay):
         model = random_hmm(64, "ab", seed=16)
         with monkeypatch.context() as serial_only:
             serial_only.setattr(inference, "THREAD_STATES", (0, 0))
             serial = forward_table(c08, model, 24).layers
         run_sum, summed, fast = inference._run_sum, [], threading.Event()
+        main, interrupted_at = threading.main_thread(), []
 
         def recorded(layers, *args):
-            # (table, thread) per run; the worker is slow until ``fast``
-            if threading.current_thread() is not threading.main_thread() and not fast.is_set():
-                time.sleep(0.05)
+            # (table, thread) per run begun; the worker's first run of the
+            # interrupted table interrupts the caller, and the worker is slow
+            # until ``fast``
             summed.append((layers, threading.current_thread()))
+            if threading.current_thread() is main and not fast.is_set():
+                time.sleep(caller_delay)
+            elif not fast.is_set():
+                if not any(thread is not main for _, thread in summed[:-1]):
+                    time.sleep(0.05)
+                    signal.pthread_kill(main.ident, signal.SIGALRM)
+                time.sleep(0.05)
             run_sum(layers, *args)
 
         def interrupt(signum, frame):
+            interrupted_at.append(len(summed))
             raise KeyboardInterrupt
 
         monkeypatch.setattr(inference, "_run_sum", recorded)
         monkeypatch.setattr(inference, "THREAD_WORK", 0)
         previous = signal.signal(signal.SIGALRM, interrupt)
         try:
-            signal.setitimer(signal.ITIMER_REAL, 0.3)
             with pytest.raises(KeyboardInterrupt):
                 forward_table(c08, model, 24)
         finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         fast.set()
         table = forward_table(c08, model, 24)
         assert np.array_equal(table.layers, serial)
-        # the interrupted table's runs may still end on the worker meanwhile
         assert len({thread for layers, thread in summed if layers is table.layers}) == 2
+        # the worker's runs begun after the interrupt, of the interrupted table
+        stale = [thread for layers, thread in summed[interrupted_at[0]:]
+                 if layers is not table.layers and thread is not main]
+        assert len(stale) <= 1
 
     @TWO_CPUS
     def test_worker_without_an_affinity_mask(self, c08, threads, monkeypatch):
@@ -561,6 +582,28 @@ class TestFoldedTable:
         model = random_hmm(7, "ab", seed=9)
         assert np.array_equal(forward_table(c08, model, 20).layers,
                               full_loop_layers(c08, model, 20))
+
+
+class TestAllocation:
+    """A table of at most FOLD_ENTRIES entries is on the heap, a larger one
+    on a lazily paged map (``inference._zeros``)."""
+
+    @pytest.mark.parametrize("entries, mapped", [(1, False), (FOLD_ENTRIES, False),
+                                                 (FOLD_ENTRIES + 1, True)])
+    def test_cut(self, entries, mapped):
+        a = inference._zeros((entries,), "an array")
+        assert on_map(a) == mapped
+        assert a.dtype == np.float64 and a.flags.writeable and a.flags.c_contiguous
+        assert not a.any()
+
+    @pytest.mark.parametrize("states, size", [(1, 160), (64, 655360)], ids=["heap", "map"])
+    def test_refused_table_is_inference_error(self, dyck, states, size, monkeypatch):
+        # 4 layers of 5 nonterminals: 20 blocks of states x states entries
+        model = random_hmm(states, "()", seed=1)
+        refuse_allocation(monkeypatch, (4, 5, states, states))
+        with pytest.raises(InferenceError, match=f"^forward table for length 4 needs {size} "
+                                                 "bytes and cannot be allocated: no room$"):
+            forward_table(dyck, model, 4)
 
 
 class TestWeightedMass:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramhmm import inference
+from gramhmm import inference, sampling
 
 from gramhmm.grammar import (
     CnfGrammar, parse_grammar, union, universal_grammar,
@@ -27,7 +28,7 @@ from gramhmm.sampling import (
     trees_json,
 )
 
-from conftest import live_products, random_grammar, random_instance
+from conftest import live_products, on_map, random_grammar, random_instance, refuse_allocation
 
 
 def reference_pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -310,17 +311,61 @@ class TestTransposedCopy:
         assert np.array_equal(cols, table.layers.swapaxes(2, 3))
         assert not cols[~table.live].any()
 
-    def test_allocation_failure_is_inference_error(self, dyck, paren_uniform, monkeypatch):
+    def test_allocation_failure_is_inference_error(self, dyck, monkeypatch):
+        # 4 layers of 5 nonterminals, one 64x64 block each: above the cut, so
+        # the copy is mapped
+        table = forward_table(dyck, random_hmm(64, "()", seed=1), 4)
+        assert table.layers.size > FOLD_ENTRIES
+        refuse_allocation(monkeypatch, table.layers.shape)
+        with pytest.raises(InferenceError, match="^the sampler's transposed table needs 655360 "
+                                                 "bytes and cannot be allocated: no room$"):
+            Sampler(table)
+
+    def test_heap_allocation_failure_is_inference_error(self, dyck, paren_uniform, monkeypatch):
+        # 4 layers of 5 nonterminals, one 1x1 block each: the copy is on the heap
         table = forward_table(dyck, paren_uniform, 4)
-
-        def refuse(*args, **kwargs):
-            raise OSError("no room")
-
-        monkeypatch.setattr(inference.mmap, "mmap", refuse)
-        # 4 layers of 5 nonterminals, one 1x1 block each
+        refuse_allocation(monkeypatch, table.layers.shape)
         with pytest.raises(InferenceError, match="^the sampler's transposed table needs 160 "
                                                  "bytes and cannot be allocated: no room$"):
             Sampler(table)
+
+
+class TestHeapOrMap:
+    """The same table and sampler with their arrays on the heap, where the
+    allocator puts them, and forced onto the map: the branch changes no bit."""
+
+    @pytest.fixture(params=["c08-n4", "sparse-n9"])
+    def instance(self, request, c08):
+        # c08 at 4 states takes the batched kernel, the sparse grammar at 9
+        # states the fold; both tables are far under the cut
+        if request.param == "c08-n4":
+            return c08, random_hmm(4, "ab", seed=21), 40
+        g = random_grammar(np.random.default_rng(8), sparse=True)
+        return g, random_hmm(9, g.alphabet, seed=8), 12
+
+    def test_same_bits(self, instance, monkeypatch):
+        def build():
+            table = forward_table(*instance)
+            return table, Sampler(table), sample_many(*instance, 300, 5, trees=True)
+
+        zeros = inference._zeros
+
+        def mapped(shape, what):
+            # the allocator's map branch for one entry past the cut, cut down
+            # to the shape
+            return zeros((FOLD_ENTRIES + 1,), what)[:math.prod(shape)].reshape(shape)
+
+        heap = build()
+        monkeypatch.setattr(inference, "_zeros", mapped)
+        monkeypatch.setattr(sampling, "_zeros", mapped)
+        mmapped = build()
+        for (table, sampler, _), on in [(heap, False), (mmapped, True)]:
+            assert on_map(table.layers) == on_map(sampler._cols) == on
+            assert not table.layers.flags.writeable and table.layers.flags.c_contiguous
+        assert heap[0].layers.tobytes() == mmapped[0].layers.tobytes()
+        assert np.array_equal(heap[0].live, mmapped[0].live)
+        assert heap[1]._cols.tobytes() == mmapped[1]._cols.tobytes()
+        assert heap[2] == mmapped[2]
 
 
 class TestSampleMany:
