@@ -65,9 +65,9 @@ class CnfGrammar:
 
     The rule index that every kernel reads is built here, as three
     read-only arrays: ``pairs`` (P, 2), the sorted distinct children pairs
-    (b, c); ``parents`` (P, N) bool, true at [p, a] iff a -> pairs[p] is a
-    rule; and ``emits`` (|alphabet|, N) bool, true at [i, a] iff a emits
-    ``alphabet[i]``.
+    (b, c); ``rules`` (R, 2), one row (p, a) per binary rule a -> pairs[p],
+    sorted by pair, then parent; and ``emits`` (|alphabet|, N) bool, true
+    at [i, a] iff a emits ``alphabet[i]``.
     """
 
     start: int
@@ -128,16 +128,17 @@ class CnfGrammar:
 
         # the rule index, as plain attributes, not fields, so it is neither a
         # constructor parameter nor part of equality, hash or repr
-        pairs = sorted({(b, c) for _, b, c in self.binary_rules})
-        # the flat offsets of the rows, so each rule sets one flat entry
-        row = {pair: p * n for p, pair in enumerate(pairs)}
-        column = {s: i * n for i, s in enumerate(self.alphabet)}
-        parents = np.zeros((len(pairs), n), dtype=bool)
-        parents.put([row[b, c] + a for a, b, c in self.binary_rules], True)
+        by_pair: dict[tuple[int, int], list[int]] = {}
+        for a, b, c in self.binary_rules:
+            by_pair.setdefault((b, c), []).append(a)
+        pairs = sorted(by_pair)
+        rules = [x for p, pair in enumerate(pairs) for a in by_pair[pair] for x in (p, a)]
+        column = {s: i * n for i, s in enumerate(self.alphabet)}  # each symbol's flat row offset
         emits = np.zeros((len(self.alphabet), n), dtype=bool)
         emits.put([column[s] + a for a, s in self.lexical_rules], True)
         for name, index in (("pairs", np.array(pairs, dtype=np.intp).reshape(-1, 2)),
-                            ("parents", parents), ("emits", emits)):
+                            ("rules", np.array(rules, dtype=np.intp).reshape(-1, 2)),
+                            ("emits", emits)):
             index.setflags(write=False)
             object.__setattr__(self, name, index)
 
@@ -269,14 +270,16 @@ def derivation_counts(g: CnfGrammar, strings: list[str]) -> list[int]:
         raise GrammarError(f"symbol {next(ch for ch in w if ch not in g.alphabet)!r} "
                            "not in grammar alphabet")
 
-    # each distinct children pair (b, c) is multiplied once per split, and
-    # the product is added into every parent a of a rule a -> b c
+    # each distinct children pair (b, c) is multiplied once per split, and the
+    # product is added into every parent a of a rule a -> b c, by is_rule[p, a]
     B, C = g.pairs.T
     leaves = g.emits[np.searchsorted(symbols, codes)].transpose(1, 0, 2)
+    is_rule = np.zeros((len(B), g.nonterminal_count), dtype=bool)
+    is_rule[tuple(g.rules.T)] = True
     for kind in (float, object):
         # cell is (start, string, nonterminal) for the spans of one width; left[l]
         # and right[l] keep the columns of width l that each pair's b and c read
-        cell, scatter = leaves.astype(kind), g.parents.astype(kind)
+        cell, scatter = leaves.astype(kind), is_rule.astype(kind)
         left, right = {}, {}
         for width in range(2, L + 1):
             left[width - 1], right[width - 1] = cell[..., B], cell[..., C]

@@ -17,8 +17,8 @@ l - m; every other product is an exact zero matrix and is never formed.
 ``forward_table`` runs the one loop over l = 2..L.  The path chosen by the
 HMM's state count n sets up, once per table, its product columns and a
 kernel ``add(l, mask)``: below FOLD_STATES states (``_batch_layers``) a
-column is a rule a -> b c, in (pair, parent) order; from FOLD_STATES on
-(``_fold_layers``) it is a distinct children pair (b, c) of
+column is a rule a -> b c, a ``CnfGrammar.rules`` row, in its order; from
+FOLD_STATES on (``_fold_layers``) it is a distinct children pair (b, c) of
 ``CnfGrammar.pairs``.  The loop keeps two liveness rows per layer, taken
 from ``live[l-1]``: ``left[l-1]`` (the column's b derives length l) and
 ``right[l-1]`` (its c does).  Layer l's live products are the true entries
@@ -237,7 +237,7 @@ def _batch_layers(
     never formed here, so such entries stay inf.
     """
     L, N, n = layers.shape[:3]
-    rule_pair, rule_parent = np.nonzero(g.parents)
+    rule_pair, rule_parent = g.rules.T
     children = g.pairs[rule_pair].T
     rule_b, rule_c = children
     # entry i*R + r of each row is split m = i + 1 and rule r
@@ -303,9 +303,10 @@ def _fold_layers(
     at most FOLD_ENTRIES entries (512 KB).
     """
     L, n = len(layers), layers.shape[2]
-    # fan[p] is (b, c, parents of pair p), as Python ints
-    fan = [(b, c, np.flatnonzero(parents).tolist())
-           for (b, c), parents in zip(g.pairs.tolist(), g.parents)]
+    # fan[p] is (b, c, parents of pair p), as Python ints, cut from the rule rows
+    ends = np.bincount(g.rules[:, 0], minlength=len(g.pairs)).cumsum().tolist()
+    rule_parent = g.rules[:, 1].tolist()
+    fan = [(b, c, rule_parent[s:e]) for (b, c), s, e in zip(g.pairs.tolist(), [0] + ends, ends)]
     # the calling thread's stack of chunk products, chunk-sum spare and run sum
     chunk = min(max(1, FOLD_ENTRIES // (n * n)), L)
     stack, spare, total = np.empty((chunk, n, n)), np.empty((n, n)), np.empty((n, n))

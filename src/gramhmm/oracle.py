@@ -66,10 +66,11 @@ def derivation_count(g: CnfGrammar, w: str) -> int:
     if len(w) < 1:
         raise GrammarError("string must be nonempty")
     L = len(w)
-    # the rule index's rows as lookups: symbol -> emitters, pair -> parents
-    emitters = {s: np.flatnonzero(row).tolist() for s, row in zip(g.alphabet, g.emits)}
-    by_children = {(b, c): np.flatnonzero(row).tolist()
-                   for (b, c), row in zip(g.pairs.tolist(), g.parents)}
+    # lookups from the rule tuples, not the index: symbol -> emitters, pair -> parents
+    emitters = {s: [a for a, t in g.lexical_rules if t == s] for s in g.alphabet}
+    by_children: dict[tuple[int, int], list[int]] = {}
+    for a, b, c in g.binary_rules:
+        by_children.setdefault((b, c), []).append(a)
     for ch in w:
         if ch not in emitters:
             raise GrammarError(f"symbol {ch!r} not in grammar alphabet")

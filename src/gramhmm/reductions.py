@@ -45,13 +45,6 @@ __all__ = [
 BRUTE_FORCE_VAR_LIMIT = 24
 INCLUSION_EXCLUSION_CLAUSE_LIMIT = 12
 ROUNDING_RESIDUE_TOL = 1e-6
-# most nonterminals of one grammar of grouped clause subsets.  The grammar's
-# rule index CnfGrammar.parents is dense, children pairs x nonterminals, so
-# it grows as the square of the group.  At 8 variables and 12 clauses, on a
-# 2-vCPU host, groups of 2^13 nonterminals took 1.5 times as long and five
-# times the peak memory of one table per subset; groups of 2^10 took a
-# third of the time and 1.1 times the memory
-GROUP_NONTERMINALS = 2**10
 
 Clause = tuple[int, int, int]
 
@@ -233,10 +226,10 @@ def brute_force_model_count(formula: Cnf3Formula) -> int:
 
 def _group_size(n: int) -> int:
     """Most subsets whose length-n position grammars share one grammar of
-    group*n + 2 nonterminals: at most GROUP_NONTERMINALS, and few enough
-    that its table, n layers of one 1x1 entry per nonterminal, holds at most
-    FOLD_ENTRIES entries."""
-    return max(1, (min(FOLD_ENTRIES // n, GROUP_NONTERMINALS) - 2) // n)
+    group*n + 2 nonterminals: few enough that its table, n layers of one 1x1
+    entry per nonterminal, holds at most FOLD_ENTRIES entries.  Nothing else
+    caps a group: the grammar's rule index grows with its rules alone."""
+    return max(1, (FOLD_ENTRIES // n - 2) // n)
 
 
 def model_count_via_likelihood(formula: Cnf3Formula) -> int:
@@ -247,13 +240,13 @@ def model_count_via_likelihood(formula: Cnf3Formula) -> int:
     ``itertools.combinations`` order), of the exact likelihood of each
     subset's intersection language, added with ``math.fsum``; a subset whose
     language is empty adds nothing and is skipped.  The other subsets' position
-    grammars are put side by side, ``_group_size(n)`` per grammar, so that a
-    table of n layers holds at most FOLD_ENTRIES entries unless it holds a
-    single subset, and one ``forward_table`` per grammar gives each subset's
-    term as the contraction of its block's start, as ``ForwardTable.contract``
-    forms it.  A term above 1 proves the grammar ambiguous and raises
-    AttestationViolatedError.  Under the uniform one-state HMM every term is
-    an exact dyadic rational.
+    grammars are put side by side, ``_group_size(n)`` per grammar (1023 at 8
+    variables), so that a table of n layers holds at most FOLD_ENTRIES entries
+    unless it holds a single subset, and one ``forward_table`` per grammar
+    gives each subset's term as the contraction of its block's start, as
+    ``ForwardTable.contract`` forms it.  A term above 1 proves the grammar
+    ambiguous and raises AttestationViolatedError.  Under the uniform
+    one-state HMM every term is an exact dyadic rational.
 
     Formulas with more than INCLUSION_EXCLUSION_CLAUSE_LIMIT clauses are
     refused.  A count that does not round cleanly raises

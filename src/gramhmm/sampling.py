@@ -26,8 +26,8 @@ transposed copy of them.  A column is live when b derives length m and c
 length l - m (``ForwardTable.live``); a dead column's weights are exact
 zeros, which never win a draw and leave the cumulative sums of the others
 unchanged, so dropping them changes no draw.  A nonterminal a's rules come
-from the grammar's rule index: its children pairs ``pairs[parents[:, a]]``
-and its symbols ``emits[:, a]``.
+from the grammar's rule index: the children pairs ``pairs[p]`` of its rows
+(p, a) of ``rules``, in their order, and its symbols ``emits[:, a]``.
 
 All the leaves of a batch, length 1, are drawn in one step, their groups in
 ascending nonterminal order, over cumulative weights that span the whole
@@ -189,8 +189,10 @@ class Sampler:
         np.copyto(cols, table.layers.swapaxes(2, 3), where=table.live[:, :, None, None])
         self._cols = cols.reshape(-1, n)
         self._codes = np.array([ord(s) for s in g.alphabet], dtype=np.uint32)
-        # _children[a] is (B, C), the children pairs of a's rules in index order
-        self._children = [g.pairs[g.parents[:, a]].T for a in range(g.nonterminal_count)]
+        # _children[a] is (B, C), the children pairs of a's rules in pair order
+        children = g.pairs[g.rules[np.argsort(g.rules[:, 1], kind="stable"), 0]]
+        ends = np.bincount(g.rules[:, 1], minlength=g.nonterminal_count).cumsum().tolist()
+        self._children = [children[s:e].T for s, e in zip([0] + ends, ends)]
         # _leaf[a, s, t] is the cumulative weights of a's leaves at (s, t)
         # over the whole alphabet, a symbol that a does not emit adding +0.0
         stacked = np.stack([self.model.matrices[s] for s in g.alphabet], axis=2)

@@ -416,16 +416,15 @@ class TestRuleIndex:
             "union-dyck-u": union(dyck_grammar(), universal_grammar("()")),
             "lexical-only": parse_grammar("start S\nS -> 'b'\nT -> 'a'"),
         }[name]
-        for index in (g.pairs, g.parents, g.emits):
+        for index in (g.pairs, g.rules, g.emits):
             assert not index.flags.writeable
             with pytest.raises(ValueError):
                 index[...] = 0
-        assert g.parents.shape == (len(g.pairs), g.nonterminal_count)
+        assert g.rules.shape == (len(g.binary_rules), 2)
         assert g.emits.shape == (len(g.alphabet), g.nonterminal_count)
         pairs = [tuple(p) for p in g.pairs.tolist()]
         assert pairs == sorted({(b, c) for _, b, c in g.binary_rules})
-        binary = sorted((a, b, c) for (b, c), row in zip(pairs, g.parents)
-                        for a in np.flatnonzero(row).tolist())
+        binary = sorted((a, *pairs[p]) for p, a in g.rules.tolist())
         assert tuple(binary) == g.binary_rules
         lexical = sorted((a, g.alphabet[i]) for i, a in zip(*np.nonzero(g.emits)))
         assert tuple(lexical) == g.lexical_rules
@@ -441,4 +440,21 @@ class TestRuleIndex:
         g = union(u, u)
         assert (len(g.binary_rules), len(g.pairs)) == (8, 4)
         # each pair of a side has that side's start and the union's start as parents
-        assert g.parents.sum(axis=1).tolist() == [2, 2, 2, 2]
+        assert np.bincount(g.rules[:, 0]).tolist() == [2, 2, 2, 2]
+        assert g.rules[:, 1].tolist() == [0, 1, 0, 1, 0, 4, 0, 4]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["dense", "sparse", "union"]))
+    def test_rule_rows_rebuild_the_rules(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        g = random_grammar(rng, sparse=kind == "sparse")
+        if kind == "union":
+            g = union(g, random_grammar(rng, sparse=True))
+        assert g.rules.shape == (len(g.binary_rules), 2)
+        assert g.rules.dtype == np.intp
+        assert not g.rules.flags.writeable
+        # sorted by pair, then parent, with no repeated row
+        rows = [tuple(row) for row in g.rules.tolist()]
+        assert rows == sorted(set(rows))
+        pairs = g.pairs.tolist()
+        assert tuple(sorted((a, *pairs[p]) for p, a in rows)) == g.binary_rules

@@ -69,9 +69,12 @@ def fold_0_16_layers(g, model, L):
     for a, s in g.lexical_rules:
         layers[0, a] += model.matrices[s]
         live[0, a] = True
-    B, C = g.pairs.T
-    fan = [(b, c, np.flatnonzero(parents).tolist())
-           for (b, c), parents in zip(g.pairs.tolist(), g.parents)]
+    # the children pairs in sorted order and their parents, from the rule tuples
+    parents_of = {}
+    for a, b, c in g.binary_rules:
+        parents_of.setdefault((b, c), []).append(a)
+    fan = [(b, c, parents_of[b, c]) for b, c in sorted(parents_of)]
+    B, C = np.array([(b, c) for b, c, _ in fan], dtype=np.intp).reshape(-1, 2).T
     views = [list(layer) for layer in layers]
     stack = np.empty((min(max(1, FOLD_ENTRIES // (n * n)), L), n, n))
     chunk = len(stack)
@@ -191,7 +194,7 @@ class TestForwardTable:
         monkeypatch.setattr(inference, "FOLD_ENTRIES", 100)
         model = random_hmm(states, "ab", seed=20 + states)
         table = forward_table(c08, model, 30)
-        rule_b, rule_c = c08.pairs[np.nonzero(c08.parents)[0]].T
+        rule_b, rule_c = np.array([(b, c) for _, b, c in c08.binary_rules]).T
         assert len(live_products(table.live, 9, rule_b, rule_c)[0]) > 100 // states**2
         assert np.array_equal(table.layers, full_loop_layers(c08, model, 30))
         assert np.array_equal(table.live, (table.layers > 0).any(axis=(2, 3)))
@@ -202,7 +205,7 @@ class TestForwardTable:
         # chunk boundary and still add in the loop's order
         model = random_hmm(7, "ab", seed=11)
         table = forward_table(c08, model, 110)
-        rule_b, rule_c = c08.pairs[np.nonzero(c08.parents)[0]].T
+        rule_b, rule_c = np.array([(b, c) for _, b, c in c08.binary_rules]).T
         assert len(live_products(table.live, 110, rule_b, rule_c)[0]) > FOLD_ENTRIES // 49
         assert np.isfinite(table.layers).all()
         assert np.array_equal(table.layers, full_loop_layers(c08, model, 110))

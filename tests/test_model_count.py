@@ -100,6 +100,18 @@ def test_one_table_at_eight_variables(tables):
     assert tables[0][0] <= FOLD_ENTRIES
 
 
+def test_every_live_subset_in_one_table_at_eight_variables(tables):
+    # all-positive clauses share no variable with opposite signs, so all
+    # 2^8 - 1 subsets are live; one grammar of 255 * 8 + 2 nonterminals
+    # takes them all
+    formula = Cnf3Formula(8, tuple(tuple((3 * i + j) % 8 + 1 for j in range(3))
+                                   for i in range(8)))
+    assert live_subsets(formula) == 255
+    assert model_count_via_likelihood(formula) == reference_count(formula)
+    assert tables == [(8 * (255 * 8 + 2), 255 * 8 + 2)]
+    assert tables[0][0] <= FOLD_ENTRIES
+
+
 def test_groups_at_twenty_four_variables(tables):
     rng = np.random.default_rng(24)
     clauses = tuple(tuple(int(v) * int(s) for v, s in zip(rng.choice(24, 3, replace=False) + 1,
@@ -109,7 +121,7 @@ def test_groups_at_twenty_four_variables(tables):
     live = live_subsets(formula)
     assert live > _group_size(24)
     assert model_count_via_likelihood(formula) == brute_force_model_count(formula)
-    assert len(tables) == math.ceil(live / _group_size(24))
+    assert len(tables) == math.ceil(live / _group_size(24)) == 6
     assert all(entries <= FOLD_ENTRIES for entries, _ in tables)
 
 

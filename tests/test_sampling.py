@@ -46,7 +46,9 @@ def reference_choose(table, a: int, l: int, s, t, u) -> tuple[np.ndarray, ...]:
     """gramhmm 0.15.0's ``Sampler._choose``: the chosen columns' (m, b, c)
     and middle states, from 4-D fancy indexing of the layers."""
     g = table.grammar
-    B, C = g.pairs[g.parents[:, a]].T
+    # a's children pairs in sorted order, from the rule tuples
+    B, C = np.array(sorted((b, c) for head, b, c in g.binary_rules if head == a),
+                    dtype=np.intp).reshape(-1, 2).T
     split, rule = live_products(table.live, l, B, C)
     m, b, c = split + 1, B[rule], C[rule]
     step = max(1, FOLD_ENTRIES // (len(m) * table.model.state_count))
