@@ -31,17 +31,16 @@ O(l * |rules| * n^3).
 
 With THREAD_STATES[0] <= n < THREAD_STATES[1] states, in a process that may
 run on two CPUs or more, the fold shares every layer of at least THREAD_WORK
-multiply-adds with one daemon thread, ``gramhmm-fold``.  The calling thread
-puts the runs that hold about the second half of the layer's splits on the
-thread's one job queue, together with its table's own answer queue, and sums
-and adds its own runs; it then takes the answer (None, or what the worker
-raised, which it re-raises) and adds the worker's run sums in run order, so
-the layers keep the one-thread fold's bits.  Tables built at the same time
-in other threads queue their halves behind it.  The first table in the band
-starts the thread, which stays for the process; in a child made by fork,
-which has no such thread, the first table in the band starts a new one.  No
-option or environment variable controls the worker: only n, the layer's
-size and the CPUs the process may run on do.
+multiply-adds with a helper thread of its table, ``gramhmm-fold``, which the
+table's first such layer starts.  The calling thread puts the runs that hold
+about the second half of the layer's splits on the helper's job queue, sums
+and adds its own runs, then takes the helper's answer (None, or what it
+raised, which it re-raises) and adds the helper's run sums in run order, so
+the layers keep the one-thread fold's bits.  The helper ends once its table's
+kernel is freed, so tables built at the same time in several threads, or in
+a child made by fork, each have their own.  No option or environment
+variable controls the helper: only n, the layer's size and the CPUs the
+process may run on do.
 
 All layers live in one read-only, C-contiguous float64 array of shape
 (L, N, n, n), indexed [l-1, a, s, t], which the likelihood, the sampler and
@@ -57,6 +56,7 @@ import math
 import mmap
 import os
 import threading
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -98,7 +98,7 @@ FOLD_ENTRIES = 2**16
 # itself, and below 40 states, at L=30, 0.9-1.0 times
 THREAD_STATES = (40, 100)
 # the fewest multiply-adds (live splits * n**3) of a layer folded on two
-# threads: a smaller one finishes before the worker would pay back its
+# threads: a smaller one finishes before the helper would pay back its
 # wake-up and the interpreter lock
 THREAD_WORK = 2**23
 
@@ -142,10 +142,13 @@ class ForwardTable:
             raise InferenceError(f"layer index {l} out of range [1, {self.length}]")
         return self.layers[l - 1]
 
-    def contract(self, l: int) -> float:
-        """Weighted mass at length l: sum_{s,t} pi'[s] F_l[S][s,t]."""
-        f = self.layer(l)[self.grammar.start]
-        return float(self.model.initial @ f.sum(axis=1))
+    def contract(self, l: int, a: int | np.ndarray | None = None) -> float | np.ndarray:
+        """Weighted mass at length l from nonterminal a, the start by
+        default: sum_{s,t} pi'[s] F_l[a][s,t]; for an index array a, the
+        array of the masses from its entries."""
+        f = self.layer(l)[self.grammar.start if a is None else a]
+        mass = f.sum(axis=-1) @ self.model.initial
+        return mass if np.ndim(a) else float(mass)
 
 
 @dataclass(frozen=True)
@@ -287,20 +290,20 @@ def _fold_layers(
     rebuild gives the same bits, but not the full loop's: the layers match
     that loop's to a relative error of about 1e-15.
 
-    In the worker's band (module docstring), ``add`` cuts a layer of at
-    least THREAD_WORK multiply-adds and two runs in two.  It queues the runs
-    after the cut, at most len(stack) of them holding at least half the
-    layer's splits if they can, for the worker, which sums them into
-    ``sums`` with its own stack and spare; it sums and adds the runs before
-    the cut itself, waits for the worker's answer, even when its own runs
-    raised, and adds ``sums`` in run order.  So the layers are the one-thread
-    fold's bits.  Each job has a stop flag, which ``add`` sets when its own
-    runs raise and when it leaves, with the answer or with its wait cut
-    short by an interrupt; the worker checks it before each run, so an
-    abandoned layer holds the worker, and the caller's exception, for at
-    most the run it is in.  The worker's buffers are allocated once per
-    table, so it allocates nothing per layer, and each thread's stack holds
-    at most FOLD_ENTRIES entries (512 KB).
+    In the helper's band (module docstring), ``add`` cuts a layer of at
+    least THREAD_WORK multiply-adds and two runs in two.  The runs after the
+    cut, at most len(stack) of them holding at least half the layer's splits
+    if they can, go to the table's helper, which the first cut starts and
+    which sums them into ``sums`` with its own stack and spare; ``add`` sums
+    and adds the runs before the cut, waits for the helper's answer and adds
+    ``sums`` in run order, so the layers are the one-thread fold's bits.
+    When its own runs raise, ``add`` raises at once, and the helper finishes
+    at most len(sums) runs into buffers that only it still holds.  Once the
+    kernel is freed, a finalizer on ``total`` ends the helper; ``sums`` may
+    stay held by what the helper raised for an abandoned layer.  The
+    helper's buffers are allocated once per table, so it allocates nothing
+    per layer, and each thread's stack holds at most FOLD_ENTRIES entries
+    (512 KB).
     """
     L, n = len(layers), layers.shape[2]
     # fan[p] is (b, c, parents of pair p), as Python ints, cut from the rule rows
@@ -310,14 +313,15 @@ def _fold_layers(
     # the calling thread's stack of chunk products, chunk-sum spare and run sum
     chunk = min(max(1, FOLD_ENTRIES // (n * n)), L)
     stack, spare, total = np.empty((chunk, n, n)), np.empty((n, n)), np.empty((n, n))
-    jobs = None
-    if THREAD_STATES[0] <= n < THREAD_STATES[1] and _cpu_count() >= 2:
-        jobs, done = _fold_worker()
-        # the worker's own stack and spare, and the sums of its runs
+    helped = THREAD_STATES[0] <= n < THREAD_STATES[1] and _cpu_count() >= 2
+    jobs = done = None
+    if helped:
+        # the helper's own stack and spare, and the sums of its runs
         side_stack, sums = np.empty_like(stack), np.empty_like(stack)
         side_spare = np.empty_like(spare)
 
     def add(l: int, mask: np.ndarray) -> list[int]:
+        nonlocal jobs, done
         cur, written, runs = layers[l - 1], [], []
         # i = m - 1 for split m; pair p's live splits are split[ends[p-1]:ends[p]]
         pair, split = mask.T.nonzero()
@@ -333,44 +337,40 @@ def _fold_layers(
             runs += ([(b, c, parents, i, d, k)] if splits == list(range(i, splits[-1] + 1, d))
                      else [(b, c, parents, i, 1, 1) for i in splits])
             written += parents
-        # the worker sums the runs from cut on: at most len(sums) of them,
+        # the helper sums the runs from cut on: at most len(sums) of them,
         # holding at least half the layer's splits if they can
         cut = len(runs)
-        if jobs is not None and cut > 1 and len(split) * n**3 >= THREAD_WORK:
+        if helped and cut > 1 and len(split) * n**3 >= THREAD_WORK:
             tail = 0
             while cut > 1 and 2 * tail < len(split) and len(runs) - cut < len(sums):
                 cut -= 1
                 tail += runs[cut][5]
-            side, stop = runs[cut:], threading.Event()
+            if jobs is None:
+                import queue  # 1.6 ms, paid once per process
+                jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
+                weakref.finalize(total, jobs.put, None)
+                threading.Thread(target=_serve, args=(jobs, done), name="gramhmm-fold",
+                                 daemon=True).start()
+            side = runs[cut:]
 
             def job():
                 for run, out in zip(side, sums):
-                    if stop.is_set():
-                        return
                     _run_sum(layers, l, run, side_stack, side_spare, out)
 
-            jobs.put((job, done))
-        try:
-            for run in runs[:cut]:
-                _run_sum(layers, l, run, stack, spare, total)
-                for a in run[2]:
-                    cur[a] += total
-        except BaseException:
-            if cut < len(runs):
-                stop.set()  # the worker's sums will not be added
-            raise
-        finally:
-            # the worker reads the table: it must be done before add returns,
-            # and begins no further run once add leaves
-            error = None
-            if cut < len(runs):
-                try:
-                    error = done.get()
-                finally:
-                    stop.set()
+            jobs.put(job)
+        for run in runs[:cut]:
+            _run_sum(layers, l, run, stack, spare, total)
+            for a in run[2]:
+                cur[a] += total
         if cut < len(runs):
+            error = done.get()
             if error is not None:
-                raise error
+                try:
+                    raise error
+                finally:
+                    # its traceback holds this frame: the cycle would keep the
+                    # kernel, and so the helper, until gc runs
+                    error = None
             for run, out in zip(runs[cut:], sums):
                 for a in run[2]:
                     cur[a] += out
@@ -411,45 +411,17 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-_jobs, _starting = None, threading.Lock()
-
-
-def _fold_worker() -> tuple:
-    """The job queue of the one ``gramhmm-fold`` daemon thread, which the
-    first call starts, and a new answer queue for the caller's table."""
-    global _jobs
-    import queue  # 1.6 ms, paid by the first table in the band alone
-    with _starting:
-        if _jobs is None:
-            jobs = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(jobs,), name="gramhmm-fold", daemon=True).start()
-            _jobs = jobs
-        return _jobs, queue.SimpleQueue()
-
-
-def _serve(jobs) -> None:
-    """Run each (job, done) pair's job, then put on ``done`` what it raised,
-    or None."""
-    while True:
-        job, done = jobs.get()
+def _serve(jobs, done) -> None:
+    """Run each job on ``jobs`` and put on ``done`` what it raised, or None,
+    until the None that ends a table's helper."""
+    for job in iter(jobs.get, None):
         try:
             job()
         except BaseException as e:  # re-raised in the waiting thread
             done.put(e)
         else:
             done.put(None)
-        job = done = None  # so the finished table can be freed
-
-
-def _drop_fold_worker() -> None:
-    """In a child made by fork, which has no worker thread: the first table
-    in the band starts a new one."""
-    global _jobs, _starting
-    _jobs, _starting = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_fold_worker)
+        job = None  # so the table can be freed
 
 
 def weighted_mass(g: CnfGrammar, model: Hmm, L: int) -> LikelihoodResult:

@@ -243,10 +243,10 @@ def model_count_via_likelihood(formula: Cnf3Formula) -> int:
     grammars are put side by side, ``_group_size(n)`` per grammar (1023 at 8
     variables), so that a table of n layers holds at most FOLD_ENTRIES entries
     unless it holds a single subset, and one ``forward_table`` per grammar
-    gives each subset's term as the contraction of its block's start, as
-    ``ForwardTable.contract`` forms it.  A term above 1 proves the grammar
-    ambiguous and raises AttestationViolatedError.  Under the uniform
-    one-state HMM every term is an exact dyadic rational.
+    gives each subset's term as ``ForwardTable.contract`` from its block's
+    start.  A term above 1 proves the grammar ambiguous and raises
+    AttestationViolatedError.  Under the uniform one-state HMM every term is
+    an exact dyadic rational.
 
     Formulas with more than INCLUSION_EXCLUSION_CLAUSE_LIMIT clauses are
     refused.  A count that does not round cleanly raises
@@ -275,9 +275,7 @@ def model_count_via_likelihood(formula: Cnf3Formula) -> int:
     for at in range(0, len(live), group):
         chunk = live[at:at + group]
         table = inference.forward_table(_position_grammar([b for _, b in chunk], n), model, n)
-        # ForwardTable.contract at each block's start: sum over t, then pi' over s
-        starts = np.arange(0, len(chunk) * n, n)
-        masses = table.layer(n)[starts].sum(axis=2) @ model.initial
+        masses = table.contract(n, np.arange(0, len(chunk) * n, n))
         terms += [sign * _attested(value, n) for (sign, _), value in zip(chunk, masses.tolist())]
     likelihood = math.fsum(terms)
     raw = (1 << n) * (1.0 - likelihood)

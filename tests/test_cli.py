@@ -19,7 +19,7 @@ from gramhmm.sampling import SamplingError, SamplingNumericalError
 from conftest import refuse_allocation, same_rules
 
 TWO_CPUS = pytest.mark.skipif(inference._cpu_count() < 2,
-                              reason="the fold's worker thread runs only on two CPUs or more")
+                              reason="the fold's helper thread runs only on two CPUs or more")
 
 
 def run_cli(*args):
@@ -532,7 +532,7 @@ def test_refused_table_is_validation_error(files, monkeypatch, capsys, states, s
 
 @pytest.fixture
 def wide_files(tmp_path, c08):
-    """c08 and a 64-state HMM, inside the fold's worker-thread band."""
+    """c08 and a 64-state HMM, inside the fold's helper-thread band."""
     assert inference.THREAD_STATES[0] <= 64 < inference.THREAD_STATES[1]
     grammar, model = tmp_path / "c08.grm", tmp_path / "wide.hmm.json"
     grammar.write_text(format_grammar(c08))
@@ -560,8 +560,8 @@ def test_memory_error_in_the_fold_worker_is_validation_error(wide_files, monkeyp
 @TWO_CPUS
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins the child to one CPU")
 def test_one_cpu_gives_the_same_bytes(wide_files):
-    # the same in-band command, free to use two CPUs (the fold's worker
-    # thread runs) and pinned to one in the child process (it does not)
+    # the same in-band command, free to use two CPUs (the fold's helper
+    # thread sums runs) and pinned to one in the child process (it does not)
     cpu = min(os.sched_getaffinity(0))
     argv = ["likelihood", *wide_files, "--length", "30", "--mode", "weighted"]
 
@@ -569,17 +569,23 @@ def test_one_cpu_gives_the_same_bytes(wide_files):
         program = "\n".join([
             "import os, sys, threading",
             f"os.sched_setaffinity(0, {{{cpu}}})" if pin else "",
+            "from gramhmm import inference",
             "from gramhmm.cli import main",
+            "run_sum, helped = inference._run_sum, []",
+            "def recorded(*args):",
+            "    helped.append(threading.current_thread().name == 'gramhmm-fold')",
+            "    run_sum(*args)",
+            "inference._run_sum = recorded",
             "code = main(sys.argv[1:])",
-            "print('threads', threading.active_count(), file=sys.stderr)",
+            "print('helper runs', sum(helped) > 0, file=sys.stderr)",
             "sys.exit(code)",
         ])
         return subprocess.run([sys.executable, "-c", program, *argv], capture_output=True,
                               timeout=120)
 
     free, pinned = run(False), run(True)
-    assert free.stderr.splitlines()[-1] == b"threads 2"
-    assert pinned.stderr.splitlines()[-1] == b"threads 1"
+    assert free.stderr.splitlines()[-1] == b"helper runs True"
+    assert pinned.stderr.splitlines()[-1] == b"helper runs False"
     assert free.returncode == pinned.returncode == 0
     assert free.stdout == pinned.stdout
 
@@ -587,7 +593,7 @@ def test_one_cpu_gives_the_same_bytes(wide_files):
 def test_import_loads_no_slow_module():
     # each of these adds milliseconds to every command's start (a top-level
     # fractions import read +10.6-19.5% setup_s, concurrent.futures 4.5-9
-    # ms); the fold's worker imports queue with the first table in its band
+    # ms); the fold imports queue with the first layer that it cuts
     slow = ["queue", "concurrent.futures", "logging", "fractions", "decimal"]
     program = f"import sys, gramhmm.cli; print([m for m in {slow!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,

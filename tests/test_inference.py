@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import signal
@@ -34,7 +35,7 @@ from conftest import live_products, on_map, random_grammar, random_instance, ref
 UNEVEN = parse_grammar("start S\nS -> A A\nS -> A C\nA -> P P\nA -> Q Q\nQ -> P P\n"
                        "C -> C C\nA -> 'a'\nP -> 'a'\nC -> 'a'\nC -> 'b'")
 TWO_CPUS = pytest.mark.skipif(inference._cpu_count() < 2,
-                              reason="the fold's worker thread runs only on two CPUs or more")
+                              reason="the fold's helper thread runs only on two CPUs or more")
 
 
 def full_loop_layers(g, model, L):
@@ -355,7 +356,7 @@ class TestFoldedTable:
     @pytest.fixture
     def threads(self, monkeypatch):
         """The threads that summed the fold's runs, one entry per run; with
-        THREAD_WORK at 0, every layer of two runs or more uses the worker."""
+        THREAD_WORK at 0, every layer of two runs or more uses the helper."""
         summed = []
         run_sum = inference._run_sum
 
@@ -393,21 +394,36 @@ class TestFoldedTable:
         assert np.array_equal(table.layers, layers)
         assert np.array_equal(table.live, live)
 
-    @TWO_CPUS
-    def test_worker_rebuilds_are_bitwise_equal(self, c08, threads):
-        model = random_hmm(64, "ab", seed=12)
-        first = forward_table(c08, model, 30).layers
-        for _ in range(20):
-            assert np.array_equal(forward_table(c08, model, 30).layers, first)
-        assert len(set(threads)) == 2
+    @staticmethod
+    def serial_layers(g, model, L, monkeypatch):
+        with monkeypatch.context() as serial_only:
+            serial_only.setattr(inference, "THREAD_STATES", (0, 0))
+            return forward_table(g, model, L).layers
 
     @TWO_CPUS
-    def test_concurrent_tables_share_one_worker(self, c08, threads):
-        # four threads build in-band tables at once: each table queues its
-        # runs for the one worker behind the others', so the worker sums the
-        # same runs of every table, and every table has the same bits
+    def test_worker_rebuilds_are_bitwise_equal(self, c08, threads, monkeypatch):
+        # each rebuild's runs after the cut are on a gramhmm-fold helper of
+        # that table alone
+        model = random_hmm(64, "ab", seed=12)
+        serial = self.serial_layers(c08, model, 30, monkeypatch)
+        helpers = []
+        for _ in range(20):
+            del threads[:]
+            assert np.array_equal(forward_table(c08, model, 30).layers, serial)
+            side = {t for t in threads if t is not threading.main_thread()}
+            assert [t.name for t in side] == ["gramhmm-fold"]
+            helpers += side
+        assert len(set(helpers)) == 20
+
+    @TWO_CPUS
+    def test_concurrent_tables_have_their_own_helpers(self, c08, threads, monkeypatch):
+        # four threads build in-band tables at once: each table hands its
+        # runs after the cut to a helper of its own, which sums the same runs
+        # as for a table built alone; every table has the serial bits, and
+        # no helper outlives its table
         model = random_hmm(48, "ab", seed=13)
-        first = forward_table(c08, model, 20).layers
+        serial = self.serial_layers(c08, model, 20, monkeypatch)
+        assert np.array_equal(forward_table(c08, model, 20).layers, serial)
         per_table = sum(t.name == "gramhmm-fold" for t in threads)
         assert per_table > 0
         del threads[:]
@@ -415,7 +431,7 @@ class TestFoldedTable:
 
         def build():
             for _ in range(3):
-                built.append(np.array_equal(forward_table(c08, model, 20).layers, first))
+                built.append(np.array_equal(forward_table(c08, model, 20).layers, serial))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -430,7 +446,11 @@ class TestFoldedTable:
         assert not any(t.is_alive() for t in builders)
         assert built == [True] * 12
         assert sum(t.name == "gramhmm-fold" for t in threads) == 12 * per_table
-        assert sum(t.name == "gramhmm-fold" for t in threading.enumerate()) == 1
+        helpers = {t for t in threads if t.name == "gramhmm-fold"}
+        assert len(helpers) == 12
+        for t in helpers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in helpers)
 
     @TWO_CPUS
     def test_worker_error_reaches_the_caller(self, c08, monkeypatch):
@@ -522,23 +542,43 @@ class TestFoldedTable:
         assert np.array_equal(forward_table(c08, model, 24).layers, serial)
         assert len(set(threads)) == 2
 
-    def test_import_and_fold_without_register_at_fork(self):
-        # where os has no register_at_fork (Windows), gramhmm imports and the
-        # first table in the band starts the worker, on two CPUs or more
+    # a child program's prelude: ``helpers`` collects the names of the
+    # threads that summed the fold's runs, and every layer of two runs or
+    # more is cut
+    RECORD_RUNS = [
+        "import threading",
+        "from gramhmm import inference",
+        "run_sum, helpers = inference._run_sum, set()",
+        "def recorded(*args):",
+        "    if threading.current_thread() is not threading.main_thread():",
+        "        helpers.add(threading.current_thread().name)",
+        "    run_sum(*args)",
+        "inference._run_sum, inference.THREAD_WORK = recorded, 0",
+    ]
+
+    def test_import_and_fold_without_register_at_fork(self, universal_ab, monkeypatch):
+        # where os has no register_at_fork (Windows), gramhmm imports, and on
+        # two CPUs or more a table in the band hands runs to its helper and
+        # gets the serial bits
         program = "\n".join([
-            "import os, threading",
+            "import os",
             "del os.register_at_fork",
-            "import gramhmm",
-            "from gramhmm.grammar import universal_grammar",
+            *self.RECORD_RUNS,
             "from gramhmm.hmm import random_hmm",
-            "from gramhmm.inference import THREAD_STATES, forward_table",
-            "g, model = universal_grammar('ab'), random_hmm(THREAD_STATES[0], 'ab', seed=0)",
-            "print(forward_table(g, model, 12).contract(12) > 0, threading.active_count())",
+            "from gramhmm.grammar import universal_grammar",
+            "g = universal_grammar('ab')",
+            "model = random_hmm(inference.THREAD_STATES[0], 'ab', seed=0)",
+            "print(inference.forward_table(g, model, 12).contract(12).hex(), sorted(helpers))",
         ])
         done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == f"True {1 + (inference._cpu_count() >= 2)}\n"
+        model = random_hmm(inference.THREAD_STATES[0], "ab", seed=0)
+        with monkeypatch.context() as serial_only:
+            serial_only.setattr(inference, "THREAD_STATES", (0, 0))
+            serial = forward_table(universal_ab, model, 12).contract(12)
+        helpers = ["gramhmm-fold"] if inference._cpu_count() >= 2 else []
+        assert done.stdout == f"{serial.hex()} {helpers}\n"
 
     @TWO_CPUS
     def test_forked_child_starts_its_own_worker(self, c08, threads):
@@ -559,26 +599,74 @@ class TestFoldedTable:
 
     def test_worker_starts_with_the_first_table_in_band(self):
         # a fresh process: importing the CLI starts no thread, nor does a
-        # table on the batched path or the fold outside the band; the first
-        # table in the band starts the one worker, on two CPUs or more
+        # table on the batched path or the fold outside the band; a table in
+        # the band starts its helper, on two CPUs or more, and none is left
+        # once its table is built
         program = "\n".join([
-            "import threading",
             "import gramhmm.cli",
+            *self.RECORD_RUNS,
             "from gramhmm.grammar import universal_grammar",
             "from gramhmm.hmm import random_hmm",
             "from gramhmm.inference import THREAD_STATES, forward_table",
             "g = universal_grammar('ab')",
             "counts = [threading.active_count()]",
             "for n in (4, 16, THREAD_STATES[1], THREAD_STATES[0], THREAD_STATES[0]):",
+            "    helpers.clear()",
             "    forward_table(g, random_hmm(n, 'ab', seed=0), 12)",
-            "    counts.append(threading.active_count())",
+            "    for t in threading.enumerate():",
+            "        if t.name == 'gramhmm-fold':",
+            "            t.join(timeout=60)",
+            "    counts.append((threading.active_count(), sorted(helpers)))",
             "print(counts)",
         ])
         done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr
-        worker = 1 if inference._cpu_count() >= 2 else 0
-        assert done.stdout.split("\n")[0] == str([1, 1, 1, 1, 1 + worker, 1 + worker])
+        helper = ["gramhmm-fold"] if inference._cpu_count() >= 2 else []
+        assert done.stdout == str([1, (1, []), (1, []), (1, []), (1, helper), (1, helper)]) + "\n"
+
+    @TWO_CPUS
+    @pytest.mark.parametrize("failure", [None, "helper", "caller", "both"])
+    def test_no_helper_outlives_its_table(self, c08, monkeypatch, failure):
+        # a normal build, an error raised in the helper, a KeyboardInterrupt
+        # in the caller's own runs, and both: once the table's kernel is freed
+        # its helper ends, with the cyclic garbage collector off, so no
+        # reference cycle holds the kernel
+        class Failure(Exception):
+            pass
+
+        model = random_hmm(64, "ab", seed=18)
+        serial = self.serial_layers(c08, model, 24, monkeypatch)
+        run_sum, main, helpers = inference._run_sum, threading.main_thread(), set()
+        before = set(threading.enumerate())
+
+        def failing(*args):
+            if threading.current_thread() is not main:
+                helpers.add(threading.current_thread())
+                if failure in ("helper", "both"):
+                    raise Failure("raised in the helper")
+            elif failure in ("caller", "both"):
+                helpers.update(t for t in threading.enumerate()
+                               if t.name == "gramhmm-fold" and t not in before)
+                if helpers:
+                    raise KeyboardInterrupt
+            run_sum(*args)
+
+        monkeypatch.setattr(inference, "_run_sum", failing)
+        monkeypatch.setattr(inference, "THREAD_WORK", 0)
+        expected = {None: None, "helper": Failure}.get(failure, KeyboardInterrupt)
+        gc.disable()
+        try:
+            if expected is None:
+                assert np.array_equal(forward_table(c08, model, 24).layers, serial)
+            else:
+                with pytest.raises(expected):
+                    forward_table(c08, model, 24)
+            for t in helpers:
+                t.join(timeout=10)
+        finally:
+            gc.enable()
+        assert helpers and not any(t.is_alive() for t in helpers)
 
     def test_loop_below_fold_states(self, c08):
         assert FOLD_STATES == 8
@@ -626,6 +714,24 @@ class TestWeightedMass:
         assert table.contract(6) == weighted_mass(dyck, paren_uniform, 6).value == 0.078125
         with pytest.raises(InferenceError, match="out of range"):
             table.contract(8)
+
+    @pytest.mark.parametrize("states", [1, 3, 8, 17, 48])
+    def test_contract_from_a_nonterminal_or_an_index_array(self, c08, states):
+        # from the start by default, with the bits of pi' @ (F_l[S] summed
+        # over t); an index array gives one mass per entry, with the bits of
+        # the gemv of the summed blocks against pi'
+        table = forward_table(c08, random_hmm(states, "ab", seed=19), 9)
+        pi = table.model.initial
+        for l in range(1, 10):
+            f = table.layer(l)
+            mass = table.contract(l)
+            assert type(mass) is float
+            assert mass == float(pi @ f[c08.start].sum(axis=1))
+            masses = [table.contract(l, a) for a in range(c08.nonterminal_count)]
+            assert masses[c08.start] == mass
+            both = table.contract(l, np.array([2, 0, 2]))
+            assert np.array_equal(both, f[[2, 0, 2]].sum(axis=2) @ pi)
+            assert both.tolist() == pytest.approx([masses[2], masses[0], masses[2]], rel=1e-14)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_brute_force(self, seed):
