@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 import time
 
@@ -191,23 +190,6 @@ def _failure_code(exc: ValueError) -> int:
     return EXIT_NUMERICAL if isinstance(exc, inference.NumericalError) else EXIT_VALIDATION
 
 
-def _nonfinite(doc, path: str) -> str | None:
-    """Where the first non-finite float in doc is, and its JSON spelling."""
-    if isinstance(doc, float):
-        return None if math.isfinite(doc) else f"{path} is {json.dumps(doc)}"
-    if isinstance(doc, dict):
-        items = doc.items()
-    elif isinstance(doc, list):
-        items = enumerate(doc)
-    else:
-        return None
-    for key, value in items:
-        found = _nonfinite(value, f"{path}.{key}")
-        if found:
-            return found
-    return None
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
@@ -229,7 +211,8 @@ def main(argv: list[str] | None = None) -> int:
         for key, value in doc.items():
             pieces += [", ", _encode(key), ": ", value if isinstance(value, JsonText) else _encode(value)]
     except ValueError:
-        print(f"non-finite result: {_nonfinite(body, args.command)}", file=sys.stderr)
+        # only a top-level float can be non-finite: oracle's z precedes its probabilities
+        print(f"non-finite result: {args.command}.{key} is {json.dumps(value)}", file=sys.stderr)
         return EXIT_NUMERICAL
     pieces[0] = "{"
     sys.stdout.writelines(pieces + ["}\n"])

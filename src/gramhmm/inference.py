@@ -32,15 +32,16 @@ O(l * |rules| * n^3).
 With THREAD_STATES[0] <= n < THREAD_STATES[1] states, in a process that may
 run on two CPUs or more, the fold shares every layer of at least THREAD_WORK
 multiply-adds with a helper thread of its table, ``gramhmm-fold``, which the
-table's first such layer starts.  The calling thread puts the runs that hold
-about the second half of the layer's splits on the helper's job queue, sums
-and adds its own runs, then takes the helper's answer (None, or what it
-raised, which it re-raises) and adds the helper's run sums in run order, so
-the layers keep the one-thread fold's bits.  The helper ends once its table's
-kernel is freed, so tables built at the same time in several threads, or in
-a child made by fork, each have their own.  No option or environment
-variable controls the helper: only n, the layer's size and the CPUs the
-process may run on do.
+table's first such layer starts.  The helper holds the table, its own product
+stack and the buffer of its run sums.  The calling thread puts l and the runs
+that hold about the second half of the layer's splits on the helper's job
+queue, sums and adds its own runs, then takes the helper's answer (None, or
+what it raised, which it re-raises) and adds the helper's run sums in run
+order, so the layers keep the one-thread fold's bits.  The helper ends once
+its table's kernel is freed, so tables built at the same time in several
+threads, or in a child made by fork, each have their own.  No option or
+environment variable controls the helper: only n, the layer's size and the
+CPUs the process may run on do.
 
 All layers live in one read-only, C-contiguous float64 array of shape
 (L, N, n, n), indexed [l-1, a, s, t], which the likelihood, the sampler and
@@ -291,19 +292,21 @@ def _fold_layers(
     that loop's to a relative error of about 1e-15.
 
     In the helper's band (module docstring), ``add`` cuts a layer of at
-    least THREAD_WORK multiply-adds and two runs in two.  The runs after the
-    cut, at most len(stack) of them holding at least half the layer's splits
-    if they can, go to the table's helper, which the first cut starts and
-    which sums them into ``sums`` with its own stack and spare; ``add`` sums
-    and adds the runs before the cut, waits for the helper's answer and adds
-    ``sums`` in run order, so the layers are the one-thread fold's bits.
-    When its own runs raise, ``add`` raises at once, and the helper finishes
-    at most len(sums) runs into buffers that only it still holds.  Once the
-    kernel is freed, a finalizer on ``total`` ends the helper; ``sums`` may
-    stay held by what the helper raised for an abandoned layer.  The
-    helper's buffers are allocated once per table, so it allocates nothing
-    per layer, and each thread's stack holds at most FOLD_ENTRIES entries
-    (512 KB).
+    least THREAD_WORK multiply-adds and two runs in two, and puts l and the
+    runs after the cut, at most len(stack) of them holding at least half the
+    layer's splits if they can, on the table's job queue.  The first cut
+    allocates, on the calling thread, the helper's stack and spare and the
+    ``sums`` of its runs, and starts the helper with them and the table; a
+    table that never cuts allocates none of them.  The helper sums run i
+    into sums[i]; ``add`` sums and adds the runs before the cut, waits for
+    the helper's answer and adds ``sums`` in run order, so the layers are
+    the one-thread fold's bits.  When its own runs raise, ``add`` raises at
+    once, and the helper finishes at most len(sums) runs into buffers that
+    only it still holds.  Once the kernel is freed, a finalizer on ``total``
+    ends the helper; the table and ``sums`` may stay held by what the helper
+    raised for an abandoned layer.  Each thread's stack holds at most
+    FOLD_ENTRIES entries (512 KB), and the helper allocates nothing per
+    layer.
     """
     L, n = len(layers), layers.shape[2]
     # fan[p] is (b, c, parents of pair p), as Python ints, cut from the rule rows
@@ -314,14 +317,10 @@ def _fold_layers(
     chunk = min(max(1, FOLD_ENTRIES // (n * n)), L)
     stack, spare, total = np.empty((chunk, n, n)), np.empty((n, n)), np.empty((n, n))
     helped = THREAD_STATES[0] <= n < THREAD_STATES[1] and _cpu_count() >= 2
-    jobs = done = None
-    if helped:
-        # the helper's own stack and spare, and the sums of its runs
-        side_stack, sums = np.empty_like(stack), np.empty_like(stack)
-        side_spare = np.empty_like(spare)
+    jobs = done = sums = None
 
     def add(l: int, mask: np.ndarray) -> list[int]:
-        nonlocal jobs, done
+        nonlocal jobs, done, sums
         cur, written, runs = layers[l - 1], [], []
         # i = m - 1 for split m; pair p's live splits are split[ends[p-1]:ends[p]]
         pair, split = mask.T.nonzero()
@@ -337,27 +336,22 @@ def _fold_layers(
             runs += ([(b, c, parents, i, d, k)] if splits == list(range(i, splits[-1] + 1, d))
                      else [(b, c, parents, i, 1, 1) for i in splits])
             written += parents
-        # the helper sums the runs from cut on: at most len(sums) of them,
+        # the helper sums the runs from cut on: at most len(stack) of them,
         # holding at least half the layer's splits if they can
         cut = len(runs)
         if helped and cut > 1 and len(split) * n**3 >= THREAD_WORK:
             tail = 0
-            while cut > 1 and 2 * tail < len(split) and len(runs) - cut < len(sums):
+            while cut > 1 and 2 * tail < len(split) and len(runs) - cut < len(stack):
                 cut -= 1
                 tail += runs[cut][5]
             if jobs is None:
                 import queue  # 1.6 ms, paid once per process
                 jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
+                sums = np.empty_like(stack)
                 weakref.finalize(total, jobs.put, None)
-                threading.Thread(target=_serve, args=(jobs, done), name="gramhmm-fold",
-                                 daemon=True).start()
-            side = runs[cut:]
-
-            def job():
-                for run, out in zip(side, sums):
-                    _run_sum(layers, l, run, side_stack, side_spare, out)
-
-            jobs.put(job)
+                threading.Thread(target=_serve, name="gramhmm-fold", daemon=True, args=(
+                    jobs, done, layers, np.empty_like(stack), np.empty_like(spare), sums)).start()
+            jobs.put((l, runs[cut:]))
         for run in runs[:cut]:
             _run_sum(layers, l, run, stack, spare, total)
             for a in run[2]:
@@ -411,17 +405,19 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _serve(jobs, done) -> None:
-    """Run each job on ``jobs`` and put on ``done`` what it raised, or None,
-    until the None that ends a table's helper."""
-    for job in iter(jobs.get, None):
+def _serve(jobs, done, layers: np.ndarray, stack: np.ndarray, spare: np.ndarray,
+           sums: np.ndarray) -> None:
+    """For each (l, runs) on ``jobs``, sum run i of layer l of ``layers``
+    into sums[i] with ``stack`` and ``spare``, and put on ``done`` what that
+    raised, or None, until the None that ends a table's helper."""
+    for l, runs in iter(jobs.get, None):
         try:
-            job()
+            for run, out in zip(runs, sums):
+                _run_sum(layers, l, run, stack, spare, out)
         except BaseException as e:  # re-raised in the waiting thread
             done.put(e)
         else:
             done.put(None)
-        job = None  # so the table can be freed
 
 
 def weighted_mass(g: CnfGrammar, model: Hmm, L: int) -> LikelihoodResult:

@@ -1,4 +1,5 @@
 import gc
+import linecache
 import math
 import os
 import signal
@@ -474,61 +475,104 @@ class TestFoldedTable:
         assert np.array_equal(forward_table(c08, model, 24).layers, serial)
 
     @TWO_CPUS
-    def test_interrupted_wait_keeps_the_worker(self, c08, monkeypatch):
-        # a KeyboardInterrupt while the caller waits for the worker's runs
-        # leaves the worker in use for the next table in the band, and the
-        # worker begins at most one more run of the interrupted table
-        self.check_interrupt(c08, monkeypatch, caller_delay=0)
-
-    @TWO_CPUS
-    def test_interrupt_in_own_runs_stops_the_worker(self, c08, monkeypatch):
-        # the same when the interrupt lands in the caller's own runs, each
-        # slowed to 0.2 s: the caller does not wait for the worker's half
-        self.check_interrupt(c08, monkeypatch, caller_delay=0.2)
-
-    @staticmethod
-    def check_interrupt(c08, monkeypatch, caller_delay):
+    def test_interrupt_in_own_runs_does_not_wait_for_the_helper(self, c08, monkeypatch):
+        # a KeyboardInterrupt in the caller's own runs propagates while the
+        # helper is held inside its job; released, the helper finishes that
+        # job and ends, with the cyclic garbage collector off, as the
+        # interrupted table is freed
         model = random_hmm(64, "ab", seed=16)
-        with monkeypatch.context() as serial_only:
-            serial_only.setattr(inference, "THREAD_STATES", (0, 0))
-            serial = forward_table(c08, model, 24).layers
-        run_sum, summed, fast = inference._run_sum, [], threading.Event()
-        main, interrupted_at = threading.main_thread(), []
-
-        def recorded(layers, *args):
-            # (table, thread) per run begun; the worker's first run of the
-            # interrupted table interrupts the caller, and the worker is slow
-            # until ``fast``
-            summed.append((layers, threading.current_thread()))
-            if threading.current_thread() is main and not fast.is_set():
-                time.sleep(caller_delay)
-            elif not fast.is_set():
-                if not any(thread is not main for _, thread in summed[:-1]):
-                    time.sleep(0.05)
-                    signal.pthread_kill(main.ident, signal.SIGALRM)
-                time.sleep(0.05)
-            run_sum(layers, *args)
-
-        def interrupt(signum, frame):
-            interrupted_at.append(len(summed))
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(inference, "_run_sum", recorded)
+        run_sum, main = inference._run_sum, threading.main_thread()
         monkeypatch.setattr(inference, "THREAD_WORK", 0)
-        previous = signal.signal(signal.SIGALRM, interrupt)
+        helped = []
+
+        def recorded(layers, l, run, *args):
+            if threading.current_thread() is not main:
+                helped.append((l, run))
+            run_sum(layers, l, run, *args)
+
+        # the runs of the first layer handed to the helper, in an uninterrupted build
+        monkeypatch.setattr(inference, "_run_sum", recorded)
+        forward_table(c08, model, 24)
+        first_job = [run for l, run in helped if l == helped[0][0]]
+        before = set(threading.enumerate())
+        entered, release, helpers, finished = threading.Event(), threading.Event(), [], []
+
+        def held(layers, l, run, *args):
+            if threading.current_thread() is not main:
+                helpers.append(threading.current_thread())
+                entered.set()
+                release.wait(timeout=10)
+                run_sum(layers, l, run, *args)
+                finished.append(run)
+                return
+            if any(t.name == "gramhmm-fold" for t in set(threading.enumerate()) - before):
+                assert entered.wait(timeout=10)
+                raise KeyboardInterrupt
+            run_sum(layers, l, run, *args)
+
+        monkeypatch.setattr(inference, "_run_sum", held)
+        gc.disable()
         try:
             with pytest.raises(KeyboardInterrupt):
                 forward_table(c08, model, 24)
+            # add left while the helper was held inside its job
+            assert helpers[0].is_alive() and not finished
         finally:
+            release.set()
+            for t in set(helpers):
+                t.join(timeout=10)
+            gc.enable()
+        assert len(set(helpers)) == 1 and not helpers[0].is_alive()
+        assert finished == first_job
+
+    @TWO_CPUS
+    def test_interrupted_wait_frees_the_helper(self, c08, threads, monkeypatch):
+        # a KeyboardInterrupt while the caller waits for the helper's answer
+        # propagates, the helper ends, with the cyclic garbage collector off,
+        # as the interrupted table is freed, and the next table in the band
+        # has the serial bits, summed on a helper of its own
+        model = random_hmm(64, "ab", seed=16)
+        serial = self.serial_layers(c08, model, 24, monkeypatch)
+        run_sum, main, landed = inference._run_sum, threading.main_thread(), []
+
+        def waiting():
+            # the main thread's frame is blocked on the answer queue
+            frame = sys._current_frames()[main.ident]
+            line = linecache.getline(frame.f_code.co_filename, frame.f_lineno)
+            return frame.f_code.co_name == "add" and "done.get()" in line
+
+        def signalling(*args):
+            # the helper's first run signals the caller once it waits
+            if threading.current_thread() is not main and not landed:
+                deadline = time.monotonic() + 10
+                while not waiting() and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                signal.pthread_kill(main.ident, signal.SIGALRM)
+            run_sum(*args)
+
+        def interrupt(signum, frame):
+            landed.append(linecache.getline(frame.f_code.co_filename, frame.f_lineno))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(inference, "_run_sum", signalling)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        gc.disable()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                forward_table(c08, model, 24)
+            helpers = {t for t in threads if t is not main}
+            for t in helpers:
+                t.join(timeout=10)
+        finally:
+            gc.enable()
             signal.signal(signal.SIGALRM, previous)
-        fast.set()
-        table = forward_table(c08, model, 24)
-        assert np.array_equal(table.layers, serial)
-        assert len({thread for layers, thread in summed if layers is table.layers}) == 2
-        # the worker's runs begun after the interrupt, of the interrupted table
-        stale = [thread for layers, thread in summed[interrupted_at[0]:]
-                 if layers is not table.layers and thread is not main]
-        assert len(stale) <= 1
+        assert len(landed) == 1 and "done.get()" in landed[0]
+        assert [t.name for t in helpers] == ["gramhmm-fold"]
+        assert not any(t.is_alive() for t in helpers)
+        del threads[:]
+        assert np.array_equal(forward_table(c08, model, 24).layers, serial)
+        side = {t for t in threads if t is not main}
+        assert [t.name for t in side] == ["gramhmm-fold"] and not side & helpers
 
     @TWO_CPUS
     def test_worker_without_an_affinity_mask(self, c08, threads, monkeypatch):
