@@ -41,7 +41,6 @@ from .sampling import (
 from .approx import (
     ApproxError,
     FprasReport,
-    exact_bernoulli,
     fpras_likelihood,
     sample_size,
 )
@@ -68,4 +67,4 @@ from .reductions import (
     parse_dimacs,
 )
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"

@@ -12,7 +12,7 @@ draws is its strings and, when asked for, its trees' JSON texts; no object
 is made per draw.
 
 Draws are made in batches of ``CHUNK``.  A batch keeps a frontier of pending
-nodes (state pair, position, draw) filed under their (span length,
+nodes (state pair, position, lefts) filed under their (span length,
 nonterminal) and expands it from length L down to 2, one group of nodes
 sharing a (length, nonterminal) at a time, in ascending nonterminal order;
 a group filed as one row block is used as it is.  For each node only its
@@ -37,12 +37,17 @@ by a single call, which gives the same doubles as one call per group in
 that order.  A pick is the index of the first cumulative weight above
 u * total, found by ``argmin`` over the row's "at most" tests.
 
-Derivation trees are recorded only when the caller asks for them; the
-strings-only path keeps no per-node records.  A batch drawn with trees keeps
-its nodes as int arrays (draw, nonterminal, start, end, state pair, symbol);
-a node is fixed by its draw and span, so no node ids or child links are
-kept.  Every draw's tree is written from them as JSON text in one preorder
-pass, with no recursion and so no depth limit.  A seeded stream is
+A node's slot is its preorder place in the batch: a CNF tree of a length-L
+string has 2L - 1 nodes, so draw d's nodes take the slots from d * (2L - 1)
+on, a left child the slot after its parent's and a right child 2m slots
+after it, m being the left child's span length.  The frontier keeps a
+node's lefts, its slot less twice its start, which is d * (2L - 1) plus the
+left children on its path from the root: a left child adds 1, a right child
+keeps its parent's, and a leaf's draw is lefts // (2L - 1).  With trees,
+each node is written into its slot's column of one int table (nonterminal,
+start, end, state pair, symbol), and every draw's tree is written as JSON
+text by reading that table in order, with no node ids, child links, sort
+or recursion, and so no depth limit.  A seeded stream is
 deterministic in the seed and the arguments, whether or not trees are
 requested; it differs from the per-draw recursion of gramhmm 0.1.0.
 """
@@ -110,45 +115,33 @@ def _joined(blocks: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
     return blocks[0] if len(blocks) == 1 else tuple(np.concatenate(col) for col in zip(*blocks))
 
 
-def _tree_texts(records: list[tuple], names: tuple[str, ...], symbols: Sequence[str]) -> list[str]:
+def _tree_texts(nodes: np.ndarray, L: int, n: int, names: tuple[str, ...],
+                symbols: Sequence[str]) -> list[str]:
     """Each draw's tree as JSON text, in draw order, from a batch's node
-    records (draw, nonterminal, start, end, s, t, symbol), one array or
-    scalar per field, with symbol -1 at an internal node.
+    table: rows (nonterminal, start, end, s, t, symbol), symbol -1 at an
+    internal node, with draw d's 2L - 1 nodes in preorder in the columns
+    from d * (2L - 1) on, over n states.
 
     The text equals ``json.dumps`` of the nested document with keys
     nonterminal, span, states, then terminal (a leaf) or children.  It is
-    joined from short pieces, seven per node in preorder, with no recursion:
-    in a CNF tree the children split their parent's span, so a node is fixed
-    by its draw and span, sorting by (draw, start, -span length) gives the
-    preorder, and a leaf closes every internal node of its draw that ends
-    where it ends.
+    joined from short pieces, seven per node in column order, with no
+    recursion: in a CNF tree the children split their parent's span, so a
+    leaf closes every internal node of its draw that ends where it ends.
     """
-    stop = sum(len(record[0]) for record in records)
-    fields = np.empty((7, stop), dtype=np.int64)
-    while records:  # drained, so each record is freed once copied
-        values = records.pop()
-        first = stop - len(values[0])
-        for row, value in zip(fields, values):
-            row[first:stop] = value
-        stop = first
-    d, _, start, end, *_ = fields
-    length = int(end.max())
-    # (draw, start, -span length) as one int; no two nodes share it
-    order = np.argsort((d * (length + 1) + start) * (length + 1) + start - end)
-    d, a, start, end, s, t, symbol = fields[:, order]
+    a, start, end, s, t, symbol = nodes
     leaf = symbol >= 0
-    states = int(max(s.max(), t.max())) + 1
-    key = d * (length + 1) + end
+    size = 2 * L - 1
+    key = np.arange(len(a)) // size * (L + 1) + end
     closes = np.bincount(key[~leaf], minlength=key.max() + 1)[key]
     # a leaf's closing brackets, then ", " unless it ends its draw; an
     # internal node's code 1 stands for the empty string
-    ending = np.where(leaf, 2 * closes + (end == length), 1)
+    ending = np.where(leaf, 2 * closes + (end == L), 1)
     endings, ending = np.unique(ending, return_inverse=True)
     pieces = [
         [f'{{"nonterminal": {json.dumps(name)}, "span": [' for name in names],
-        [f"{i}, " for i in range(max(length, states))],
-        [f'{j}], "states": [' for j in range(length + 1)],
-        [f"{q}]" for q in range(states)],
+        [f"{i}, " for i in range(max(L, n))],
+        [f'{j}], "states": [' for j in range(L + 1)],
+        [f"{q}]" for q in range(n)],
         [', "children": ['],
         [f', "terminal": {json.dumps(sym)}}}' for sym in symbols],
         ["]}" * (e // 2) + ("" if e % 2 else ", ") for e in endings.tolist()],
@@ -160,8 +153,8 @@ def _tree_texts(records: list[tuple], names: tuple[str, ...], symbols: Sequence[
     ], axis=1)
     vocabulary = np.array([p for part in pieces for p in part], dtype=object)
     words = vocabulary[tokens].ravel().tolist()
-    cuts = (tokens.shape[1] * np.cumsum(np.bincount(d))).tolist()
-    return ["".join(words[lo:hi]) for lo, hi in zip([0, *cuts], cuts)]
+    step = tokens.shape[1] * size
+    return ["".join(words[i:i + step]) for i in range(0, len(words), step)]
 
 
 class Sampler:
@@ -238,8 +231,8 @@ class Sampler:
     def _draw_leaves(self, groups: dict[int, list[tuple[np.ndarray, ...]]],
                      rng: np.random.Generator) -> tuple[np.ndarray, ...]:
         """Draw every leaf's symbol in one step: the leaves of ``groups``
-        (nonterminal a: row blocks (s, t, pos, draw)) as columns
-        (a, s, t, pos, draw), the groups in ascending nonterminal order, and
+        (nonterminal a: row blocks (s, t, pos, lefts)) as columns
+        (a, s, t, pos, lefts), the groups in ascending nonterminal order, and
         each leaf's symbol as an alphabet index, drawn with one uniform per
         leaf in that order."""
         leaves = sorted(groups.items())
@@ -249,28 +242,33 @@ class Sampler:
 
     def _draw_batch(self, L: int, k: int, rng: np.random.Generator, trees: bool):
         """k draws of length L: their strings and, with trees, their node
-        records for ``_tree_texts`` (None without trees)."""
+        table for ``_tree_texts`` (None without trees), a node's column being
+        its slot, lefts + 2 * pos, with the root of draw d at d * (2L - 1)."""
         g, n, N = self.grammar, self.model.state_count, self.grammar.nonterminal_count
+        size = 2 * L - 1
         cum = np.cumsum(self.model.initial[:, None] * self.table.layer(L)[g.start])
         if cum[-1] <= 0.0:
             raise SamplingError("empty constrained support")
         s0, t0 = np.divmod(_pick(np.broadcast_to(cum, (k, cum.size)), rng.random(k)), n)
         codes = np.zeros((k, L), dtype=np.uint32)
-        records = [] if trees else None
-        # pending[l][a] lists row blocks (s, t, pos, draw)
+        # nodes[:, slot] is (nonterminal, start, end, s, t, symbol)
+        nodes = np.empty((6, k * size), dtype=np.int64) if trees else None
+        # pending[l][a] lists row blocks (s, t, pos, lefts)
         pending: dict[int, dict[int, list[tuple[np.ndarray, ...]]]] = {
-            L: {g.start: [(s0, t0, np.zeros(k, dtype=np.intp), np.arange(k))]}
+            L: {g.start: [(s0, t0, np.zeros(k, dtype=np.intp), np.arange(0, k * size, size))]}
         }
         for l in range(L, 1, -1):
             groups = pending.pop(l, {})
             children = []
             for a in sorted(groups):
-                s, t, pos, d = _joined(groups[a])
+                s, t, pos, lefts = _joined(groups[a])
                 left, right, m, mid = self._choose(a, l, s, t, rng.random((2, len(s))))
                 if trees:
-                    records.append((d, a, pos, pos + l, s, t, -1))
+                    slot = lefts + 2 * pos
+                    for row, value in zip(nodes, (a, pos, pos + l, s, t, -1)):
+                        row[slot] = value
                 # a child is filed under the key (span length) * N + nonterminal
-                children += [(left, s, mid, pos, d), (right, mid, t, pos + m, d)]
+                children += [(left, s, mid, pos, lefts + 1), (right, mid, t, pos + m, lefts)]
             if not children:
                 continue
             # file this step's children under their keys with one stable sort
@@ -282,12 +280,12 @@ class Sampler:
                 l_child, a_child = divmod(int(key[lo]), N)
                 blocks = pending.setdefault(l_child, {}).setdefault(a_child, [])
                 blocks.append(tuple(col[lo:hi] for col in child))
-        a, s, t, pos, d, j = self._draw_leaves(pending.pop(1), rng)
-        codes[d, pos] = self._codes[j]
+        a, s, t, pos, lefts, j = self._draw_leaves(pending.pop(1), rng)
+        codes[lefts // size, pos] = self._codes[j]
         if trees:
-            records.append((d, a, pos, pos + 1, s, t, j))
+            nodes[:, lefts + 2 * pos] = a, pos, pos + 1, s, t, j
         # the "<U{L}" view drops trailing NULs, which a '\x00' symbol draws
-        return [w.ljust(L, "\x00") for w in codes.view(f"<U{L}")[:, 0].tolist()], records
+        return [w.ljust(L, "\x00") for w in codes.view(f"<U{L}")[:, 0].tolist()], nodes
 
     def draw_batches(self, L: int, count: int, rng: np.random.Generator, trees: bool = False
                      ) -> Iterator[tuple[list[str], list[str] | None]]:
@@ -306,8 +304,9 @@ class Sampler:
 
         def batches():
             for first in range(0, count, CHUNK):
-                strings, records = self._draw_batch(L, min(CHUNK, count - first), rng, trees)
-                yield strings, (_tree_texts(records, self.grammar.nonterminal_names,
+                strings, nodes = self._draw_batch(L, min(CHUNK, count - first), rng, trees)
+                yield strings, (_tree_texts(nodes, L, self.model.state_count,
+                                            self.grammar.nonterminal_names,
                                             self.grammar.alphabet) if trees else None)
 
         return batches()

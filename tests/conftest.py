@@ -1,12 +1,19 @@
 import itertools
 import math
 import mmap
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gramhmm.grammar import CnfGrammar, dyck_grammar, format_grammar, parse_grammar, universal_grammar
 from gramhmm.hmm import random_hmm, uniform_hmm
+
+# the python subprocesses that CLI and fork tests start import the package
+# from this checkout's src/, as pytest's pythonpath setting makes the tests do
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(Path(__file__).resolve().parents[1] / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
 
 
 @pytest.fixture

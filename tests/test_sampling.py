@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gramhmm import inference, sampling
@@ -79,6 +79,40 @@ def reference_leaves(table, groups: dict, rng) -> list[np.ndarray]:
         j = reference_pick(np.cumsum(stacked[:, :, syms][s, t], axis=1), rng.random(len(s)))
         picked.append((np.full(len(s), a), s, t, pos, d, syms[j]))
     return [np.concatenate(col) for col in zip(*picked)]
+
+
+def reference_tree_texts(fields: np.ndarray, names, symbols) -> list[str]:
+    """gramhmm 0.23.0's ``_tree_texts``: the tree texts of node columns
+    (draw, nonterminal, start, end, s, t, symbol) in any order, put in
+    preorder by a sort on (draw, start, -span length)."""
+    d, _, start, end, *_ = fields
+    length = int(end.max())
+    order = np.argsort((d * (length + 1) + start) * (length + 1) + start - end)
+    d, a, start, end, s, t, symbol = fields[:, order]
+    leaf = symbol >= 0
+    states = int(max(s.max(), t.max())) + 1
+    key = d * (length + 1) + end
+    closes = np.bincount(key[~leaf], minlength=key.max() + 1)[key]
+    ending = np.where(leaf, 2 * closes + (end == length), 1)
+    endings, ending = np.unique(ending, return_inverse=True)
+    pieces = [
+        [f'{{"nonterminal": {json.dumps(name)}, "span": [' for name in names],
+        [f"{i}, " for i in range(max(length, states))],
+        [f'{j}], "states": [' for j in range(length + 1)],
+        [f"{q}]" for q in range(states)],
+        [', "children": ['],
+        [f', "terminal": {json.dumps(sym)}}}' for sym in symbols],
+        ["]}" * (e // 2) + ("" if e % 2 else ", ") for e in endings.tolist()],
+    ]
+    offset = np.cumsum([0] + [len(p) for p in pieces])
+    tokens = np.stack([
+        a, offset[1] + start, offset[2] + end, offset[1] + s, offset[3] + t,
+        np.where(leaf, offset[5] + symbol, offset[4]), offset[6] + ending,
+    ], axis=1)
+    vocabulary = np.array([p for part in pieces for p in part], dtype=object)
+    words = vocabulary[tokens].ravel().tolist()
+    cuts = (tokens.shape[1] * np.cumsum(np.bincount(d))).tolist()
+    return ["".join(words[lo:hi]) for lo, hi in zip([0, *cuts], cuts)]
 
 
 def assert_same_text(actual: str, expected: str) -> None:
@@ -300,6 +334,38 @@ class TestPick:
         for actual, want in zip(leaves, expected, strict=True):
             assert np.array_equal(actual, want)
         assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+class TestSlots:
+    @pytest.mark.parametrize("n", [3, 9])
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 12), st.integers(1, 9))
+    def test_nodes_fill_their_preorder_slots(self, n, seed, sparse, L, k):
+        """Each draw's 2L - 1 columns hold its tree in preorder, every slot
+        written once, and the tree texts read from them in column order are
+        what the sort-based writer makes of the same nodes in any order."""
+        rng = np.random.default_rng(seed)
+        g = random_grammar(rng, sparse=sparse)
+        model = random_hmm(n, g.alphabet, int(rng.integers(0, 2**31)))
+        table = forward_table(g, model, L)
+        assume((model.initial @ table.layer(L)[g.start]).any())
+        strings, found = Sampler(table)._draw_batch(L, k, seeded_generator(seed), True)
+        size = 2 * L - 1
+        assert found.shape == (6, k * size)
+        for d, w in enumerate(strings):
+            a, start, end, s, t, symbol = found[:, d * size:(d + 1) * size]
+            # preorder of a CNF tree: (start, -span length) strictly increases
+            key = start * (L + 1) + L - (end - start)
+            assert (start[0], end[0]) == (0, L)
+            assert (np.diff(key) > 0).all()
+            leaf = symbol >= 0
+            assert np.array_equal(np.sort(start[leaf]), np.arange(L))
+            assert "".join(g.alphabet[j] for j in symbol[leaf]) == w
+        draw = np.arange(k * size) // size
+        shuffled = np.vstack([draw, found])[:, rng.permutation(k * size)]
+        names = g.nonterminal_names
+        texts = sampling._tree_texts(found, L, n, names, g.alphabet)
+        assert texts == reference_tree_texts(shuffled, names, g.alphabet)
 
 
 class TestTransposedCopy:
