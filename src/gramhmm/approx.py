@@ -1,27 +1,27 @@
-"""Rejection-based FPRAS for constrained likelihoods of ambiguous grammars.
+"""FPRAS for constrained likelihoods of polynomially ambiguous grammars.
 
 Proposals come from the exact ancestral sampler in batches of its CHUNK
-draws, whose string marginal is f_G(w) * f_A(w) / Z; accepting each proposal
-with probability exactly 1 / f_G(w) makes the acceptance rate Z-normalized
-constrained likelihood, so Z * (accepted / N) estimates
-f_A(L_G intersect Sigma^L).  Z is ``table.contract(L)`` of the table the
-proposals are drawn from, and N is set by an integer ambiguity bound so
-that the estimate is within relative error epsilon with probability at
-least 3/4, the paper's fixed confidence.  The exact derivation counts of a
-batch come from one call of ``grammar.derivation_counts``, which counts
-each distinct string once; a count above the bound voids that guarantee
-and raises ``ApproxError`` before the batch's Bernoulli draws.  Those draws
-are one walk per batch over pooled uint32 words, which reads the same random
-stream, and gives the same outcomes, as one ``exact_bernoulli`` call per
-proposal in draw order.  The Bernoulli draw is carried out over big
-integers, never via a floating-point reciprocal, since derivation counts
-can exceed 2^53.
+draws, whose string marginal is f_G(w) * f_A(w) / Z.  The paper accepts each
+proposal with probability exactly 1 / f_G(w); here each proposal adds that
+probability itself (the Rao-Blackwellized, Karp-Luby-Madras estimator), so
+``accepted`` is the sum of 1 / f_G(w) over the N proposals, and
+Z * accepted / N estimates f_A(L_G intersect Sigma^L).  Its mean is the
+coin's, its variance no larger, and each term still lies in [1/bound, 1], so
+Hoeffding's N for an integer ambiguity bound still gives relative error
+epsilon with probability at least 3/4, the paper's fixed confidence.  Z is
+``table.contract(L)`` of the table the proposals are drawn from.  A batch's
+exact derivation counts come from one call of ``grammar.derivation_counts``,
+which counts each distinct string once; a count above the bound voids the
+guarantee and raises ``ApproxError``.  Counts can exceed 2^53, so the sum is
+``math.fsum`` over distinct counts c of k / c, k being the proposals with
+count c, each term correctly rounded.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +30,7 @@ from .grammar import CnfGrammar, derivation_counts
 # unused here; kept bound because the traced benchmark run wraps this name
 from .oracle import derivation_count  # noqa: F401
 from .hmm import Hmm
-from .inference import forward_table
+from .inference import NumericalError, forward_table
 from .sampling import Sampler, seeded_generator
 
 __all__ = [
@@ -50,7 +50,8 @@ class FprasReport:
     estimate: float
     z_weighted: float
     samples: int
-    accepted: int
+    # the proposals' expected acceptances, sum of 1 / f_G(w)
+    accepted: float
     epsilon: float
     bound_value: int
     seed: int
@@ -73,49 +74,21 @@ def sample_size(bound: int, epsilon: float) -> int:
 def exact_bernoulli(count: int, rng: np.random.Generator) -> bool:
     """True with probability exactly 1/count, via big-integer rejection.
 
-    Draws uniform bit blocks of width count.bit_length() until one lands in
-    [0, count), then tests it against 0; no floating point is involved.
-    This is the one-count case of ``_bernoulli_walk``.
+    Each attempt reads ceil(b/8) bytes of ``rng.bytes`` as a big-endian
+    integer, b = count.bit_length(), and keeps its top b bits; it retries
+    while the value is >= count and accepts on 0.  A count of 1 draws
+    nothing, and no floating point is involved.
     """
-    return _bernoulli_walk([count], rng)[0]
-
-
-def _bernoulli_walk(counts: list[int], rng: np.random.Generator) -> list[bool]:
-    """One exact Bernoulli(1/count) outcome per count, in order.
-
-    For a count c of b bits, an attempt reads nbytes = ceil(b/8) random
-    bytes as a big-endian integer, shifts it right by 8*nbytes - b, retries
-    while the value is >= c and accepts on 0; a count of 1 draws nothing.
-    ``rng.bytes(nbytes)`` is the little-endian bytes of ceil(nbytes/4) =
-    ceil(b/32) uint32 words of ``rng.integers``, cut to nbytes, so attempts
-    read those words from a pool drawn in one call.  A pool holds at most one
-    attempt's words for each count still waiting, which every one of them
-    needs anyway, so the walk draws the same words and leaves ``rng`` in
-    the same state as one ``rng.bytes`` call per attempt.
-    """
-    if min(counts, default=1) < 1:
+    if count < 1:
         raise ApproxError("count must be >= 1")
-    words = [0 if c == 1 else (c.bit_length() + 31) // 32 for c in counts]
-    outcomes = []
-    pool, pos = b"", 0
-    for i, count in enumerate(counts):
-        if count == 1:
-            outcomes.append(True)
-            continue
-        bits = count.bit_length()
-        nbytes = (bits + 7) // 8
-        step, shift = 4 * words[i], 8 * nbytes - bits
-        while True:
-            if pos + step > len(pool):
-                fresh = rng.integers(0, 2**32, size=sum(words[i:]) - (len(pool) - pos) // 4,
-                                     dtype=np.uint32)
-                pool, pos = pool[pos:] + fresh.astype("<u4").tobytes(), 0
-            x = int.from_bytes(pool[pos:pos + nbytes], "big") >> shift
-            pos += step
-            if x < count:
-                outcomes.append(x == 0)
-                break
-    return outcomes
+    if count == 1:
+        return True
+    bits = count.bit_length()
+    nbytes = (bits + 7) // 8
+    while True:
+        x = int.from_bytes(rng.bytes(nbytes), "big") >> (8 * nbytes - bits)
+        if x < count:
+            return x == 0
 
 
 def fpras_likelihood(
@@ -132,8 +105,9 @@ def fpras_likelihood(
     ``bound`` is an integer upper-bounding the derivation count of any
     length-L string; with probability at least 3/4 the estimate is within
     relative error epsilon of the true value.  A proposal whose count
-    exceeds ``bound`` raises ``ApproxError``.  A zero weighted mass
-    short-circuits to estimate 0.
+    exceeds ``bound`` raises ``ApproxError``.  A language with no length-L
+    string short-circuits to estimate 0; a nonempty one whose weighted mass
+    is not a normal, finite float64 raises ``NumericalError``.
     """
     rng = seeded_generator(seed)
     try:
@@ -143,19 +117,24 @@ def fpras_likelihood(
     n_samples = sample_size(bound_value, epsilon)
 
     table = forward_table(g, model, L)
-    z = table.contract(L)
-    if z == 0.0:
+    if not table.live[L - 1, g.start]:
         return FprasReport(
-            estimate=0.0, z_weighted=0.0, samples=0, accepted=0,
+            estimate=0.0, z_weighted=0.0, samples=0, accepted=0.0,
             epsilon=epsilon, bound_value=bound_value, seed=seed,
         )
-    accepted = 0
+    z = table.contract(L)
+    if not np.finfo(float).tiny <= z < math.inf:
+        raise NumericalError(f"weighted mass {z!r} at length {L} is not a normal float64")
+    tally = Counter()  # proposals per derivation count
     for strings, _ in Sampler(table).draw_batches(L, n_samples, rng):
         counts = derivation_counts(g, strings)
         if max(counts) > bound_value:
             raise ApproxError(f"ambiguity bound {bound_value} exceeded: a length-{L} "
                               f"proposal has {max(counts)} derivations")
-        accepted += sum(_bernoulli_walk(counts, rng))
+        tally.update(counts)
+    if 0 in tally:
+        raise ApproxError(f"a length-{L} proposal has no derivation")
+    accepted = math.fsum(k / c for c, k in tally.items())
     return FprasReport(
         estimate=z * accepted / n_samples,
         z_weighted=z,

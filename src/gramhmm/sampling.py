@@ -5,7 +5,7 @@ a derivation top-down from the forward table: the root state pair, then at
 each node a (rule, split, middle state) choice proportional to the product
 of the two child table entries, then a terminal at each leaf.  For an
 unambiguous grammar the string marginal is the constrained distribution;
-for an ambiguous one it is exactly the proposal the rejection estimator
+for an ambiguous one it is exactly the proposal distribution the FPRAS
 needs.  ``sample_many`` builds its own table; ``Sampler(table)`` draws
 from a table the caller already holds, at any length it covers.  A batch of
 draws is its strings and, when asked for, its trees' JSON texts; no object
@@ -246,9 +246,11 @@ class Sampler:
         its slot, lefts + 2 * pos, with the root of draw d at d * (2L - 1)."""
         g, n, N = self.grammar, self.model.state_count, self.grammar.nonterminal_count
         size = 2 * L - 1
-        cum = np.cumsum(self.model.initial[:, None] * self.table.layer(L)[g.start])
-        if cum[-1] <= 0.0:
+        # a live start derives a length-L string, so _pick names its zero or
+        # subnormal mass an underflow
+        if not self.table.live[L - 1, g.start]:
             raise SamplingError("empty constrained support")
+        cum = np.cumsum(self.model.initial[:, None] * self.table.layer(L)[g.start])
         s0, t0 = np.divmod(_pick(np.broadcast_to(cum, (k, cum.size)), rng.random(k)), n)
         codes = np.zeros((k, L), dtype=np.uint32)
         # nodes[:, slot] is (nonterminal, start, end, s, t, symbol)

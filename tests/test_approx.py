@@ -1,58 +1,30 @@
-import itertools
+import importlib.util
 import math
 import re
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from gramhmm.approx import (
-    ApproxError,
-    _bernoulli_walk,
-    exact_bernoulli,
-    fpras_likelihood,
-    sample_size,
-)
+from gramhmm import approx
+from gramhmm.approx import ApproxError, exact_bernoulli, fpras_likelihood, sample_size
 from gramhmm.grammar import dyck_grammar, parse_grammar, union, universal_grammar
-from gramhmm.hmm import random_hmm, uniform_hmm
-from gramhmm.inference import forward_table, weighted_mass
-from gramhmm.oracle import derivation_count, exact_distribution
+from gramhmm.hmm import Hmm, parse_hmm, random_hmm, uniform_hmm
+from gramhmm.inference import NumericalError, forward_table, weighted_mass
+from gramhmm.oracle import brute_force_likelihood, derivation_count, exact_distribution
 from gramhmm.sampling import Sampler, seeded_generator
 
-
-def reference_bernoulli(count, rng):
-    """gramhmm 0.11.0's exact_bernoulli: one rng.bytes call per attempt."""
-    if count < 1:
-        raise ApproxError("count must be >= 1")
-    if count == 1:
-        return True
-    bits = count.bit_length()
-    nbytes = (bits + 7) // 8
-    shift = 8 * nbytes - bits
-    while True:
-        x = int.from_bytes(rng.bytes(nbytes), "big") >> shift
-        if x < count:
-            return x == 0
+DECKS = Path(__file__).resolve().parent.parent / "bench" / "decks.py"
 
 
 def per_string_accepted(g, model, L, epsilon, bound, seed):
-    """Acceptances of the FPRAS with each proposal counted on its own."""
+    """The FPRAS's sum of 1 / f_G(w) over its proposals, in exact rationals
+    from each proposal's own oracle count."""
     rng = seeded_generator(seed)
     batches = Sampler(forward_table(g, model, L)).draw_batches(L, sample_size(bound, epsilon), rng)
-    return sum(reference_bernoulli(derivation_count(g, w), rng)
-               for strings, _ in batches for w in strings)
-
-
-# a count of a chosen bit width, so one list mixes 1- to 9-byte attempts
-sized_count = st.integers(1, 72).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2**bits))
-count_lists = st.lists(
-    st.one_of(
-        st.tuples(sized_count, st.integers(1, 8)).map(lambda run: [run[0]] * run[1]),
-        st.integers(1, 40).map(lambda k: [1] * k),
-    ),
-    min_size=1, max_size=300,
-).map(lambda runs: list(itertools.chain.from_iterable(runs))[:1100])
+    return sum(Fraction(1, derivation_count(g, w)) for strings, _ in batches for w in strings)
 
 
 class TestSampleSize:
@@ -85,13 +57,17 @@ class TestSampleSize:
 
 
 class TestStreamPin:
-    """(samples, accepted) of seeded runs, recorded at gramhmm 0.7.0: a change
-    to the proposal or Bernoulli stream shows here."""
+    """(samples, accepted) of seeded runs, recorded at gramhmm 0.25.0, where
+    accepted is the sum of 1 / f_G(w) over the proposals: a change to the
+    proposal stream shows where the counts vary (every row but union-uu and
+    ss, whose strings each have 2 and 42 derivations)."""
 
     @pytest.mark.parametrize("name, L, epsilon, bound, seed, expected", [
-        ("union-uu", 8, 0.1, 2, 7, (416, 196)),
-        ("union-dyck-uu", 6, 0.1, 3, 11, (936, 468)),
-        ("ss", 6, 0.5, 42, 3, (7337, 156)),
+        ("union-uu", 8, 0.1, 2, 7, (416, 208.0)),
+        ("union-dyck-uu", 6, 0.1, 3, 11, (936, 449.8333333333333)),
+        ("ss", 6, 0.5, 42, 3, (7337, 174.6904761904762)),
+        ("union-dyck-u", 8, 0.1, 2, 7, (416, 399.5)),
+        ("ss-ab", 5, 0.5, 90, 3, (33687, 635.5162203938193)),
     ])
     def test_samples_and_accepted(self, name, L, epsilon, bound, seed, expected):
         u, parens = universal_grammar("ab"), universal_grammar("()")
@@ -100,32 +76,14 @@ class TestStreamPin:
             "union-dyck-uu": lambda: (union(union(dyck_grammar(), parens), parens),
                                       uniform_hmm("()")),
             "ss": lambda: (parse_grammar("start S\nS -> S S\nS -> 'a'"), uniform_hmm("a")),
+            # counts 1 and 2
+            "union-dyck-u": lambda: (union(dyck_grammar(), parens), random_hmm(3, "()", seed=5)),
+            # fifteen distinct counts, from b^5's 14 to a^5's 90
+            "ss-ab": lambda: (parse_grammar("start S\nS -> S S\nS -> A S\nS -> 'a'\nS -> 'b'\n"
+                                            "A -> 'a'"), random_hmm(2, "ab", seed=5)),
         }[name]()
         report = fpras_likelihood(g, model, L, epsilon=epsilon, bound=bound, seed=seed)
         assert (report.samples, report.accepted) == expected
-
-
-class TestBernoulliStream:
-    """The pooled walk against 0.11.0's per-proposal loop, from equal seeds."""
-
-    @settings(max_examples=120, deadline=None)
-    @given(counts=count_lists, seed=st.integers(0, 2**32))
-    @example(counts=[2] * 1100, seed=7)
-    @example(counts=[3, 2**64 + 1, 1, 1, 2**32, 255, 2**32 - 1, 2**64] * 137, seed=1)
-    def test_same_outcomes_and_generator_state(self, counts, seed):
-        loop_rng, walk_rng = seeded_generator(seed), seeded_generator(seed)
-        expected = [reference_bernoulli(c, loop_rng) for c in counts]
-        outcomes = _bernoulli_walk(counts, walk_rng)
-        assert outcomes == expected
-        assert sum(outcomes) == sum(expected)
-        assert walk_rng.bit_generator.state == loop_rng.bit_generator.state
-
-    @pytest.mark.parametrize("counts", [[0], [-3], [2, 0, 1]])
-    def test_count_below_one_rejected(self, counts):
-        with pytest.raises(ApproxError, match="^count must be >= 1$"):
-            _bernoulli_walk(counts, seeded_generator(0))
-        with pytest.raises(ApproxError, match="^count must be >= 1$"):
-            exact_bernoulli(min(counts), seeded_generator(0))
 
 
 class TestExactBernoulli:
@@ -134,22 +92,21 @@ class TestExactBernoulli:
         assert all(exact_bernoulli(1, rng) for _ in range(100))
 
     def test_count_zero_rejected(self):
-        with pytest.raises(ApproxError):
-            exact_bernoulli(0, np.random.default_rng(0))
+        for count in (0, -3):
+            with pytest.raises(ApproxError, match="^count must be >= 1$"):
+                exact_bernoulli(count, np.random.default_rng(0))
 
-    # the walk reads the stream of one exact_bernoulli call per trial
-    # (TestBernoulliStream), so one walk gives the same hits
     @pytest.mark.parametrize("count,trials,tol", [(2, 100_000, 0.006), (3, 60_000, 0.007)])
     def test_acceptance_rate(self, count, trials, tol):
         rng = np.random.default_rng(123)
-        hits = sum(_bernoulli_walk([count] * trials, rng))
+        hits = sum(exact_bernoulli(count, rng) for _ in range(trials))
         assert hits / trials == pytest.approx(1 / count, abs=tol)
 
     def test_huge_count_rarely_accepts(self):
         # count far above 2^53: float division would round to garbage
         rng = np.random.default_rng(7)
         count = 10**30
-        assert not any(_bernoulli_walk([count] * 1000, rng))
+        assert not any(exact_bernoulli(count, rng) for _ in range(1000))
 
 
 class TestFpras:
@@ -225,9 +182,8 @@ class TestFpras:
     @pytest.mark.parametrize("epsilon", [0.1, 0.2])
     def test_batched_counts_match_per_string_loop(self, dyck, universal_ab, epsilon):
         # the instances of acceptance criterion 6, where every proposal of an
-        # instance has the same count, and one mixing counts 2 and 3, where
-        # the order of the Bernoulli draws shows; bound 5 at epsilon 0.1
-        # draws 2600 proposals, so several sampler batches
+        # instance has the same count, and one mixing counts 2 and 3; bound 5
+        # at epsilon 0.1 draws 2600 proposals, so several sampler batches
         unary = parse_grammar("start S\nS -> S S\nS -> 'a'")
         parens = universal_grammar("()")
         instances = [
@@ -239,7 +195,53 @@ class TestFpras:
         for g, m, L, bound in instances:
             for seed in (10_000, 10_001, 10_002):
                 report = fpras_likelihood(g, m, L, epsilon=epsilon, bound=bound, seed=seed)
-                assert report.accepted == per_string_accepted(g, m, L, epsilon, bound, seed)
+                exact = per_string_accepted(g, m, L, epsilon, bound, seed)
+                assert abs(Fraction(report.accepted) - exact) <= exact / 10**15
+                assert report.estimate == report.z_weighted * report.accepted / report.samples
+
+    @pytest.mark.parametrize("epsilon", [0.2, 0.1])
+    def test_exact_on_count_deck_union_uu(self, monkeypatch, epsilon):
+        # the seed-7 count deck's union-uu and count-ab-3 files: every string
+        # has 2 derivations, so each of 40 seeds gives the exact likelihood
+        spec = importlib.util.spec_from_file_location("bench_decks", DECKS)
+        decks = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, decks)  # for its dataclasses
+        spec.loader.exec_module(decks)
+        files = decks.build_deck("count", 7).files
+        g = parse_grammar(files["union-uu.grm"])
+        m = parse_hmm(files["count-ab-3.hmm.json"])
+        truth = brute_force_likelihood(g, m, 8)
+        for seed in range(40):
+            report = fpras_likelihood(g, m, 8, epsilon=epsilon, bound=2, seed=seed)
+            assert report.estimate == pytest.approx(truth, rel=1e-12)
+
+    def test_no_draw_after_proposals(self, monkeypatch, universal_ab):
+        g, m = union(universal_ab, universal_ab), uniform_hmm("ab")
+        made = []
+        monkeypatch.setattr(approx, "seeded_generator",
+                            lambda seed: made.append(seeded_generator(seed)) or made[-1])
+        fpras_likelihood(g, m, 3, epsilon=0.1, bound=2, seed=4)
+        rng = seeded_generator(4)
+        for _ in Sampler(forward_table(g, m, 3)).draw_batches(3, sample_size(2, 0.1), rng):
+            pass
+        assert made[0].bit_generator.state == rng.bit_generator.state
+
+    def test_count_below_one_rejected(self, monkeypatch, universal_ab):
+        # the sampler draws only members, so this guards the sum's divisions
+        monkeypatch.setattr(approx, "derivation_counts", lambda g, strings: [0] * len(strings))
+        with pytest.raises(ApproxError, match="^a length-3 proposal has no derivation$"):
+            fpras_likelihood(union(universal_ab, universal_ab), uniform_hmm("ab"), 3,
+                             epsilon=0.2, bound=2, seed=0)
+
+    @pytest.mark.parametrize("L", [108, 110])
+    def test_underflowed_mass_is_numerical_error(self, L):
+        # the start is live, but 0.001^L flushes the weighted mass to 0.0
+        g = parse_grammar("start S\nS -> B S\nS -> 'b'\nB -> 'b'\nA -> 'a'")
+        m = Hmm(initial=np.array([1.0]),
+                matrices={"a": np.array([[0.999]]), "b": np.array([[0.001]])})
+        with pytest.raises(NumericalError, match=f"^weighted mass 0.0 at length {L} is not "
+                                                 "a normal float64$"):
+            fpras_likelihood(g, m, L, epsilon=0.5, bound=1, seed=0)
 
     def test_acceptance_identity(self, ss_grammar):
         # sum over strings of proposal mass / derivation count equals the

@@ -418,11 +418,13 @@ class TestDeterminism:
             ("approx", "--grammar", files["double"], "--hmm", files["ab_hmm"],
              "--length", 3, "--epsilon", 0.2, "--ambiguity-bound", 2, "--seed", 5),
         ]
-        # stdout sha256 of each command as written by gramhmm 0.8.0
+        # stdout sha256 of each command as written by gramhmm 0.8.0, the
+        # approx document's as 0.25.0 writes it, with accepted the sum of
+        # 1 / f_G(w)
         pinned = [
             "98672541de7bbb20938d68f6a5f164a40a7309dfbfa804d0e70f1aefb253884a",
             "c1788055ef3d81fbaa5be505226532f7d08eb8da355d821e35311b424e3a097f",
-            "84f434feb2d817bf434f5b4ef14de624f978044203f6948caa3bff810be7fb37",
+            "7a6696d0904373461f76ae268f85dd438175934f0069e6558574b02bd2a86883",
         ]
         for cmd, digest in zip(commands, pinned):
             first, second = run_cli(*cmd), run_cli(*cmd)
@@ -475,6 +477,26 @@ def test_negative_seed_is_validation_error(files, command):
     assert r.returncode == 3
     assert r.stdout == ""
     assert r.stderr.splitlines() == ["seed must be nonnegative, got -1"]
+
+
+@pytest.mark.parametrize("L", [108, 110])
+@pytest.mark.parametrize("command, message", [
+    (("sample", "--count", 1, "--seed", 0), "numerical underflow at node"),
+    (("approx", "--epsilon", 0.5, "--ambiguity-bound", 1, "--seed", 0),
+     "weighted mass 0.0 at length {L} is not a normal float64"),
+], ids=["sample", "approx"])
+def test_underflowed_mass_is_numerical_error(tmp_path, command, message, L):
+    # the start is live, but 0.001^L flushes the weighted mass to 0.0
+    g = tmp_path / "bs.grm"
+    g.write_text("start S\nS -> B S\nS -> 'b'\nB -> 'b'\nA -> 'a'\n")
+    h = tmp_path / "rare-b.hmm.json"
+    h.write_text('{"states": 1, "alphabet": ["a", "b"], "initial": [1.0], '
+                 '"matrices": {"a": [[0.999]], "b": [[0.001]]}}')
+    name, *options = command
+    r = run_cli(name, "--grammar", g, "--hmm", h, "--length", L, *options)
+    assert r.returncode == 4
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == [message.format(L=L)]
 
 
 @pytest.mark.parametrize("length", [10**17, 10**18])

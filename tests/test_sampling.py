@@ -225,6 +225,15 @@ class TestSample:
             sample_many(g, m, 102, 3, 0)
         assert isinstance(e.value, NumericalError)
 
+    @pytest.mark.parametrize("L", [108, 110])
+    def test_underflowed_root_is_numerical_error(self, L):
+        # the start is live, but 0.001^L flushes the root's mass to 0.0
+        g = parse_grammar("start S\nS -> B S\nS -> 'b'\nB -> 'b'\nA -> 'a'")
+        m = Hmm(initial=np.array([1.0]),
+                matrices={"a": np.array([[0.999]]), "b": np.array([[0.001]])})
+        with pytest.raises(SamplingNumericalError, match="^numerical underflow at node$"):
+            sample_many(g, m, L, 3, 0)
+
     def test_overflow_is_numerical_error(self):
         # the weighted mass of S -> S S | 'a' | 'b' passes float64 range by L = 540
         g = parse_grammar("start S\nS -> S S\nS -> 'a'\nS -> 'b'")
