@@ -67,4 +67,4 @@ from .reductions import (
     parse_dimacs,
 )
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"

@@ -33,6 +33,11 @@ class HmmError(ValueError):
 
 @dataclass(frozen=True)
 class Hmm:
+    """The operators are stored once, sorted by symbol, as the read-only,
+    C-contiguous float64 array ``operators`` of shape (|alphabet|, n, n); a
+    plain attribute, not a field.  ``matrices`` maps each symbol, in that
+    order, to a read-only view of its row."""
+
     initial: np.ndarray                 # shape (n,), n = state_count
     matrices: dict[str, np.ndarray]     # symbol -> (n, n); the keys are the alphabet
 
@@ -50,8 +55,7 @@ class Hmm:
         if np.any(init < 0):
             raise HmmError("initial vector has a negative entry")
         if abs(init.sum() - 1.0) > STOCHASTICITY_TOL:
-            raise HmmError(f"initial vector sums to {init.sum()!r}, not 1")
-        total = np.zeros((n, n))
+            raise HmmError(f"initial vector sums to {float(init.sum())!r}, not 1")
         mats = {}
         for sym, m in self.matrices.items():
             m = np.asarray(m, dtype=float)
@@ -62,19 +66,20 @@ class Hmm:
             if np.any(m < 0):
                 raise HmmError(f"matrix for {sym!r} has a negative entry")
             mats[sym] = m
-            total += m
-        rows = total.sum(axis=1)
+        symbols = sorted(mats)
+        operators = np.array([mats[s] for s in symbols]).reshape(-1, n, n)
+        rows = operators.sum(axis=(0, 2))
         bad = np.abs(rows - 1.0) > STOCHASTICITY_TOL
         if np.any(bad):
             i = int(np.argmax(bad))
             raise HmmError(
-                f"sum of symbol matrices is not row-stochastic: row {i} sums to {rows[i]!r}"
+                f"sum of symbol matrices is not row-stochastic: row {i} sums to {float(rows[i])!r}"
             )
         init.setflags(write=False)
-        for m in mats.values():
-            m.setflags(write=False)
+        operators.setflags(write=False)
         object.__setattr__(self, "initial", init)
-        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "operators", operators)
+        object.__setattr__(self, "matrices", dict(zip(symbols, operators)))
 
     @property
     def state_count(self) -> int:
@@ -220,5 +225,5 @@ def random_hmm(state_count: int, alphabet: str | tuple[str, ...], seed: int) -> 
     init /= init.sum()
     block = rng.exponential(size=(state_count, len(symbols) * state_count))
     block /= block.sum(axis=1, keepdims=True)
-    mats = {s: block[:, i * state_count : (i + 1) * state_count] for i, s in enumerate(symbols)}
-    return Hmm(initial=init, matrices=mats)
+    operators = block.reshape(state_count, len(symbols), state_count).swapaxes(0, 1)
+    return Hmm(initial=init, matrices=dict(zip(symbols, operators)))

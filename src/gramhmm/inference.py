@@ -160,9 +160,9 @@ class LikelihoodResult:
 
 
 def _check_alphabets(g: CnfGrammar, model: Hmm) -> None:
-    if set(g.alphabet) != set(model.alphabet):
+    if g.alphabet != model.alphabet:
         raise InferenceError(
-            f"alphabet mismatch: grammar {list(g.alphabet)} vs HMM {sorted(model.alphabet)}"
+            f"alphabet mismatch: grammar {list(g.alphabet)} vs HMM {list(model.alphabet)}"
         )
 
 
@@ -424,10 +424,15 @@ def weighted_mass(g: CnfGrammar, model: Hmm, L: int) -> LikelihoodResult:
     """Z = sum over length-L strings of f_G(w) * f_A(w); valid for any CFG.
 
     A caller that holds a forward table reads the same value, at any length
-    the table covers, as ``table.contract(L)``.
+    the table covers, as ``table.contract(L)``.  A value below the smallest
+    normal float64 for a language with a length-L string raises
+    ``NumericalError``; an infinite one is returned.
     """
-    return LikelihoodResult(value=forward_table(g, model, L).contract(L), length=L,
-                            mode="weighted-mass")
+    table = forward_table(g, model, L)
+    value = table.contract(L)
+    if value < np.finfo(float).tiny and table.live[L - 1, g.start]:
+        raise NumericalError(f"weighted mass {value!r} at length {L} is not a normal float64")
+    return LikelihoodResult(value=value, length=L, mode="weighted-mass")
 
 
 def _attested(value: float, L: int) -> float:
@@ -462,7 +467,9 @@ def likelihood_upto(
     """Sum of per-length exact likelihoods for l = 1..L off one shared table.
 
     The >1 sanity check applies per length; the sum itself may legitimately
-    exceed 1 (each length carries its own distribution).
+    exceed 1 (each length carries its own distribution).  A sum below the
+    smallest normal float64 for a language with a string of length at most L
+    raises ``NumericalError``.
     """
     if not unambiguity_attested:
         raise AttestationError(
@@ -472,4 +479,6 @@ def likelihood_upto(
     total = 0.0
     for l in range(1, L + 1):
         total += _attested(table.contract(l), l)
+    if total < np.finfo(float).tiny and table.live[:, g.start].any():
+        raise NumericalError(f"likelihood {total!r} up to length {L} is not a normal float64")
     return LikelihoodResult(value=total, length=L, mode="upto-L")

@@ -147,16 +147,15 @@ def exact_weighted_mass(g: CnfGrammar, model: Hmm, L: int) -> Fraction:
         raise GrammarError("length must be >= 1")
     # each entry is an integer over a power of two, and 2^E is the largest of
     # those powers, so 2^E times any entry is an integer
-    E = max(x.as_integer_ratio()[1].bit_length() - 1
-            for m in model.matrices.values() for x in m.ravel().tolist())
-    scaled = {s: np.array([[int(Fraction(x) * 2**E) for x in row] for row in m.tolist()],
-                          dtype=object)
-              for s, m in model.matrices.items()}
+    entries = model.operators.ravel().tolist()
+    E = max(x.as_integer_ratio()[1].bit_length() - 1 for x in entries)
+    scaled = np.array([int(Fraction(x) * 2**E) for x in entries],
+                      dtype=object).reshape(model.operators.shape)
     n = model.state_count
     # layers[l-1, a] is F'_l[a], in Python ints
     layers = np.zeros((L, g.nonterminal_count, n, n), dtype=object)
     for a, s in g.lexical_rules:
-        layers[0, a] += scaled[s]
+        layers[0, a] += scaled[model.alphabet.index(s)]
     for l in range(2, L + 1):
         for m in range(1, l):
             for a, b, c in g.binary_rules:

@@ -188,8 +188,8 @@ class Sampler:
         self._children = [children[s:e].T for s, e in zip([0] + ends, ends)]
         # _leaf[a, s, t] is the cumulative weights of a's leaves at (s, t)
         # over the whole alphabet, a symbol that a does not emit adding +0.0
-        stacked = np.stack([self.model.matrices[s] for s in g.alphabet], axis=2)
-        self._leaf = np.cumsum(g.emits.T[:, None, None, :] * stacked, axis=3)
+        leaves = g.emits.T[:, None, None, :] * self.model.operators.transpose(1, 2, 0)
+        self._leaf = np.cumsum(leaves, axis=3)
 
     def _columns(self, a: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live (split, rule) columns of nodes (a, l) as arrays (m, b, c),

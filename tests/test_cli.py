@@ -146,6 +146,21 @@ class TestLikelihood:
         assert "outside the alphabet: 'b'" in r.stderr
         assert r.stdout == ""
 
+    @pytest.mark.parametrize("initial, matrices, message", [
+        ("[0.5]", '{"(": [[0.5]], ")": [[0.5]]}', "initial vector sums to 0.5, not 1"),
+        ("[1]", '{"(": [[0.5]], ")": [[0.3]]}',
+         "sum of symbol matrices is not row-stochastic: row 0 sums to 0.8"),
+    ], ids=["initial", "rows"])
+    def test_sum_is_printed_as_a_plain_float(self, files, tmp_path, initial, matrices, message):
+        h = tmp_path / "short.hmm.json"
+        h.write_text(f'{{"states": 1, "alphabet": ["(", ")"], "initial": {initial}, '
+                     f'"matrices": {matrices}}}')
+        r = run_cli("likelihood", "--grammar", files["dyck"], "--hmm", h,
+                    "--length", 4, "--mode", "weighted")
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == [message]
+
     def test_usage_error(self):
         r = run_cli("likelihood", "--mode", "weighted")
         assert r.returncode == 2
@@ -484,7 +499,11 @@ def test_negative_seed_is_validation_error(files, command):
     (("sample", "--count", 1, "--seed", 0), "numerical underflow at node"),
     (("approx", "--epsilon", 0.5, "--ambiguity-bound", 1, "--seed", 0),
      "weighted mass 0.0 at length {L} is not a normal float64"),
-], ids=["sample", "approx"])
+    (("likelihood", "--mode", "weighted"),
+     "weighted mass 0.0 at length {L} is not a normal float64"),
+    (("likelihood", "--mode", "ucfg", "--attest-unambiguous"),
+     "weighted mass 0.0 at length {L} is not a normal float64"),
+], ids=["sample", "approx", "weighted", "ucfg"])
 def test_underflowed_mass_is_numerical_error(tmp_path, command, message, L):
     # the start is live, but 0.001^L flushes the weighted mass to 0.0
     g = tmp_path / "bs.grm"

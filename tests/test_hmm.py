@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramhmm.hmm import (
+    STOCHASTICITY_TOL,
     Hmm,
     HmmError,
     format_hmm,
@@ -35,6 +38,54 @@ ALTERNATOR = json.dumps(
         "matrices": {"a": [[0.0, 1.0], [0.0, 0.0]], "b": [[0.0, 0.0], [1.0, 0.0]]},
     }
 )
+
+
+def reference_matrix_error(n, matrices):
+    """The first matrix error of the 0.25.0 constructor, which checked each
+    symbol in the mapping's order and added it to a running total, or None;
+    its sums are printed as plain floats, as they are now."""
+    total = np.zeros((n, n))
+    for sym, m in matrices.items():
+        m = np.asarray(m, dtype=float)
+        if m.shape != (n, n):
+            return f"matrix for {sym!r} must be {n}x{n}"
+        if not np.all(np.isfinite(m)):
+            return f"matrix for {sym!r} has a non-finite entry"
+        if np.any(m < 0):
+            return f"matrix for {sym!r} has a negative entry"
+        total += m
+    rows = total.sum(axis=1)
+    bad = np.abs(rows - 1.0) > STOCHASTICITY_TOL
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        return f"sum of symbol matrices is not row-stochastic: row {i} sums to {float(rows[i])!r}"
+    return None
+
+
+@st.composite
+def spoiled_models(draw):
+    """(n, mapping): a row-stochastic model in eighths with one to three
+    entries spoiled, its symbols inserted in a random order.  Eighths add
+    exactly in any order, so a row sum does not depend on the order of the
+    symbols."""
+    n = draw(st.integers(1, 3))
+    symbols = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=5, unique=True))
+    eighths = np.zeros((n, len(symbols) * n))
+    for row in eighths:
+        np.add.at(row, draw(st.lists(st.integers(0, row.size - 1), min_size=8, max_size=8)), 1)
+    mats = {s: eighths[:, i * n:(i + 1) * n] / 8 for i, s in enumerate(symbols)}
+    for _ in range(draw(st.integers(1, 3))):
+        s = draw(st.sampled_from(symbols))
+        kind = draw(st.sampled_from(["shape", "nan", "inf", "negative", "more", "zero"]))
+        if kind == "shape":
+            mats[s] = np.zeros(draw(st.sampled_from([(n + 1, n), (n, n + 1), (n,)])))
+        elif mats[s].shape == (n, n):
+            m = mats[s].copy()
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            m[i, j] = {"nan": math.nan, "inf": math.inf, "negative": -0.125,
+                       "more": m[i, j] + 0.125, "zero": 0.0}[kind]
+            mats[s] = m
+    return n, {s: mats[s] for s in draw(st.permutations(symbols))}
 
 
 class TestParse:
@@ -145,11 +196,34 @@ class TestParse:
     def test_sizes_and_alphabet_come_from_the_data(self):
         m = Hmm(np.array([0.5, 0.5]), {"b": np.full((2, 2), 0.25), "a": np.full((2, 2), 0.25)})
         assert m.state_count == 2
-        assert m.alphabet == ("b", "a")
+        assert m.alphabet == ("a", "b")
         with pytest.raises(HmmError, match="^state count must be positive$"):
             Hmm(np.array([]), {"a": np.ones((0, 0))})
         with pytest.raises(HmmError, match="^initial vector must be one-dimensional$"):
             Hmm(np.array([[1.0]]), {"a": np.array([[1.0]])})
+
+    def test_sum_messages_print_plain_floats(self):
+        with pytest.raises(HmmError, match=r"^initial vector sums to 0\.5, not 1$"):
+            Hmm(np.array([0.5]), {"a": np.array([[1.0]])})
+        with pytest.raises(HmmError, match=r"^sum of symbol matrices is not row-stochastic: "
+                                           r"row 1 sums to 0\.8$"):
+            Hmm(np.array([1.0, 0.0]), {"b": np.array([[0.0, 0.5], [0.0, 0.3]]),
+                                       "a": np.array([[0.5, 0.0], [0.5, 0.0]])})
+        with pytest.raises(HmmError, match=r"^sum of symbol matrices is not row-stochastic: "
+                                           r"row 0 sums to 0\.0$"):
+            Hmm(np.array([1.0]), {})
+
+    @settings(max_examples=300, deadline=None)
+    @given(spoiled_models())
+    def test_first_error_matches_the_per_symbol_loop(self, case):
+        n, mats = case
+        expected = reference_matrix_error(n, mats)
+        if expected is None:
+            assert Hmm(np.eye(n)[0], mats).alphabet == tuple(sorted(mats))
+        else:
+            with pytest.raises(HmmError) as e:
+                Hmm(np.eye(n)[0], mats)
+            assert str(e.value) == expected
 
     def test_missing_field(self):
         with pytest.raises(HmmError, match="matrices"):
@@ -161,6 +235,53 @@ class TestParse:
         assert np.array_equal(m.initial, m2.initial)
         for s in "ab":
             assert np.array_equal(m.matrices[s], m2.matrices[s])
+
+    @pytest.mark.parametrize("alphabet", ["ba", "cab"])
+    def test_round_trip_writes_symbols_sorted(self, alphabet):
+        m = random_hmm(2, alphabet, seed=3)
+        text = format_hmm(m)
+        doc = json.loads(text)
+        assert doc["alphabet"] == list(doc["matrices"]) == sorted(alphabet)
+        m2 = parse_hmm(text)
+        assert m2.alphabet == m.alphabet == tuple(sorted(alphabet))
+        assert np.array_equal(m2.initial, m.initial)
+        assert np.array_equal(m2.operators, m.operators)
+        assert format_hmm(m2) == text
+
+
+class TestOperators:
+    def test_one_sorted_read_only_stack(self):
+        m = random_hmm(3, "cab", seed=2)
+        ops = m.operators
+        assert m.alphabet == tuple(m.matrices) == ("a", "b", "c")
+        assert ops.shape == (3, 3, 3) and ops.dtype == np.float64
+        assert ops.flags.c_contiguous and not ops.flags.writeable
+        for i, s in enumerate(m.alphabet):
+            assert np.shares_memory(m.matrices[s], ops[i])
+            assert np.array_equal(m.matrices[s], ops[i])
+            assert not m.matrices[s].flags.writeable
+        with pytest.raises(ValueError):
+            ops[0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            m.matrices["c"][0, 0] = 0.0
+
+    def test_callers_arrays_are_copied(self):
+        a = np.array([[0.5]])
+        m = Hmm(np.array([1.0]), {"b": a, "a": np.array([[0.5]])})
+        a[0, 0] = 0.25
+        assert m.matrices["b"][0, 0] == 0.5 and m.operators[1, 0, 0] == 0.5
+
+    def test_random_hmm_gives_each_symbol_its_block(self):
+        # symbol i of the order given takes columns i*n .. (i+1)*n - 1 of the
+        # seeded block, whatever the sorted order
+        n, symbols = 2, "cab"
+        rng = np.random.default_rng(5)
+        rng.exponential(size=n)
+        block = rng.exponential(size=(n, len(symbols) * n))
+        block /= block.sum(axis=1, keepdims=True)
+        m = random_hmm(n, symbols, seed=5)
+        for i, s in enumerate(symbols):
+            assert np.array_equal(m.matrices[s], block[:, i * n:(i + 1) * n])
 
 
 class TestStringLikelihood:

@@ -2,6 +2,7 @@ import gc
 import linecache
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -16,12 +17,13 @@ from hypothesis import strategies as st
 
 from gramhmm import inference
 from gramhmm.grammar import parse_grammar, union
-from gramhmm.hmm import random_hmm, uniform_hmm
+from gramhmm.hmm import Hmm, random_hmm, uniform_hmm
 from gramhmm.inference import (
     FOLD_ENTRIES,
     FOLD_STATES,
     AttestationError,
     InferenceError,
+    NumericalError,
     forward_table,
     likelihood_upto,
     ucfg_likelihood,
@@ -37,6 +39,14 @@ UNEVEN = parse_grammar("start S\nS -> A A\nS -> A C\nA -> P P\nA -> Q Q\nQ -> P 
                        "C -> C C\nA -> 'a'\nP -> 'a'\nC -> 'a'\nC -> 'b'")
 TWO_CPUS = pytest.mark.skipif(inference._cpu_count() < 2,
                               reason="the fold's helper thread runs only on two CPUs or more")
+
+
+def rare_b(pr_b):
+    """S derives b^l once at every length l, so its mass is pr_b^l; at
+    Pr(b) = 0.001 that is subnormal from l = 103 and 0.0 from l = 108, while
+    the start stays live."""
+    g = parse_grammar("start S\nS -> B S\nS -> 'b'\nB -> 'b'\nA -> 'a'")
+    return g, Hmm(np.array([1.0]), {"a": np.array([[1 - pr_b]]), "b": np.array([[pr_b]])})
 
 
 def full_loop_layers(g, model, L):
@@ -157,6 +167,13 @@ class TestForwardTable:
     def test_invalid_length(self, dyck, paren_uniform):
         with pytest.raises(InferenceError):
             forward_table(dyck, paren_uniform, 0)
+
+    def test_alphabets_compare_as_sorted_tuples(self, universal_ab):
+        # the HMM's order of declaration does not matter; its symbols do
+        assert forward_table(universal_ab, random_hmm(2, "ba", seed=1), 2).length == 2
+        with pytest.raises(InferenceError, match=re.escape(
+                "alphabet mismatch: grammar ['a', 'b'] vs HMM ['a', 'b', 'c']") + "$"):
+            forward_table(universal_ab, uniform_hmm("cba"), 2)
 
     def test_layers_are_one_read_only_array(self):
         g = parse_grammar("start S\nS -> S S\nS -> 'a'\nS -> 'b'\nT -> 'a'")
@@ -793,6 +810,31 @@ class TestWeightedMass:
         L = int(rng.integers(1, 6))
         assert weighted_mass(g, m, L).value <= max_ambiguity(g, L) + 1e-9
 
+    @pytest.mark.parametrize("L", range(103, 111))
+    def test_underflowed_mass_is_numerical_error(self, L):
+        g, m = rare_b(0.001)
+        value = forward_table(g, m, L).contract(L)
+        assert value < np.finfo(float).tiny
+        message = re.escape(f"weighted mass {value!r} at length {L} is not a normal float64")
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            weighted_mass(g, m, L)
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            ucfg_likelihood(g, m, L, unambiguity_attested=True)
+
+    def test_last_normal_mass_is_returned(self):
+        g, m = rare_b(0.001)
+        assert weighted_mass(g, m, 102).value == pytest.approx(1e-306, rel=1e-12)
+
+    def test_exact_zero_of_a_live_start_is_numerical_error(self):
+        # liveness depends on the grammar alone, so Pr(b) = 0 reads as an underflow
+        g, m = rare_b(0.0)
+        with pytest.raises(NumericalError, match="^weighted mass 0.0 at length 1 is not a "
+                                                 "normal float64$"):
+            weighted_mass(g, m, 1)
+
+    def test_dead_start_is_zero(self, dyck, paren_uniform):
+        assert weighted_mass(dyck, paren_uniform, 5).value == 0.0
+
 
 class TestUcfgLikelihood:
     def test_dyck_exact(self, dyck, paren_uniform):
@@ -822,6 +864,17 @@ class TestLikelihoodUpto:
     def test_no_short_derivations(self):
         g = parse_grammar("start S\nS -> A B\nA -> 'a'\nB -> 'b'")
         assert likelihood_upto(g, uniform_hmm("ab"), 1, unambiguity_attested=True).value == 0.0
+
+    def test_underflowed_terms_leave_a_normal_sum(self):
+        g, m = rare_b(0.001)
+        r = likelihood_upto(g, m, 110, unambiguity_attested=True)
+        assert r.value == pytest.approx(1 / 999, rel=1e-12)
+
+    def test_zero_sum_over_live_lengths_is_numerical_error(self):
+        g, m = rare_b(0.0)
+        with pytest.raises(NumericalError, match="^likelihood 0.0 up to length 3 is not a "
+                                                 "normal float64$"):
+            likelihood_upto(g, m, 3, unambiguity_attested=True)
 
     def test_universal_sums_lengths(self, universal_ab):
         # each length contributes a full distribution; the sum may exceed 1
